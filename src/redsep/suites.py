@@ -6,6 +6,11 @@ exhaustively while the assignment space stays small, falling back to
 constant corner cases plus a seeded sample otherwise.  A run is fully
 deterministic for a fixed (suite, bounds, seed, budget).
 
+The sweeping suites share one layer: a structural pool (spaces or table
+maps), the compiled plan of every (base, mode) pair, built once per
+(alphabet, depth), and the assignments drawn per pool entry and plan.  The
+per-assignment work runs on raw bitmasks.
+
 Findings are plain JSON-ready documents.  A violation is a broken law and
 fails the suite; a witness is an expected counterexample (the suites that
 drop a hypothesis must produce at least one).  Every finding replays:
@@ -14,7 +19,9 @@ operations and reports whether it still triggers.
 """
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache, reduce
 from itertools import combinations
 from itertools import product as iproduct
 
@@ -38,6 +45,7 @@ from .hausdorff import (
     IndexedFamily,
     canonical_base,
     compile_positions,
+    decreasing_replacement,
     dual_evaluate,
     eval_plan_bits,
     evaluate,
@@ -85,103 +93,84 @@ class SuiteResult:
 
 
 class _Collector:
-    """Accumulates findings, keeping only the first few full documents."""
+    """Counts cases and findings, keeping only the first few full documents."""
 
-    def __init__(self, name, expects_witnesses, keep=32):
+    def __init__(self, name, keep):
         self.name = name
-        self.expects_witnesses = expects_witnesses
         self.keep = keep
         self.cases = 0
-        self.violations = []
-        self.witnesses = []
-        self.violation_count = 0
-        self.witness_count = 0
+        self.docs = {"violation": [], "witness": []}
+        self.counts = {"violation": 0, "witness": 0}
 
-    def case(self):
-        self.cases += 1
-
-    def _finding(self, kind, instance, detail):
-        return {"suite": self.name, "kind": kind, "instance": instance, "detail": detail}
+    def add(self, kind, instance, detail):
+        self.counts[kind] += 1
+        if len(self.docs[kind]) < self.keep:
+            self.docs[kind].append({"suite": self.name, "kind": kind, "instance": instance, "detail": detail})
 
     def violation(self, instance, detail):
-        self.violation_count += 1
-        if len(self.violations) < self.keep:
-            self.violations.append(self._finding("violation", instance, detail))
+        self.add("violation", instance, detail)
 
     def witness(self, instance, detail):
-        self.witness_count += 1
-        if len(self.witnesses) < self.keep:
-            self.witnesses.append(self._finding("witness", instance, detail))
-
-    def result(self):
-        return SuiteResult(
-            self.name,
-            self.cases,
-            tuple(self.violations),
-            tuple(self.witnesses),
-            self.violation_count,
-            self.witness_count,
-            self.expects_witnesses,
-        )
+        self.add("witness", instance, detail)
 
 
-_SPACE_POOLS = {}
-_BASE_POOLS = {}
-_POSET_POOLS = {}
+# ---------------------------------------------------------------------------
+# the sweep layer
+
+# One compiled evaluation plan: the base's relevant indices in `order`, and
+# per branch the positions into `order` whose values it intersects.
+_Plan = namedtuple("_Plan", "base mode order positions")
 
 
-def _opens_class(space):
-    return SetClass.from_bits(space.n, space.open_bits())
+def _plan(base, mode):
+    order = base.relevant_indices(mode)
+    return _Plan(base, mode, order, compile_positions(base, mode, order))
 
 
+@cache
+def _compiled(alphabet, depth):
+    """Every base of the bounded branch pool, compiled in each mode, base-major."""
+    return tuple(_plan(base, mode) for base in all_bases(alphabet, depth) for mode in MODES)
+
+
+def _plans(bounds, modes=MODES):
+    return [plan for plan in _compiled(bounds.alphabet, bounds.depth) if plan.mode in modes]
+
+
+# The one-branch base {00}: prefix families (X, {x}, {y}) over it witness
+# that image commutation needs decreasingness once a map merges x and y.
+_PROBE = _plan(Base(1, [(0, 0)], PREFIX), PREFIX)
+
+
+@cache
 def _spaces(max_points):
-    if max_points not in _SPACE_POOLS:
-        pool = []
-        for k in range(max_points + 1):
-            pool.extend(all_topologies(k, max_points=max_points))
-        _SPACE_POOLS[max_points] = tuple(pool)
-    return _SPACE_POOLS[max_points]
+    return tuple(space for k in range(max_points + 1) for space in all_topologies(k, max_points=max_points))
 
 
-def _bases(bounds):
-    key = (bounds.alphabet, bounds.depth)
-    if key not in _BASE_POOLS:
-        _BASE_POOLS[key] = tuple(all_bases(bounds.alphabet, bounds.depth))
-    return _BASE_POOLS[key]
+_discrete = cache(FinSpace.discrete)
 
 
+def _maps(domains, codomains):
+    """Every table map between discrete spaces, domain size outermost, tables in lex order."""
+    for n in domains:
+        for m in codomains:
+            for table in all_tables(n, m):
+                yield PointMap(_discrete(n), _discrete(m), table)
+
+
+def _tables(pm):
+    """The image of every domain subset and the preimage of every codomain subset."""
+    return (
+        [pm.image_bits(bits) for bits in range(1 << pm.dom.n)],
+        [pm.preimage_bits(bits) for bits in range(1 << pm.cod.n)],
+    )
+
+
+@cache
 def _posets(k):
-    """Reflexive-transitive antisymmetric orders on 0..k-1 as above-masks."""
-    if k not in _POSET_POOLS:
-        off_diag = [(i, j) for i in range(k) for j in range(k) if i != j]
-        seen = set()
-        for pick in range(1 << len(off_diag)):
-            above = [1 << i for i in range(k)]
-            for t, (i, j) in enumerate(off_diag):
-                if pick >> t & 1:
-                    above[i] |= 1 << j
-            changed = True
-            while changed:
-                changed = False
-                for i in range(k):
-                    acc = above[i]
-                    rest = acc
-                    while rest:
-                        low = rest & -rest
-                        acc |= above[low.bit_length() - 1]
-                        rest ^= low
-                    if acc != above[i]:
-                        above[i] = acc
-                        changed = True
-            if any(
-                i != j and above[i] >> j & 1 and above[j] >> i & 1
-                for i in range(k)
-                for j in range(k)
-            ):
-                continue
-            seen.add(tuple(above))
-        _POSET_POOLS[k] = tuple(sorted(seen))
-    return _POSET_POOLS[k]
+    """Partial orders on 0..k-1 as above-masks: the minimal neighborhoods of T0 spaces."""
+    orders = (tuple(space.min_neighborhoods()) for space in all_topologies(k))
+    return tuple(sorted({above for above in orders if len(set(above)) == k}))
 
 
 def _order_pairs(above):
@@ -197,6 +186,11 @@ def _is_directed(above):
     )
 
 
+def _is_decreasing(above, fam):
+    k = len(above)
+    return all(not (above[i] >> j & 1) or not (fam[j] & ~fam[i]) for i in range(k) for j in range(k) if i != j)
+
+
 def _assignments(pool, k, rng, budget):
     """Value tuples drawn from pool^k: everything when small, sampled when not."""
     if k == 0:
@@ -210,24 +204,105 @@ def _assignments(pool, k, rng, budget):
     return out
 
 
-def _discrete_doc(n):
-    return serialize.space_to_doc(FinSpace.discrete(n))
+def _sweep(bounds, pool, rng, budget, modes=MODES):
+    """Each plan of the bounds with each assignment drawn for it from the pool."""
+    for plan in _plans(bounds, modes):
+        for values in _assignments(pool, len(plan.order), rng, budget):
+            yield plan, values
 
 
-def _table_map_doc(n, m, table):
-    return {"dom": _discrete_doc(n), "cod": _discrete_doc(m), "table": list(table)}
+def _dual_bits(positions, values, full, join=0):
+    """The dual operation on raw bitmasks, each value first joined with `join`."""
+    return full ^ (eval_plan_bits(positions, tuple(full ^ (v | join) for v in values)) & full)
 
 
-def _family_doc(n, mode, order, values):
-    assignments = {
-        serialize._index_key(mode, idx): sorted(p for p in range(n) if values[i] >> p & 1)
-        for i, idx in enumerate(order)
-    }
-    return {"universe": n, "mode": mode, "assignments": assignments, "default": None}
+def _image_pair(pm, img, positions, values):
+    """F(eval(values)) and eval(F(values)) on raw bitmasks."""
+    lhs = img[eval_plan_bits(positions, values) & ((1 << pm.dom.n) - 1)]
+    return lhs, eval_plan_bits(positions, tuple(img[v] for v in values)) & ((1 << pm.cod.n) - 1)
+
+
+def _meet_image(pm, img, fam):
+    """F(intersection of fam) and the intersection of F(fam) on raw bitmasks."""
+    inter, rhs = (1 << pm.dom.n) - 1, (1 << pm.cod.n) - 1
+    for v in fam:
+        inter &= v
+        rhs &= img[v]
+    return img[inter], rhs
+
+
+def _merge_witness(pm, img):
+    """The first probe family over two merged points that breaks image commutation, or None."""
+    n = pm.dom.n
+    for x in range(n):
+        for y in range(n):
+            if x != y and pm.table[x] == pm.table[y]:
+                values = ((1 << n) - 1, 1 << x, 1 << y)
+                lhs, rhs = _image_pair(pm, img, _PROBE.positions, values)
+                if lhs != rhs:
+                    return values, lhs, rhs
+    return None
+
+
+# ---------------------------------------------------------------------------
+# finding documents
 
 
 def _pts(n, bits):
     return sorted(p for p in range(n) if bits >> p & 1)
+
+
+def _lr(n, left, right):
+    return {"left": _pts(n, left), "right": _pts(n, right)}
+
+
+def _family_doc(n, mode, order, values):
+    assignments = {
+        serialize._index_key(mode, idx): _pts(n, values[i]) for i, idx in enumerate(order)
+    }
+    return {"universe": n, "mode": mode, "assignments": assignments, "default": None}
+
+
+def _doc(where, plan=None, n=0, values=(), **fields):
+    """A finding's instance: the space or map it arose on, the plan's base and family over n points, fields."""
+    if isinstance(where, FinSpace):
+        doc = {"space": serialize.space_to_doc(where)}
+    else:
+        doc = {"map": serialize.map_to_doc(where)}
+    if plan is not None:
+        doc["base"] = serialize.base_to_doc(plan.base)
+        doc["family"] = _family_doc(n, plan.mode, plan.order, values)
+    return {**doc, **fields}
+
+
+# ---------------------------------------------------------------------------
+# reading stored instances
+
+
+def _field(instance, name, parse=None, choices=()):
+    """One instance field, parsed or checked against its allowed values (None: may be absent)."""
+    val = serialize._field(instance, name, "instance", optional=None in choices)
+    if parse is not None:
+        return parse(val, f"instance.{name}")
+    if choices and val not in choices:
+        allowed = ", ".join(c for c in choices if c is not None)
+        raise InputError(f"instance.{name} must be one of {allowed}, got {val!r}")
+    return val
+
+
+def _mask(instance, name, n):
+    return serialize.mask_from_doc(n, _field(instance, name), f"instance.{name}")
+
+
+def _masks(instance, name, n):
+    vals = _field(instance, name)
+    if not isinstance(vals, list):
+        raise InputError(f"instance.{name} must be an array of point arrays")
+    return [serialize.mask_from_doc(n, v, f"instance.{name}[{i}]") for i, v in enumerate(vals)]
+
+
+def _base_family(instance):
+    return _field(instance, "base", serialize.base_from_doc), _field(instance, "family", serialize.family_from_doc)
 
 
 # ---------------------------------------------------------------------------
@@ -237,320 +312,147 @@ def _pts(n, bits):
 def _run_distributivity(bounds, rng, budget, col):
     """Meets and joins move through the operation and its dual pointwise."""
     for space in _spaces(bounds.max_points):
-        n = space.n
-        full = (1 << n) - 1
-        pool = list(space.open_bits())
-        space_doc = serialize.space_to_doc(space)
-        for base in _bases(bounds):
-            base_doc = None
-            for mode in MODES:
-                order = base.relevant_indices(mode)
-                plans = compile_positions(base, mode, order)
-                for values in _assignments(pool, len(order), rng, budget):
-                    col.case()
-                    ev = eval_plan_bits(plans, values) & full
-                    dv = full ^ (eval_plan_bits(plans, tuple(full ^ v for v in values)) & full)
-                    for mask in range(1 << n):
-                        meet = eval_plan_bits(plans, tuple(v & mask for v in values)) & full
-                        join = full ^ (
-                            eval_plan_bits(plans, tuple(full ^ (v | mask) for v in values)) & full
-                        )
-                        bad = []
-                        if meet != ev & mask:
-                            bad.append(("intersection", meet, ev & mask))
-                        if join != dv | mask:
-                            bad.append(("union", join, dv | mask))
-                        for identity, left, right in bad:
-                            if base_doc is None:
-                                base_doc = serialize.base_to_doc(base)
-                            col.violation(
-                                {
-                                    "space": space_doc,
-                                    "base": base_doc,
-                                    "mode": mode,
-                                    "family": _family_doc(n, mode, order, values),
-                                    "mask": _pts(n, mask),
-                                    "identity": identity,
-                                },
-                                {"left": _pts(n, left), "right": _pts(n, right)},
-                            )
+        n, full = space.n, (1 << space.n) - 1
+        for plan, values in _sweep(bounds, list(space.open_bits()), rng, budget):
+            col.cases += 1
+            pos = plan.positions
+            ev = eval_plan_bits(pos, values) & full
+            dv = _dual_bits(pos, values, full)
+            for mask in range(1 << n):
+                meet = eval_plan_bits(pos, tuple(v & mask for v in values)) & full
+                join = _dual_bits(pos, values, full, mask)
+                if meet == ev & mask and join == dv | mask:
+                    continue
+                for identity, left, right in (("intersection", meet, ev & mask), ("union", join, dv | mask)):
+                    if left != right:
+                        fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": identity}
+                        col.violation(_doc(space, plan, n, values, **fields), _lr(n, left, right))
 
 
-def _replay_distributivity(instance, kind, detail):
-    base = serialize.base_from_doc(instance["base"])
-    family = serialize.family_from_doc(instance["family"])
-    mode = instance["mode"]
-    mask = SubsetMask.from_points(family.n, instance["mask"])
-    if instance["identity"] == "intersection":
-        left = evaluate(base, family.map_values(lambda v: v & mask), mode)
-        right = evaluate(base, family, mode) & mask
-    else:
-        left = dual_evaluate(base, family.map_values(lambda v: v | mask), mode)
-        right = dual_evaluate(base, family, mode) | mask
-    return left != right
+def _replay_distributivity(instance, kind):
+    base, family = _base_family(instance)
+    mode = _field(instance, "mode", choices=MODES)
+    mask = _mask(instance, "mask", family.n)
+    if _field(instance, "identity", choices=("intersection", "union")) == "intersection":
+        return evaluate(base, family.map_values(lambda v: v & mask), mode) != evaluate(base, family, mode) & mask
+    joined = dual_evaluate(base, family.map_values(lambda v: v | mask), mode)
+    return joined != dual_evaluate(base, family, mode) | mask
 
 
 def _run_restriction(bounds, rng, budget, col):
     """Evaluation commutes with taking traces on a carrier."""
     for space in _spaces(bounds.max_points):
-        n = space.n
-        full = (1 << n) - 1
-        pool = list(space.open_bits())
-        space_doc = serialize.space_to_doc(space)
-        for base in _bases(bounds):
-            base_doc = None
-            for mode in MODES:
-                order = base.relevant_indices(mode)
-                plans = compile_positions(base, mode, order)
-                for values in _assignments(pool, len(order), rng, budget):
-                    col.case()
-                    ev = eval_plan_bits(plans, values) & full
-                    for carrier in range(1 << n):
-                        left = restrict_bits(ev & carrier, carrier)
-                        right = eval_plan_bits(
-                            plans, tuple(restrict_bits(v & carrier, carrier) for v in values)
-                        )
-                        sub_full = (1 << bin(carrier).count("1")) - 1
-                        if left != right & sub_full:
-                            if base_doc is None:
-                                base_doc = serialize.base_to_doc(base)
-                            col.violation(
-                                {
-                                    "space": space_doc,
-                                    "base": base_doc,
-                                    "mode": mode,
-                                    "family": _family_doc(n, mode, order, values),
-                                    "carrier": _pts(n, carrier),
-                                },
-                                {
-                                    "left": _pts(n, left),
-                                    "right": _pts(n, right & sub_full),
-                                },
-                            )
+        n, full = space.n, (1 << space.n) - 1
+        for plan, values in _sweep(bounds, list(space.open_bits()), rng, budget):
+            col.cases += 1
+            ev = eval_plan_bits(plan.positions, values) & full
+            for carrier in range(1 << n):
+                left = restrict_bits(ev & carrier, carrier)
+                right = eval_plan_bits(plan.positions, tuple(restrict_bits(v & carrier, carrier) for v in values))
+                right &= (1 << carrier.bit_count()) - 1
+                if left != right:
+                    instance = _doc(space, plan, n, values, mode=plan.mode, carrier=_pts(n, carrier))
+                    col.violation(instance, _lr(n, left, right))
 
 
-def _replay_restriction(instance, kind, detail):
-    base = serialize.base_from_doc(instance["base"])
-    family = serialize.family_from_doc(instance["family"])
-    mode = instance["mode"]
-    n = family.n
-    carrier = SubsetMask.from_points(n, instance["carrier"])
-    sub_n = carrier.card()
-    traced = IndexedFamily(
-        sub_n,
-        mode,
-        {
-            idx: SubsetMask(sub_n, restrict_bits(v.bits & carrier.bits, carrier.bits))
-            for idx, v in family.assignments.items()
-        },
-    )
-    left = restrict_bits(evaluate(base, family, mode).bits & carrier.bits, carrier.bits)
-    right = evaluate(base, traced, mode).bits
-    return left != right
+def _replay_restriction(instance, kind):
+    base, family = _base_family(instance)
+    mode = _field(instance, "mode", choices=MODES)
+    carrier = _mask(instance, "carrier", family.n).bits
+    sub_n = carrier.bit_count()
+    traced = {
+        idx: SubsetMask(sub_n, restrict_bits(v.bits & carrier, carrier)) for idx, v in family.assignments.items()
+    }
+    left = restrict_bits(evaluate(base, family, mode).bits & carrier, carrier)
+    return left != evaluate(base, IndexedFamily(sub_n, mode, traced), mode).bits
 
 
 def _run_preimage_commutes(bounds, rng, budget, col):
     """Preimages pass through the operation and its dual for every table."""
-    for n in range(bounds.max_points + 1):
-        full_n = (1 << n) - 1
-        for m in range(1, bounds.max_points + 1):
-            full_m = (1 << m) - 1
-            pool = list(range(1 << m))
-            for table in all_tables(n, m):
-                fiber = [0] * m
-                for x, y in enumerate(table):
-                    fiber[y] |= 1 << x
-                pre = [0] * (1 << m)
-                for v in range(1 << m):
-                    acc = 0
-                    for y in range(m):
-                        if v >> y & 1:
-                            acc |= fiber[y]
-                    pre[v] = acc
-                map_doc = None
-                for base in _bases(bounds):
-                    for mode in MODES:
-                        order = base.relevant_indices(mode)
-                        plans = compile_positions(base, mode, order)
-                        for values in _assignments(pool, len(order), rng, budget):
-                            col.case()
-                            checks = (
-                                (
-                                    "eval",
-                                    pre[eval_plan_bits(plans, values) & full_m],
-                                    eval_plan_bits(plans, tuple(pre[v] for v in values)) & full_n,
-                                ),
-                                (
-                                    "dual",
-                                    pre[
-                                        full_m
-                                        ^ (
-                                            eval_plan_bits(
-                                                plans, tuple(full_m ^ v for v in values)
-                                            )
-                                            & full_m
-                                        )
-                                    ],
-                                    full_n
-                                    ^ (
-                                        eval_plan_bits(
-                                            plans, tuple(full_n ^ pre[v] for v in values)
-                                        )
-                                        & full_n
-                                    ),
-                                ),
-                            )
-                            for identity, left, right in checks:
-                                if left != right:
-                                    if map_doc is None:
-                                        map_doc = _table_map_doc(n, m, table)
-                                    col.violation(
-                                        {
-                                            "map": map_doc,
-                                            "base": serialize.base_to_doc(base),
-                                            "mode": mode,
-                                            "family": _family_doc(m, mode, order, values),
-                                            "identity": identity,
-                                        },
-                                        {"left": _pts(n, left), "right": _pts(n, right)},
-                                    )
+    for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
+        n, m = pm.dom.n, pm.cod.n
+        full_n, full_m = (1 << n) - 1, (1 << m) - 1
+        _, pre = _tables(pm)
+        for plan, values in _sweep(bounds, list(range(1 << m)), rng, budget):
+            col.cases += 1
+            pos = plan.positions
+            pulled = tuple(pre[v] for v in values)
+            checks = (
+                ("eval", pre[eval_plan_bits(pos, values) & full_m], eval_plan_bits(pos, pulled) & full_n),
+                ("dual", pre[_dual_bits(pos, values, full_m)], _dual_bits(pos, pulled, full_n)),
+            )
+            for identity, left, right in checks:
+                if left != right:
+                    instance = _doc(pm, plan, m, values, mode=plan.mode, identity=identity)
+                    col.violation(instance, _lr(n, left, right))
 
 
-def _replay_preimage_commutes(instance, kind, detail):
-    pm = serialize.map_from_doc(instance["map"])
-    base = serialize.base_from_doc(instance["base"])
-    family = serialize.family_from_doc(instance["family"])
-    mode = instance["mode"]
-    pulled = IndexedFamily(
-        pm.dom.n,
-        mode,
-        {idx: pm.preimage(v) for idx, v in family.assignments.items()},
-    )
-    if instance["identity"] == "eval":
-        left = pm.preimage(evaluate(base, family, mode))
-        right = evaluate(base, pulled, mode)
-    else:
-        left = pm.preimage(dual_evaluate(base, family, mode))
-        right = dual_evaluate(base, pulled, mode)
-    return left != right
+def _replay_preimage_commutes(instance, kind):
+    pm = _field(instance, "map", serialize.map_from_doc)
+    base, family = _base_family(instance)
+    mode = _field(instance, "mode", choices=MODES)
+    op = evaluate if _field(instance, "identity", choices=("eval", "dual")) == "eval" else dual_evaluate
+    pulled = IndexedFamily(pm.dom.n, mode, {idx: pm.preimage(v) for idx, v in family.assignments.items()})
+    return pm.preimage(op(base, family, mode)) != op(base, pulled, mode)
+
+
+def _saturated(pm):
+    """Brute force: the domain subsets A with F^-1(F(A)) = A."""
+    return [a for a in range(1 << pm.dom.n) if pm.preimage_bits(pm.image_bits(a)) == a]
 
 
 def _run_algebra_closure(bounds, rng, budget, col):
     """alg F is the brute-force fixed-point family and is closed under eval."""
-    bases = _bases(bounds)
-    for n in range(bounds.max_points + 1):
-        dom = FinSpace.discrete(n)
-        img = [0] * (1 << n)
-        for m in range(1, bounds.max_points + 1):
-            cod = FinSpace.discrete(m)
-            for table in all_tables(n, m):
-                col.case()
-                for bits in range(1 << n):
-                    acc = 0
-                    for x in range(n):
-                        if bits >> x & 1:
-                            acc |= 1 << table[x]
-                    img[bits] = acc
-                fiber = [0] * m
-                for x, y in enumerate(table):
-                    fiber[y] |= 1 << x
-                pre_of = [0] * (1 << m)
-                for v in range(1 << m):
-                    acc = 0
-                    for y in range(m):
-                        if v >> y & 1:
-                            acc |= fiber[y]
-                    pre_of[v] = acc
-                brute = sorted(a for a in range(1 << n) if pre_of[img[a]] == a)
-                pm = PointMap(dom, cod, table)
-                alg = alg_enumerate(pm)
-                alg_bits = sorted(mem.bits for mem in alg.members)
-                map_doc = None
-                if alg_bits != brute:
-                    map_doc = _table_map_doc(n, m, table)
-                    col.violation(
-                        {"map": map_doc, "check": "extension"},
-                        {
-                            "enumerated": [_pts(n, b) for b in alg_bits],
-                            "brute_force": [_pts(n, b) for b in brute],
-                        },
-                    )
-                fibers = len({y for y in table})
-                if len(alg) != 1 << fibers:
-                    if map_doc is None:
-                        map_doc = _table_map_doc(n, m, table)
-                    col.violation(
-                        {"map": map_doc, "check": "cardinality"},
-                        {"size": len(alg), "fibers": fibers},
-                    )
-                alg_set = set(alg_bits)
-                pool = alg_bits
-                for base in bases:
-                    for mode in MODES:
-                        order = base.relevant_indices(mode)
-                        plans = compile_positions(base, mode, order)
-                        for values in _assignments(pool, len(order), rng, budget):
-                            out = eval_plan_bits(plans, values) & ((1 << n) - 1)
-                            if out not in alg_set:
-                                if map_doc is None:
-                                    map_doc = _table_map_doc(n, m, table)
-                                col.violation(
-                                    {
-                                        "map": map_doc,
-                                        "check": "eval-closure",
-                                        "base": serialize.base_to_doc(base),
-                                        "mode": mode,
-                                        "family": _family_doc(n, mode, order, values),
-                                    },
-                                    {"outcome": _pts(n, out)},
-                                )
+    for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
+        n, full = pm.dom.n, (1 << pm.dom.n) - 1
+        col.cases += 1
+        brute = _saturated(pm)
+        alg_bits = sorted(alg_enumerate(pm).member_bits())
+        if alg_bits != brute:
+            col.violation(
+                _doc(pm, check="extension"),
+                {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]},
+            )
+        fibers = len(set(pm.table))
+        if len(alg_bits) != 1 << fibers:
+            col.violation(_doc(pm, check="cardinality"), {"size": len(alg_bits), "fibers": fibers})
+        alg_set = set(alg_bits)
+        for plan, values in _sweep(bounds, alg_bits, rng, budget):
+            out = eval_plan_bits(plan.positions, values) & full
+            if out not in alg_set:
+                instance = _doc(pm, plan, n, values, mode=plan.mode, check="eval-closure")
+                col.violation(instance, {"outcome": _pts(n, out)})
 
 
-def _replay_algebra_closure(instance, kind, detail):
-    pm = serialize.map_from_doc(instance["map"])
-    n = pm.dom.n
-    check = instance["check"]
-    brute = sorted(
-        a for a in range(1 << n) if pm.preimage_bits(pm.image_bits(a)) == a
-    )
-    alg = alg_enumerate(pm)
-    alg_bits = sorted(mem.bits for mem in alg.members)
+def _replay_algebra_closure(instance, kind):
+    pm = _field(instance, "map", serialize.map_from_doc)
+    check = _field(instance, "check", choices=("extension", "cardinality", "eval-closure"))
+    alg_bits = sorted(alg_enumerate(pm).member_bits())
     if check == "extension":
-        return alg_bits != brute
+        return alg_bits != _saturated(pm)
     if check == "cardinality":
-        return len(alg) != 1 << len(set(pm.table))
-    base = serialize.base_from_doc(instance["base"])
-    family = serialize.family_from_doc(instance["family"])
-    out = evaluate(base, family, instance["mode"])
-    return out.bits not in set(alg_bits)
+        return len(alg_bits) != 1 << len(set(pm.table))
+    base, family = _base_family(instance)
+    return evaluate(base, family, _field(instance, "mode", choices=MODES)).bits not in set(alg_bits)
 
 
 def _run_diagonal_absorption(bounds, rng, budget, col):
     """Membership in a factor's algebra survives the diagonal product."""
-    top = min(bounds.max_points, 3)
-    for n in range(top + 1):
-        dom = FinSpace.discrete(n)
-        for m1 in range(1, top + 1):
-            cod1 = FinSpace.discrete(m1)
-            for m2 in range(1, top + 1):
-                cod2 = FinSpace.discrete(m2)
-                for t1 in all_tables(n, m1):
-                    pm1 = PointMap(dom, cod1, t1)
+    sizes = range(1, min(bounds.max_points, 3) + 1)
+    for n in range(sizes.stop):
+        for m1 in sizes:
+            for m2 in sizes:
+                for pm1 in _maps([n], [m1]):
                     alg1 = alg_enumerate(pm1)
-                    for t2 in all_tables(n, m2):
-                        col.case()
-                        pm2 = PointMap(dom, cod2, t2)
-                        diag = diagonal_product([pm1, pm2])
-                        alg_diag = {mem.bits for mem in alg_enumerate(diag).members}
-                        for which, pm, alg in (("left", pm1, alg1), ("right", pm2, alg_enumerate(pm2))):
+                    for pm2 in _maps([n], [m2]):
+                        col.cases += 1
+                        alg_diag = alg_enumerate(diagonal_product([pm1, pm2])).member_bits()
+                        for which, alg in (("left", alg1), ("right", alg_enumerate(pm2))):
                             for mem in alg.members:
                                 if mem.bits not in alg_diag:
                                     col.violation(
                                         {
-                                            "maps": [
-                                                _table_map_doc(n, m1, t1),
-                                                _table_map_doc(n, m2, t2),
-                                            ],
+                                            "maps": [serialize.map_to_doc(pm1), serialize.map_to_doc(pm2)],
                                             "factor": which,
                                             "member": _pts(n, mem.bits),
                                         },
@@ -558,396 +460,204 @@ def _run_diagonal_absorption(bounds, rng, budget, col):
                                     )
 
 
-def _replay_diagonal_absorption(instance, kind, detail):
-    pms = [serialize.map_from_doc(doc, f"maps[{i}]") for i, doc in enumerate(instance["maps"])]
-    member = SubsetMask.from_points(pms[0].dom.n, instance["member"])
-    diag = diagonal_product(pms)
-    return not alg_contains(diag, member)
+def _replay_diagonal_absorption(instance, kind):
+    docs = _field(instance, "maps")
+    if not isinstance(docs, list) or not docs:
+        raise InputError("instance.maps must be a nonempty array of maps")
+    pms = [serialize.map_from_doc(doc, f"instance.maps[{i}]") for i, doc in enumerate(docs)]
+    return not alg_contains(diagonal_product(pms), _mask(instance, "member", pms[0].dom.n))
 
 
 def _run_zero_witness_certificate(bounds, rng, budget, col):
     """Indicator diagonals certify every small selection of zero sets."""
     for space in _spaces(bounds.max_points):
         zs = zero_sets(space).members
-        space_doc = serialize.space_to_doc(space)
         for r in range(min(3, len(zs)) + 1):
             for combo in combinations(zs, r):
-                col.case()
+                col.cases += 1
                 rep = zero_witness_map(space, list(combo))
-                bad = [z for (z, ok) in rep.certificate if not ok]
+                bad = [serialize.points_doc(z) for (z, ok) in rep.certificate if not ok]
+                zeros = [serialize.points_doc(z) for z in combo]
                 if bad or not rep.all_saturated:
-                    col.violation(
-                        {
-                            "space": space_doc,
-                            "zeros": [serialize.points_doc(z) for z in combo],
-                        },
-                        {"unsaturated": [serialize.points_doc(z) for z in bad]},
-                    )
+                    col.violation(_doc(space, zeros=zeros), {"unsaturated": bad})
                     continue
                 if r:
-                    joined = evaluate(
-                        canonical_base("union", r),
-                        IndexedFamily.from_list(space.n, list(combo)),
-                        RANGE,
-                    )
+                    joined = reduce(SubsetMask.__or__, combo)
                     if not alg_contains(rep.map, joined):
-                        col.violation(
-                            {
-                                "space": space_doc,
-                                "zeros": [serialize.points_doc(z) for z in combo],
-                            },
-                            {"escaping_union": serialize.points_doc(joined)},
-                        )
+                        col.violation(_doc(space, zeros=zeros), {"escaping_union": serialize.points_doc(joined)})
 
 
-def _replay_zero_witness_certificate(instance, kind, detail):
-    space = serialize.space_from_doc(instance["space"])
-    zeros = [SubsetMask.from_points(space.n, z) for z in instance["zeros"]]
+def _replay_zero_witness_certificate(instance, kind):
+    space = _field(instance, "space", serialize.space_from_doc)
+    zeros = _masks(instance, "zeros", space.n)
     rep = zero_witness_map(space, zeros)
     if not rep.all_saturated:
         return True
     if zeros:
-        joined = evaluate(
-            canonical_base("union", len(zeros)),
-            IndexedFamily.from_list(space.n, zeros),
-            RANGE,
-        )
+        joined = evaluate(canonical_base("union", len(zeros)), IndexedFamily.from_list(space.n, zeros), RANGE)
         return not alg_contains(rep.map, joined)
     return False
 
 
 def _run_image_commutes(bounds, rng, budget, col):
     """Images pass through prefix evaluation of decreasing families."""
-    for n in range(1, bounds.max_points + 1):
-        full_n = (1 << n) - 1
-        for m in range(1, bounds.max_points + 1):
-            full_m = (1 << m) - 1
-            for table in all_tables(n, m):
-                img = [0] * (1 << n)
-                for bits in range(1 << n):
-                    acc = 0
-                    for x in range(n):
-                        if bits >> x & 1:
-                            acc |= 1 << table[x]
-                    img[bits] = acc
-                map_doc = None
-                for base in _bases(bounds):
-                    order = base.relevant_indices(PREFIX)
-                    plans = compile_positions(base, PREFIX, order)
-                    parent = [
-                        order.index(idx[:-1]) if idx else None for idx in order
-                    ]
-                    for _ in range(budget):
-                        col.case()
-                        dec = [0] * len(order)
-                        raw = [0] * len(order)
-                        for i, idx in enumerate(order):
-                            pick = rng.randrange(1 << n)
-                            raw[i] = pick
-                            dec[i] = pick if parent[i] is None else dec[parent[i]] & pick
-                        findings = []
-                        ev_dec = eval_plan_bits(plans, dec) & full_n
-                        lhs = img[ev_dec]
-                        rhs = eval_plan_bits(plans, tuple(img[v] for v in dec)) & full_m
-                        if lhs != rhs:
-                            findings.append(("decreasing-image", dec, lhs, rhs, m))
-                        run = [0] * len(order)
-                        for i in range(len(order)):
-                            run[i] = raw[i] if parent[i] is None else run[parent[i]] & raw[i]
-                        ev_raw = eval_plan_bits(plans, raw) & full_n
-                        ev_run = eval_plan_bits(plans, run) & full_n
-                        if ev_raw != ev_run:
-                            findings.append(("replacement-value", raw, ev_raw, ev_run, n))
-                        lhs2 = img[ev_run]
-                        rhs2 = eval_plan_bits(plans, tuple(img[v] for v in run)) & full_m
-                        if lhs2 != rhs2:
-                            findings.append(("replacement-image", raw, lhs2, rhs2, m))
-                        for check, vals, left, right, size in findings:
-                            if map_doc is None:
-                                map_doc = _table_map_doc(n, m, table)
-                            col.violation(
-                                {
-                                    "map": map_doc,
-                                    "base": serialize.base_to_doc(base),
-                                    "family": _family_doc(n, PREFIX, order, vals),
-                                    "check": check,
-                                },
-                                {"left": _pts(size, left), "right": _pts(size, right)},
-                            )
+    plans = _plans(bounds, [PREFIX])
+    sizes = range(1, bounds.max_points + 1)
+    for pm in _maps(sizes, sizes):
+        n, m, full = pm.dom.n, pm.cod.n, (1 << pm.dom.n) - 1
+        img, _ = _tables(pm)
+        for plan in plans:
+            pos = plan.positions
+            parent = [plan.order.index(idx[:-1]) if idx else None for idx in plan.order]
+            for _ in range(budget):
+                col.cases += 1
+                raw = [rng.randrange(1 << n) for _ in plan.order]
+                dec = list(raw)
+                for i, p in enumerate(parent):
+                    if p is not None:
+                        dec[i] &= dec[p]
+                lhs, rhs = _image_pair(pm, img, pos, dec)
+                ev_raw = eval_plan_bits(pos, raw) & full
+                ev_dec = eval_plan_bits(pos, dec) & full
+                checks = (
+                    ("decreasing-image", dec, lhs, rhs, m),
+                    ("replacement-value", raw, ev_raw, ev_dec, n),
+                    ("replacement-image", raw, lhs, rhs, m),
+                )
+                for check, vals, left, right, size in checks:
+                    if left != right:
+                        col.violation(_doc(pm, plan, n, vals, check=check), _lr(size, left, right))
 
 
-def _replay_image_commutes(instance, kind, detail):
-    from .hausdorff import decreasing_replacement
+def _image_commutes(pm, base, family):
+    """Does F(eval(family)) differ from eval(F(family)) under the public operations?"""
+    if family.mode != PREFIX:
+        raise InputError("instance.family must be prefix-indexed")
+    mapped = IndexedFamily(pm.cod.n, PREFIX, {idx: pm.image(v) for idx, v in family.assignments.items()})
+    return pm.image(evaluate(base, family)) != evaluate(base, mapped)
 
-    pm = serialize.map_from_doc(instance["map"])
-    base = serialize.base_from_doc(instance["base"])
-    family = serialize.family_from_doc(instance["family"])
-    check = instance["check"]
+
+def _replay_image_commutes(instance, kind):
+    pm = _field(instance, "map", serialize.map_from_doc)
+    base, family = _base_family(instance)
+    check = _field(instance, "check", choices=("decreasing-image", "replacement-value", "replacement-image"))
     if check == "replacement-value":
-        run = decreasing_replacement(family)
-        return evaluate(base, family) != evaluate(base, run)
+        return evaluate(base, family) != evaluate(base, decreasing_replacement(family))
     if check == "replacement-image":
         family = decreasing_replacement(family)
-    mapped = IndexedFamily(
-        pm.cod.n, PREFIX, {idx: pm.image(v) for idx, v in family.assignments.items()}
-    )
-    left = pm.image(evaluate(base, family))
-    right = evaluate(base, mapped)
-    return left != right
+    return _image_commutes(pm, base, family)
 
 
 def _run_image_necessity(bounds, rng, budget, col):
     """Non-injective maps break image commutation on some non-decreasing family."""
-    probe = Base(1, [(0, 0)], PREFIX)
-    order = probe.relevant_indices(PREFIX)
-    plans = compile_positions(probe, PREFIX, order)
-    for n in range(1, bounds.max_points + 1):
-        full_n = (1 << n) - 1
-        for m in range(1, bounds.max_points + 1):
-            full_m = (1 << m) - 1
-            for table in all_tables(n, m):
-                col.case()
-                img = [0] * (1 << n)
-                for bits in range(1 << n):
-                    acc = 0
-                    for x in range(n):
-                        if bits >> x & 1:
-                            acc |= 1 << table[x]
-                    img[bits] = acc
-                injective = len(set(table)) == n
-                if injective:
-                    pool = list(range(1 << n))
-                    for base in _bases(bounds):
-                        o = base.relevant_indices(PREFIX)
-                        p = compile_positions(base, PREFIX, o)
-                        for values in _assignments(pool, len(o), rng, min(budget, 4)):
-                            lhs = img[eval_plan_bits(p, values) & full_n]
-                            rhs = eval_plan_bits(p, tuple(img[v] for v in values)) & full_m
-                            if lhs != rhs:
-                                col.violation(
-                                    {
-                                        "map": _table_map_doc(n, m, table),
-                                        "base": serialize.base_to_doc(base),
-                                        "family": _family_doc(n, PREFIX, o, values),
-                                        "check": "injective-image",
-                                    },
-                                    {"left": _pts(m, lhs), "right": _pts(m, rhs)},
-                                )
-                    continue
-                found = None
-                for x in range(n):
-                    for y in range(n):
-                        if x == y or table[x] != table[y]:
-                            continue
-                        values = (full_n, 1 << x, 1 << y)
-                        lhs = img[eval_plan_bits(plans, values) & full_n]
-                        rhs = eval_plan_bits(plans, tuple(img[v] for v in values)) & full_m
-                        if lhs != rhs:
-                            found = (values, lhs, rhs)
-                            break
-                    if found:
-                        break
-                if found is None:
-                    col.violation(
-                        {"map": _table_map_doc(n, m, table), "check": "missing-witness"},
-                        {},
-                    )
-                else:
-                    values, lhs, rhs = found
-                    col.witness(
-                        {
-                            "map": _table_map_doc(n, m, table),
-                            "base": serialize.base_to_doc(probe),
-                            "family": _family_doc(n, PREFIX, order, values),
-                            "check": "non-decreasing-image",
-                        },
-                        {"left": _pts(m, lhs), "right": _pts(m, rhs)},
-                    )
+    sizes = range(1, bounds.max_points + 1)
+    for pm in _maps(sizes, sizes):
+        n, m = pm.dom.n, pm.cod.n
+        col.cases += 1
+        img, _ = _tables(pm)
+        if len(set(pm.table)) == n:
+            for plan, values in _sweep(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
+                lhs, rhs = _image_pair(pm, img, plan.positions, values)
+                if lhs != rhs:
+                    col.violation(_doc(pm, plan, n, values, check="injective-image"), _lr(m, lhs, rhs))
+            continue
+        found = _merge_witness(pm, img)
+        if found is None:
+            col.violation(_doc(pm, check="missing-witness"), {})
+        else:
+            values, lhs, rhs = found
+            col.witness(_doc(pm, _PROBE, n, values, check="non-decreasing-image"), _lr(m, lhs, rhs))
 
 
-def _replay_image_necessity(instance, kind, detail):
-    pm = serialize.map_from_doc(instance["map"])
-    if instance.get("check") == "missing-witness":
-        n = pm.dom.n
-        probe = Base(1, [(0, 0)], PREFIX)
-        for x in range(n):
-            for y in range(n):
-                if x == y or pm.table[x] != pm.table[y]:
-                    continue
-                family = IndexedFamily(
-                    n,
-                    PREFIX,
-                    {
-                        (): SubsetMask.full(n),
-                        (0,): SubsetMask(n, 1 << x),
-                        (0, 0): SubsetMask(n, 1 << y),
-                    },
-                )
-                mapped = IndexedFamily(
-                    pm.cod.n,
-                    PREFIX,
-                    {idx: pm.image(v) for idx, v in family.assignments.items()},
-                )
-                if pm.image(evaluate(probe, family)) != evaluate(probe, mapped):
-                    return False
-        return True
-    return _replay_image_commutes(
-        {**instance, "check": "direct"}, kind, detail
-    )
+def _replay_image_necessity(instance, kind):
+    pm = _field(instance, "map", serialize.map_from_doc)
+    check = _field(instance, "check", choices=("missing-witness", "injective-image", "non-decreasing-image"))
+    if check == "missing-witness":
+        return _merge_witness(pm, _tables(pm)[0]) is None
+    return _image_commutes(pm, *_base_family(instance))
 
 
 def _run_intersection_image(bounds, rng, budget, col):
     """Directed decreasing families push intersections through images."""
-    top = min(bounds.max_points, 3)
-    for n in range(1, top + 1):
-        subsets = list(range(1 << n))
-        for k in range(1, top + 1):
+    sizes = range(1, min(bounds.max_points, 3) + 1)
+    for n in sizes:
+        for k in sizes:
             for above in _posets(k):
                 if not _is_directed(above):
                     continue
                 relation = _order_pairs(above)
-                decreasing = [
-                    fam
-                    for fam in iproduct(subsets, repeat=k)
-                    if all(
-                        not (above[i] >> j & 1) or not (fam[j] & ~fam[i])
-                        for i in range(k)
-                        for j in range(k)
-                        if i != j
-                    )
-                ]
-                for m in range(1, top + 1):
-                    for table in all_tables(n, m):
-                        img = [0] * (1 << n)
-                        for bits in range(1 << n):
-                            acc = 0
-                            for x in range(n):
-                                if bits >> x & 1:
-                                    acc |= 1 << table[x]
-                            img[bits] = acc
-                        full_m = (1 << m) - 1
-                        pm = None
-                        for fi, fam in enumerate(decreasing):
-                            col.case()
-                            inter = (1 << n) - 1
-                            rhs = full_m
-                            for v in fam:
-                                inter &= v
-                                rhs &= img[v]
-                            lhs = img[inter]
-                            if lhs != rhs:
+                decreasing = [fam for fam in iproduct(range(1 << n), repeat=k) if _is_decreasing(above, fam)]
+                for pm in _maps([n], sizes):
+                    img, _ = _tables(pm)
+                    for fi, fam in enumerate(decreasing):
+                        col.cases += 1
+                        lhs, rhs = _meet_image(pm, img, fam)
+                        if lhs != rhs:
+                            col.violation(
+                                _doc(pm, order=relation, family=[_pts(n, v) for v in fam]), _lr(pm.cod.n, lhs, rhs)
+                            )
+                        if fi < 2:
+                            rep = directed_image_check(
+                                pm, [tuple(p) for p in relation], [SubsetMask(n, v) for v in fam]
+                            )
+                            if not (rep.equal and rep.directed and rep.decreasing):
                                 col.violation(
-                                    {
-                                        "map": _table_map_doc(n, m, table),
-                                        "order": relation,
-                                        "family": [_pts(n, v) for v in fam],
-                                    },
-                                    {"left": _pts(m, lhs), "right": _pts(m, rhs)},
+                                    _doc(pm, order=relation, family=[_pts(n, v) for v in fam], check="report"),
+                                    {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing},
                                 )
-                            if fi < 2:
-                                if pm is None:
-                                    pm = PointMap(
-                                        FinSpace.discrete(n), FinSpace.discrete(m), table
-                                    )
-                                rep = directed_image_check(
-                                    pm,
-                                    [tuple(p) for p in relation],
-                                    [SubsetMask(n, v) for v in fam],
-                                )
-                                if not (rep.equal and rep.directed and rep.decreasing):
-                                    col.violation(
-                                        {
-                                            "map": _table_map_doc(n, m, table),
-                                            "order": relation,
-                                            "family": [_pts(n, v) for v in fam],
-                                            "check": "report",
-                                        },
-                                        {
-                                            "equal": rep.equal,
-                                            "directed": rep.directed,
-                                            "decreasing": rep.decreasing,
-                                        },
-                                    )
 
 
-def _replay_intersection_image(instance, kind, detail):
-    pm = serialize.map_from_doc(instance["map"])
-    relation = [tuple(p) for p in serialize.relation_from_doc(instance["order"])]
-    family = [SubsetMask.from_points(pm.dom.n, v) for v in instance["family"]]
-    rep = directed_image_check(pm, relation, family)
+def _replay_intersection_image(instance, kind):
+    pm = _field(instance, "map", serialize.map_from_doc)
+    rep = directed_image_check(
+        pm, _field(instance, "order", serialize.relation_from_doc), _masks(instance, "family", pm.dom.n)
+    )
     if kind == "witness":
         return not rep.equal
-    if instance.get("check") == "report":
+    if _field(instance, "check", choices=(None, "report")) == "report":
         return not (rep.equal and rep.directed and rep.decreasing)
     return rep.directed and rep.decreasing and not rep.equal
 
 
 def _run_intersection_image_necessity(bounds, rng, budget, col):
     """Dropping directedness or decreasingness admits strict inclusions."""
-    top = min(bounds.max_points, 2)
-    for n in range(1, top + 1):
-        subsets = list(range(1 << n))
-        for m in range(1, top + 1):
-            for table in all_tables(n, m):
-                img = [0] * (1 << n)
-                for bits in range(1 << n):
-                    acc = 0
-                    for x in range(n):
-                        if bits >> x & 1:
-                            acc |= 1 << table[x]
-                    img[bits] = acc
-                full_m = (1 << m) - 1
-                for k in range(1, top + 1):
-                    for above in _posets(k):
-                        directed = _is_directed(above)
-                        relation = _order_pairs(above)
-                        for fam in iproduct(subsets, repeat=k):
-                            col.case()
-                            decreasing = all(
-                                not (above[i] >> j & 1) or not (fam[j] & ~fam[i])
-                                for i in range(k)
-                                for j in range(k)
-                                if i != j
-                            )
-                            inter = (1 << n) - 1
-                            rhs = full_m
-                            for v in fam:
-                                inter &= v
-                                rhs &= img[v]
-                            lhs = img[inter]
-                            if lhs == rhs:
-                                continue
-                            instance = {
-                                "map": _table_map_doc(n, m, table),
-                                "order": relation,
-                                "family": [_pts(n, v) for v in fam],
-                            }
-                            outcome = {
-                                "left": _pts(m, lhs),
-                                "right": _pts(m, rhs),
-                                "directed": directed,
-                                "decreasing": decreasing,
-                            }
-                            if directed and decreasing:
-                                col.violation(instance, outcome)
-                            else:
-                                col.witness(instance, outcome)
+    sizes = range(1, min(bounds.max_points, 2) + 1)
+    for pm in _maps(sizes, sizes):
+        n = pm.dom.n
+        img, _ = _tables(pm)
+        for k in sizes:
+            for above in _posets(k):
+                directed = _is_directed(above)
+                relation = _order_pairs(above)
+                for fam in iproduct(range(1 << n), repeat=k):
+                    col.cases += 1
+                    lhs, rhs = _meet_image(pm, img, fam)
+                    if lhs == rhs:
+                        continue
+                    decreasing = _is_decreasing(above, fam)
+                    col.add(
+                        "violation" if directed and decreasing else "witness",
+                        _doc(pm, order=relation, family=[_pts(n, v) for v in fam]),
+                        {**_lr(pm.cod.n, lhs, rhs), "directed": directed, "decreasing": decreasing},
+                    )
+
+
+def _opens_class(space):
+    return SetClass.from_bits(space.n, space.open_bits())
 
 
 def _run_reduction_dual_separation(bounds, rng, budget, col):
     """Reduction for the opens forces separation for the closeds, with witnesses."""
     for space in _spaces(bounds.max_points):
-        col.case()
+        col.cases += 1
         opens = _opens_class(space)
-        red = check_reduction(opens)
-        if not red.holds:
+        if not check_reduction(opens).holds:
             continue
-        space_doc = serialize.space_to_doc(space)
         closeds = complement_class(opens)
         sep = check_separation(closeds)
         if not sep.holds:
             col.violation(
-                {"space": space_doc, "check": "separation-verdict"},
+                _doc(space, check="separation-verdict"),
                 {"failing_pair": [serialize.points_doc(s) for s in sep.failing_pair]},
             )
             continue
@@ -956,33 +666,32 @@ def _run_reduction_dual_separation(bounds, rng, budget, col):
             for b in closeds.members:
                 if not a.isdisjoint(b):
                     continue
-                pair = [serialize.points_doc(a), serialize.points_doc(b)]
                 try:
                     w = reduction_to_separation(opens, a, b)
                 except PreconditionError as exc:
-                    col.violation(
-                        {"space": space_doc, "check": "constructed-witness", "pair": pair},
-                        {"error": str(exc)},
-                    )
-                    continue
-                if not (w.holds(delta) and w.separator in closeds):
-                    col.violation(
-                        {"space": space_doc, "check": "constructed-witness", "pair": pair},
-                        {"separator": serialize.points_doc(w.separator)},
-                    )
+                    detail = {"error": str(exc)}
+                else:
+                    if w.holds(delta) and w.separator in closeds:
+                        continue
+                    detail = {"separator": serialize.points_doc(w.separator)}
+                pair = [serialize.points_doc(a), serialize.points_doc(b)]
+                col.violation(_doc(space, check="constructed-witness", pair=pair), detail)
 
 
-def _replay_reduction_dual_separation(instance, kind, detail):
-    space = serialize.space_from_doc(instance["space"])
+def _replay_reduction_dual_separation(instance, kind):
+    space = _field(instance, "space", serialize.space_from_doc)
+    check = _field(instance, "check", choices=("separation-verdict", "constructed-witness"))
     opens = _opens_class(space)
     if not check_reduction(opens).holds:
         return False
     closeds = complement_class(opens)
-    if instance["check"] == "separation-verdict":
+    if check == "separation-verdict":
         return not check_separation(closeds).holds
-    a, b = (SubsetMask.from_points(space.n, p) for p in instance["pair"])
+    pair = _masks(instance, "pair", space.n)
+    if len(pair) != 2:
+        raise InputError("instance.pair must hold two point arrays")
     try:
-        w = reduction_to_separation(opens, a, b)
+        w = reduction_to_separation(opens, *pair)
     except PreconditionError:
         return True
     return not (w.holds(delta_class(closeds)) and w.separator in closeds)
@@ -991,39 +700,35 @@ def _replay_reduction_dual_separation(instance, kind, detail):
 def _run_zero_trace_gap(bounds, rng, budget, col):
     """Traces of ambient zero sets are intrinsic; the converse can fail."""
     for space in _spaces(bounds.max_points):
-        space_doc = serialize.space_to_doc(space)
         discrete = space.is_discrete()
         for carrier_bits in range(1 << space.n):
-            col.case()
+            col.cases += 1
             carrier = SubsetMask(space.n, carrier_bits)
             rep = zero_trace_gap(space, carrier)
             intrinsic = rep.intrinsic.member_bits()
             escaped = [t for t in rep.traces.members if t.bits not in intrinsic]
+            carrier_doc = serialize.points_doc(carrier)
             if escaped:
                 col.violation(
-                    {"space": space_doc, "carrier": serialize.points_doc(carrier), "check": "trace-not-intrinsic"},
+                    _doc(space, carrier=carrier_doc, check="trace-not-intrinsic"),
                     {"escaped": [serialize.points_doc(t) for t in escaped]},
                 )
             if len(rep.gap):
+                gap = {"gap": [serialize.points_doc(g) for g in rep.gap.members]}
                 if discrete or carrier_bits == (1 << space.n) - 1:
-                    col.violation(
-                        {"space": space_doc, "carrier": serialize.points_doc(carrier), "check": "unexpected-gap"},
-                        {"gap": [serialize.points_doc(g) for g in rep.gap.members]},
-                    )
+                    col.violation(_doc(space, carrier=carrier_doc, check="unexpected-gap"), gap)
                 else:
-                    col.witness(
-                        {"space": space_doc, "carrier": serialize.points_doc(carrier)},
-                        {"gap": [serialize.points_doc(g) for g in rep.gap.members]},
-                    )
+                    col.witness(_doc(space, carrier=carrier_doc), gap)
 
 
-def _replay_zero_trace_gap(instance, kind, detail):
-    space = serialize.space_from_doc(instance["space"])
-    carrier = SubsetMask.from_points(space.n, instance["carrier"])
+def _replay_zero_trace_gap(instance, kind):
+    space = _field(instance, "space", serialize.space_from_doc)
+    carrier = _mask(instance, "carrier", space.n)
+    check = _field(instance, "check", choices=(None, "trace-not-intrinsic", "unexpected-gap"))
     rep = zero_trace_gap(space, carrier)
     if kind == "witness":
         return len(rep.gap) > 0
-    if instance.get("check") == "trace-not-intrinsic":
+    if check == "trace-not-intrinsic":
         intrinsic = rep.intrinsic.member_bits()
         return any(t.bits not in intrinsic for t in rep.traces.members)
     return len(rep.gap) > 0 and (space.is_discrete() or carrier.bits == (1 << space.n) - 1)
@@ -1041,54 +746,38 @@ def _run_transfer_identity(bounds, rng, budget, col):
     for space in _spaces(bounds.max_points):
         opens = _opens_class(space)
         ident = PointMap.identity(space)
-        space_doc = serialize.space_to_doc(space)
         for kind_name, params in _IDENTITY_BASES:
             base = canonical_base(kind_name, *params)
             for mode in MODES:
-                order = base.relevant_indices(mode)
-                enum = len([i for i in order if i != ()])
+                enum = len([i for i in base.relevant_indices(mode) if i != ()])
                 if len(opens) ** enum > bounds.cap:
                     continue
                 phi = generate_class(base, opens, mode, cap=bounds.cap)
                 for which in (REDUCTION, SEPARATION):
-                    col.case()
+                    col.cases += 1
                     rep = transfer_property(ident, base, opens, opens, mode, which, cap=bounds.cap)
-                    direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
+                    if which == REDUCTION:
+                        direct, key = check_reduction(phi), lambda w: (w.c, w.d)
+                    else:
+                        direct, key = check_separation(phi), lambda w: w.separator
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
-                        for trace in rep.pairs:
-                            direct_w = direct.witnesses.get((trace.a, trace.b))
-                            if which == REDUCTION:
-                                same = (
-                                    direct_w is not None
-                                    and trace.witness_dom.c == direct_w.c
-                                    and trace.witness_dom.d == direct_w.d
-                                )
-                            else:
-                                same = (
-                                    direct_w is not None
-                                    and trace.witness_dom.separator == direct_w.separator
-                                )
-                            if not same:
-                                agree = False
-                                break
+                        agree = all(
+                            (w := direct.witnesses.get((t.a, t.b))) is not None and key(t.witness_dom) == key(w)
+                            for t in rep.pairs
+                        )
                     if not agree:
                         col.violation(
-                            {
-                                "space": space_doc,
-                                "base": serialize.base_to_doc(base),
-                                "mode": mode,
-                                "which": which,
-                            },
+                            _doc(space, base=serialize.base_to_doc(base), mode=mode, which=which),
                             {"transfer": rep.verdict, "direct": direct.holds},
                         )
 
 
-def _replay_transfer_identity(instance, kind, detail):
-    space = serialize.space_from_doc(instance["space"])
-    base = serialize.base_from_doc(instance["base"])
-    mode = instance["mode"]
-    which = instance["which"]
+def _replay_transfer_identity(instance, kind):
+    space = _field(instance, "space", serialize.space_from_doc)
+    base = _field(instance, "base", serialize.base_from_doc)
+    mode = _field(instance, "mode", choices=MODES)
+    which = _field(instance, "which", choices=(REDUCTION, SEPARATION))
     opens = _opens_class(space)
     phi = generate_class(base, opens, mode)
     rep = transfer_property(PointMap.identity(space), base, opens, opens, mode, which)
@@ -1099,115 +788,68 @@ def _replay_transfer_identity(instance, kind, detail):
 # ---------------------------------------------------------------------------
 # registry and entry points
 
+_Suite = namedtuple("_Suite", "run replay bounds budget expects description")
+
 _SUITES = {
-    "distributivity": (
-        _run_distributivity,
-        Bounds(max_points=3),
-        10,
-        False,
+    "distributivity": _Suite(
+        _run_distributivity, _replay_distributivity, Bounds(max_points=3), 10, False,
         "meet and join identities for eval and its dual over all small topologies",
     ),
-    "restriction": (
-        _run_restriction,
-        Bounds(max_points=3),
-        8,
-        False,
+    "restriction": _Suite(
+        _run_restriction, _replay_restriction, Bounds(max_points=3), 8, False,
         "evaluation commutes with traces on every carrier",
     ),
-    "preimage-commutes": (
-        _run_preimage_commutes,
-        Bounds(max_points=3),
-        10,
-        False,
+    "preimage-commutes": _Suite(
+        _run_preimage_commutes, _replay_preimage_commutes, Bounds(max_points=3), 10, False,
         "preimages pass through eval and dual for every table",
     ),
-    "algebra-closure": (
-        _run_algebra_closure,
-        Bounds(max_points=4),
-        6,
-        False,
+    "algebra-closure": _Suite(
+        _run_algebra_closure, _replay_algebra_closure, Bounds(max_points=4), 6, False,
         "alg F is the fixed-point family, has size 2^fibers, and eval stays inside",
     ),
-    "diagonal-absorption": (
-        _run_diagonal_absorption,
-        Bounds(max_points=3),
-        0,
-        False,
+    "diagonal-absorption": _Suite(
+        _run_diagonal_absorption, _replay_diagonal_absorption, Bounds(max_points=3), 0, False,
         "factor algebras embed in the diagonal product's algebra",
     ),
-    "zero-witness-certificate": (
-        _run_zero_witness_certificate,
-        Bounds(max_points=4),
-        0,
-        False,
+    "zero-witness-certificate": _Suite(
+        _run_zero_witness_certificate, _replay_zero_witness_certificate, Bounds(max_points=4), 0, False,
         "indicator diagonals saturate every small selection of zero sets",
     ),
-    "image-commutes": (
-        _run_image_commutes,
-        Bounds(max_points=3),
-        8,
-        False,
+    "image-commutes": _Suite(
+        _run_image_commutes, _replay_image_commutes, Bounds(max_points=3), 8, False,
         "images pass through prefix eval of decreasing families",
     ),
-    "image-necessity": (
-        _run_image_necessity,
-        Bounds(max_points=3),
-        6,
-        True,
+    "image-necessity": _Suite(
+        _run_image_necessity, _replay_image_necessity, Bounds(max_points=3), 6, True,
         "every non-injective map breaks image commutation without decreasingness",
     ),
-    "intersection-image": (
-        _run_intersection_image,
-        Bounds(max_points=3),
-        0,
-        False,
+    "intersection-image": _Suite(
+        _run_intersection_image, _replay_intersection_image, Bounds(max_points=3), 0, False,
         "directed decreasing families push intersections through images",
     ),
-    "intersection-image-necessity": (
-        _run_intersection_image_necessity,
-        Bounds(max_points=2),
-        0,
-        True,
+    "intersection-image-necessity": _Suite(
+        _run_intersection_image_necessity, _replay_intersection_image, Bounds(max_points=2), 0, True,
         "dropping directedness or decreasingness yields strict inclusions",
     ),
-    "reduction-dual-separation": (
-        _run_reduction_dual_separation,
-        Bounds(max_points=4),
-        0,
-        False,
+    "reduction-dual-separation": _Suite(
+        _run_reduction_dual_separation, _replay_reduction_dual_separation, Bounds(max_points=4), 0, False,
         "reduction for opens forces separation for closeds, constructively",
     ),
-    "zero-trace-gap": (
-        _run_zero_trace_gap,
-        Bounds(max_points=4),
-        0,
-        True,
+    "zero-trace-gap": _Suite(
+        _run_zero_trace_gap, _replay_zero_trace_gap, Bounds(max_points=4), 0, True,
         "traces of zero sets are intrinsic; non-discrete spaces show gaps",
     ),
-    "transfer-identity": (
-        _run_transfer_identity,
-        Bounds(max_points=3),
-        0,
-        False,
+    "transfer-identity": _Suite(
+        _run_transfer_identity, _replay_transfer_identity, Bounds(max_points=3), 0, False,
         "transfer along the identity matches the direct checkers",
     ),
 }
 
-_REPLAYS = {
-    "distributivity": _replay_distributivity,
-    "restriction": _replay_restriction,
-    "preimage-commutes": _replay_preimage_commutes,
-    "algebra-closure": _replay_algebra_closure,
-    "diagonal-absorption": _replay_diagonal_absorption,
-    "zero-witness-certificate": _replay_zero_witness_certificate,
-    "image-commutes": _replay_image_commutes,
-    "image-necessity": _replay_image_necessity,
-    "intersection-image": _replay_intersection_image,
-    "intersection-image-necessity": _replay_intersection_image,
-    "reduction-dual-separation": _replay_reduction_dual_separation,
-    "zero-trace-gap": _replay_zero_trace_gap,
-    "transfer-identity": _replay_transfer_identity,
-}
+
+def _suite(name):
+    if name not in _SUITES:
+        raise InputError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
+    return _SUITES[name]
 
 
 def suite_names():
@@ -1215,32 +857,34 @@ def suite_names():
 
 
 def suite_description(name):
-    if name not in _SUITES:
-        raise InputError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    return _SUITES[name][4]
+    return _suite(name).description
 
 
 def suite_defaults(name):
     """Default bounds, sampling budget, and witness expectation of a suite."""
-    if name not in _SUITES:
-        raise InputError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    _, bounds, budget, expects, _ = _SUITES[name]
-    return bounds, budget, expects
+    suite = _suite(name)
+    return suite.bounds, suite.budget, suite.expects
 
 
 def run_suite(name, bounds=None, seed=0, budget=None, keep=32):
     """Run one suite deterministically and collect its findings."""
-    if name not in _SUITES:
-        raise InputError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
-    runner, default_bounds, default_budget, expects, _ = _SUITES[name]
-    if bounds is None:
-        bounds = default_bounds
-    if budget is None:
-        budget = default_budget
-    rng = random.Random(f"{name}:{seed}")
-    col = _Collector(name, expects, keep=keep)
-    runner(bounds, rng, budget, col)
-    return col.result()
+    suite = _suite(name)
+    col = _Collector(name, keep)
+    suite.run(
+        suite.bounds if bounds is None else bounds,
+        random.Random(f"{name}:{seed}"),
+        suite.budget if budget is None else budget,
+        col,
+    )
+    return SuiteResult(
+        name,
+        col.cases,
+        tuple(col.docs["violation"]),
+        tuple(col.docs["witness"]),
+        col.counts["violation"],
+        col.counts["witness"],
+        suite.expects,
+    )
 
 
 def replay_finding(doc):
@@ -1248,9 +892,9 @@ def replay_finding(doc):
     if not isinstance(doc, dict):
         raise InputError("finding document must be an object")
     suite = doc.get("suite")
-    if suite not in _REPLAYS:
+    if not isinstance(suite, str) or suite not in _SUITES:
         raise InputError(f"unknown suite {suite!r} in finding document")
     instance = doc.get("instance")
     if not isinstance(instance, dict):
         raise InputError("finding document is missing its instance")
-    return bool(_REPLAYS[suite](instance, doc.get("kind", "violation"), doc.get("detail") or {}))
+    return bool(_SUITES[suite].replay(instance, doc.get("kind", "violation")))

@@ -322,6 +322,21 @@ def test_mode_mismatch_and_bad_budget_exit_2(tmp_path, capsys):
     assert "nothing to replay" in capsys.readouterr().err
 
 
+def test_replay_of_an_incomplete_instance_exits_2_without_a_traceback(tmp_path):
+    path = tmp_path / "finding.json"
+    path.write_text(json.dumps({"suite": "distributivity", "instance": {"mode": "range"}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "redsep", "replay", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: missing field instance.base")
+
+
 def test_text_format_renders_sorted_key_value_lines(tmp_path):
     inst = write_instance(
         tmp_path,
