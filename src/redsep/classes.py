@@ -11,12 +11,11 @@ complement is also a member).
 """
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 from typing import Optional
 
 from .errors import InputError, PreconditionError, ResourceError
-from .hausdorff import PREFIX, compile_positions, eval_plan_bits, _check_mode
-from .masks import SubsetMask, restrict_bits, sort_key
+from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
+from .masks import SubsetMask, lanes_of, replicate, restrict_bits, sort_key
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
 MAX_LADDER_DEPTH = 64
@@ -103,34 +102,28 @@ def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=Fals
     nonempty prefixes of branches, or the mentioned symbols.  The empty
     prefix keeps its neutral value (the whole universe; the empty set under
     the dual).  With dual=True the outcomes of the dual operation over
-    assignments are collected instead.
+    assignments are collected instead.  Every assignment is a lane of one
+    packed evaluation, laid out in iproduct order.
     """
     _check_mode(mode)
     if not isinstance(generators, SetClass):
         raise InputError("generators must be a SetClass")
-    order = base.relevant_indices(mode)
+    order, plans = compiled_plan(base, mode)
     enum_pos = [i for i, idx in enumerate(order) if idx != ()]
-    k = len(enum_pos)
-    count = len(generators) ** k
+    g, k = len(generators), len(enum_pos)
+    count = g**k
     if count > cap:
-        raise ResourceError(
-            f"{count} assignments ({len(generators)} generators over {k} indices) "
-            f"exceed the cap {cap}"
-        )
-    plans = compile_positions(base, mode, order)
-    n = generators.n
-    full = (1 << n) - 1
-    gen_bits = [m.bits for m in generators.members]
-    if dual:
-        gen_bits = [full ^ b for b in gen_bits]
+        raise ResourceError(f"{count} assignments ({g} generators over {k} indices) exceed the cap {cap}")
+    n, universe = generators.n, (1 << generators.n) - 1
+    width = (n + 7) // 8 or 1  # bytes per lane
+    full = replicate(universe, count, width)
+    cells = [(universe ^ m.bits if dual else m.bits).to_bytes(width, "little") for m in generators.members]
     values = [full] * len(order)
-    outcomes = set()
-    for assign in iproduct(gen_bits, repeat=k):
-        for i, b in zip(enum_pos, assign):
-            values[i] = b
-        out = eval_plan_bits(plans, values) & full
-        outcomes.add(full ^ out if dual else out)
-    return SetClass.from_bits(n, outcomes)
+    # coordinate j of assignment a is generator a // g**(k-1-j) % g
+    for j, i in enumerate(enum_pos):
+        values[i] = int.from_bytes(b"".join(cell * g ** (k - 1 - j) for cell in cells) * g**j, "little")
+    out = eval_plan_bits(plans, values) & full
+    return SetClass.from_bits(n, set(lanes_of(full ^ out if dual else out, count, width)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ reported only under ``--timing``.
 
 Exit codes: 0 when the verdict is true or a value was produced, 1 when the
 verdict is false (the report carries the counterexample), 2 on malformed
-input, with a field-level diagnostic on stderr.
+input, with a field-level diagnostic on stderr, and 3 on an internal error,
+with a one-line ``internal error: ...`` on stderr.
 """
 
 import argparse
@@ -437,6 +438,9 @@ def main(argv=None):
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - started
     report = {
         "command": args.command,

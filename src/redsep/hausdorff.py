@@ -100,30 +100,26 @@ class Base:
         return f"Base({self.alphabet}, {list(self.branches)}, {self.mode_hint!r})"
 
 
-def compile_positions(base, mode, index_order=None):
-    """Per-branch lists of positions into index_order; the raw-int eval plan.
-
-    The intersection for a branch runs over exactly these positions, so
-    callers can evaluate against any tuple of bitmasks aligned with
-    index_order without re-deriving the index structure.
-    """
-    if index_order is None:
-        index_order = base.relevant_indices(mode)
+def compile_positions(base, mode, index_order):
+    """Per branch, the positions into index_order of the sets it intersects: the raw-int eval plan."""
     pos = {idx: i for i, idx in enumerate(index_order)}
-    plans = []
     if mode == PREFIX:
-        for br in base.branches:
-            try:
-                plans.append([pos[br[:k]] for k in range(len(br) + 1)])
-            except KeyError as e:
-                raise InputError(f"index {e.args[0]} missing from index order") from None
-    else:
-        for br in base.branches:
-            try:
-                plans.append([pos[s] for s in sorted(set(br))])
-            except KeyError as e:
-                raise InputError(f"index {e.args[0]} missing from index order") from None
-    return plans
+        return tuple(tuple(pos[br[:k]] for k in range(len(br) + 1)) for br in base.branches)
+    return tuple(tuple(pos[s] for s in sorted(set(br))) for br in base.branches)
+
+
+_PLANS = {}  # (branches, mode) -> plan: the alphabet and mode hint do not change a plan
+
+
+def compiled_plan(base, mode):
+    """The base's relevant indices in a mode and its positions into them, memoised (bounded)."""
+    key = (base.branches, mode)
+    if key not in _PLANS:
+        if len(_PLANS) >= 4096:
+            _PLANS.clear()
+        order = base.relevant_indices(mode)
+        _PLANS[key] = order, compile_positions(base, mode, order)
+    return _PLANS[key]
 
 
 def eval_plan_bits(plans, values):
@@ -217,10 +213,8 @@ def evaluate(base, family, mode=None):
     _check_mode(mode)
     if mode != family.mode:
         raise ModeError(f"family is {family.mode}-indexed, cannot evaluate in {mode} mode")
-    order = base.relevant_indices(mode)
-    values = [family.value(idx).bits for idx in order]
-    plans = compile_positions(base, mode, order)
-    return SubsetMask(family.n, eval_plan_bits(plans, values))
+    order, plans = compiled_plan(base, mode)
+    return SubsetMask(family.n, eval_plan_bits(plans, [family.value(idx).bits for idx in order]))
 
 
 # contract name for the operation

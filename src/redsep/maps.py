@@ -7,6 +7,7 @@ set operation with values drawn from it.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .classes import SetClass
@@ -15,6 +16,9 @@ from .masks import SubsetMask
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, Partition, product
 
 MAX_ALG_FIBERS = 16
+
+# Products are immutable, so one built per factor tuple serves every diagonal.
+_product = lru_cache(maxsize=64)(product)
 
 
 class PointMap:
@@ -156,7 +160,7 @@ def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
     for pm in pms[1:]:
         if pm.dom != dom:
             raise InputError("diagonal product factors must share a domain")
-    cod, codec = product([pm.cod for pm in pms], max_points=max_points)
+    cod, codec = _product(tuple(pm.cod for pm in pms), max_points)
     table = [codec.encode([pm.table[x] for pm in pms]) for x in range(dom.n)]
     return PointMap(dom, cod, table)
 

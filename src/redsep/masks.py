@@ -4,7 +4,7 @@ The canonical order used everywhere (class members, report tables, witness
 search) is cardinality first, then the numeric bit value.
 """
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 
 
 def bits_of(points, n):
@@ -27,10 +27,6 @@ def points_of(bits):
         bits >>= 1
         i += 1
     return tuple(out)
-
-
-def popcount(bits):
-    return bits.bit_count()
 
 
 def restrict_bits(bits, carrier_bits):
@@ -141,3 +137,41 @@ class SubsetMask:
 
     def __repr__(self):
         return f"SubsetMask({self.n}, {{{', '.join(map(str, self.points()))}}})"
+
+
+# ---------------------------------------------------------------------------
+# lanes: a packed int holds many subsets side by side, lane i in byte i (least
+# significant first), or in `width` bytes.  Branch-indexed operations act point
+# by point, so one kernel call evaluates every lane.  One-byte lanes hold
+# subsets of at most 8 points and map through bytes.translate tables.
+
+LANE_POINTS = 8
+
+
+def pack_lanes(values):
+    """One int holding values[i] in lane i."""
+    try:
+        return int.from_bytes(bytes(values), "little")
+    except ValueError:
+        raise ResourceError(f"a one-byte lane holds subsets of at most {LANE_POINTS} points") from None
+
+
+def lane_table(values):
+    """The table under which map_lanes sends a lane holding v to values[v] (no lane holds v > 255)."""
+    return pack_lanes(values[: 1 << LANE_POINTS]).to_bytes(1 << LANE_POINTS, "little")
+
+
+def map_lanes(packed, lanes, table):
+    """The packed int with every lane v replaced by table[v]."""
+    return int.from_bytes(packed.to_bytes(lanes, "little").translate(table), "little")
+
+
+def replicate(bits, lanes, width=1):
+    """bits copied into each of `lanes` lanes of `width` bytes."""
+    return int.from_bytes(bits.to_bytes(width, "little") * lanes, "little")
+
+
+def lanes_of(packed, lanes, width=1):
+    """The subsets in the first `lanes` lanes of a packed int, lane 0 first."""
+    raw = packed.to_bytes(lanes * width, "little")
+    return raw if width == 1 else [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]

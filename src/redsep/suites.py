@@ -8,8 +8,8 @@ deterministic for a fixed (suite, bounds, seed, budget).
 
 The sweeping suites share one layer: a structural pool (spaces or table
 maps), the compiled plan of every (base, mode) pair, built once per
-(alphabet, depth), and the assignments drawn per pool entry and plan.  The
-per-assignment work runs on raw bitmasks.
+(alphabet, depth), and the assignments drawn per pool entry and plan, which
+one kernel call evaluates as the lanes of packed ints (see ``masks``).
 
 Findings are plain JSON-ready documents.  A violation is a broken law and
 fails the suite; a witness is an expected counterexample (the suites that
@@ -44,14 +44,14 @@ from .hausdorff import (
     Base,
     IndexedFamily,
     canonical_base,
-    compile_positions,
+    compiled_plan,
     decreasing_replacement,
     dual_evaluate,
     eval_plan_bits,
     evaluate,
 )
 from .maps import PointMap, alg_contains, alg_enumerate, diagonal_product, directed_image_check
-from .masks import SubsetMask, restrict_bits
+from .masks import SubsetMask, lane_table, lanes_of, map_lanes, pack_lanes, replicate, restrict_bits
 from .spaces import FinSpace, zero_sets
 from .transfer import REDUCTION, SEPARATION, transfer_property, zero_trace_gap, zero_witness_map
 
@@ -123,8 +123,7 @@ _Plan = namedtuple("_Plan", "base mode order positions")
 
 
 def _plan(base, mode):
-    order = base.relevant_indices(mode)
-    return _Plan(base, mode, order, compile_positions(base, mode, order))
+    return _Plan(base, mode, *compiled_plan(base, mode))
 
 
 @cache
@@ -159,10 +158,10 @@ def _maps(domains, codomains):
 
 
 def _tables(pm):
-    """The image of every domain subset and the preimage of every codomain subset."""
+    """Lane tables of the image of every domain subset and the preimage of every codomain subset."""
     return (
-        [pm.image_bits(bits) for bits in range(1 << pm.dom.n)],
-        [pm.preimage_bits(bits) for bits in range(1 << pm.cod.n)],
+        lane_table([pm.image_bits(bits) for bits in range(1 << pm.dom.n)]),
+        lane_table([pm.preimage_bits(bits) for bits in range(1 << pm.cod.n)]),
     )
 
 
@@ -191,39 +190,60 @@ def _is_decreasing(above, fam):
     return all(not (above[i] >> j & 1) or not (fam[j] & ~fam[i]) for i in range(k) for j in range(k) if i != j)
 
 
+def _sample(pool, k, rng, count):
+    """`count` k-tuples from the pool, drawn as rng.randrange(len(pool)) would draw each coordinate."""
+    size, bits, getrandbits, picks = len(pool), len(pool).bit_length(), rng.getrandbits, []
+    for _ in range(count * k):
+        r = getrandbits(bits)
+        while r >= size:
+            r = getrandbits(bits)
+        picks.append(pool[r])
+    return [tuple(picks[i : i + k]) for i in range(0, len(picks), k)]
+
+
 def _assignments(pool, k, rng, budget):
     """Value tuples drawn from pool^k: everything when small, sampled when not."""
-    if k == 0:
-        return [()]
-    total = len(pool) ** k
-    if total <= max(64, budget):
+    if len(pool) ** k <= max(64, budget):
         return list(iproduct(pool, repeat=k))
-    out = [(v,) * k for v in pool[: min(3, len(pool))]]
-    for _ in range(budget):
-        out.append(tuple(pool[rng.randrange(len(pool))] for _ in range(k)))
-    return out
+    return [(v,) * k for v in pool[:3]] + _sample(pool, k, rng, budget)
 
 
-def _sweep(bounds, pool, rng, budget, modes=MODES):
-    """Each plan of the bounds with each assignment drawn for it from the pool."""
+def _columns(cases, k):
+    """Each coordinate of the k-tuples packed into an int, one lane per case."""
+    return [pack_lanes(col) for col in zip(*cases)] if cases else [0] * k
+
+
+def _batches(bounds, pool, rng, budget, modes=MODES):
+    """Each plan of the bounds, the assignments drawn for it from the pool, and their packed columns."""
     for plan in _plans(bounds, modes):
-        for values in _assignments(pool, len(plan.order), rng, budget):
-            yield plan, values
+        cases = _assignments(pool, len(plan.order), rng, budget)
+        yield plan, cases, _columns(cases, len(plan.order))
 
 
-def _dual_bits(positions, values, full, join=0):
-    """The dual operation on raw bitmasks, each value first joined with `join`."""
-    return full ^ (eval_plan_bits(positions, tuple(full ^ (v | join) for v in values)) & full)
+def _ev(positions, values, n, lanes, dual=False):
+    """eval, or its dual, on packed values, each of the lanes cut to n points."""
+    full = replicate((1 << n) - 1, lanes)
+    if dual:
+        return full ^ (eval_plan_bits(positions, [full ^ v for v in values]) & full)
+    return eval_plan_bits(positions, values) & full
 
 
-def _image_pair(pm, img, positions, values):
-    """F(eval(values)) and eval(F(values)) on raw bitmasks."""
-    lhs = img[eval_plan_bits(positions, values) & ((1 << pm.dom.n) - 1)]
-    return lhs, eval_plan_bits(positions, tuple(img[v] for v in values)) & ((1 << pm.cod.n) - 1)
+def _differing(lanes, *pairs):
+    """(lane, pair index, left, right) wherever a pair of packed values differs, lane by lane."""
+    if all(left == right for left, right in pairs):
+        return []
+    pairs = [(lanes_of(left, lanes), lanes_of(right, lanes)) for left, right in pairs]
+    return [(i, j, a[i], b[i]) for i in range(lanes) for j, (a, b) in enumerate(pairs) if a[i] != b[i]]
+
+
+def _image_pair(pm, img, positions, values, lanes):
+    """F(eval(values)) and eval(F(values)) on packed values."""
+    rhs = _ev(positions, [map_lanes(v, lanes, img) for v in values], pm.cod.n, lanes)
+    return map_lanes(_ev(positions, values, pm.dom.n, lanes), lanes, img), rhs
 
 
 def _meet_image(pm, img, fam):
-    """F(intersection of fam) and the intersection of F(fam) on raw bitmasks."""
+    """F(intersection of fam) and the intersection of F(fam) on raw bitmasks; img is the image lane table."""
     inter, rhs = (1 << pm.dom.n) - 1, (1 << pm.cod.n) - 1
     for v in fam:
         inter &= v
@@ -234,14 +254,10 @@ def _meet_image(pm, img, fam):
 def _merge_witness(pm, img):
     """The first probe family over two merged points that breaks image commutation, or None."""
     n = pm.dom.n
-    for x in range(n):
-        for y in range(n):
-            if x != y and pm.table[x] == pm.table[y]:
-                values = ((1 << n) - 1, 1 << x, 1 << y)
-                lhs, rhs = _image_pair(pm, img, _PROBE.positions, values)
-                if lhs != rhs:
-                    return values, lhs, rhs
-    return None
+    merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
+    cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
+    found = _differing(len(cases), _image_pair(pm, img, _PROBE.positions, _columns(cases, 3), len(cases)))
+    return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +328,20 @@ def _base_family(instance):
 def _run_distributivity(bounds, rng, budget, col):
     """Meets and joins move through the operation and its dual pointwise."""
     for space in _spaces(bounds.max_points):
-        n, full = space.n, (1 << space.n) - 1
-        for plan, values in _sweep(bounds, list(space.open_bits()), rng, budget):
-            col.cases += 1
-            pos = plan.positions
-            ev = eval_plan_bits(pos, values) & full
-            dv = _dual_bits(pos, values, full)
-            for mask in range(1 << n):
-                meet = eval_plan_bits(pos, tuple(v & mask for v in values)) & full
-                join = _dual_bits(pos, values, full, mask)
-                if meet == ev & mask and join == dv | mask:
-                    continue
-                for identity, left, right in (("intersection", meet, ev & mask), ("union", join, dv | mask)):
-                    if left != right:
-                        fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": identity}
-                        col.violation(_doc(space, plan, n, values, **fields), _lr(n, left, right))
+        n = space.n
+        for plan, cases, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+            col.cases += len(cases)
+            # lane mask * len(cases) + c holds case c under that mask: the columns repeat once per mask
+            lanes, pos = len(cases) << n, plan.positions
+            values = [v * replicate(1, 1 << n, len(cases)) for v in columns]
+            masks = pack_lanes(mask for mask in range(1 << n) for _ in cases)
+            meet = _ev(pos, [v & masks for v in values], n, lanes), _ev(pos, values, n, lanes) & masks
+            join = _ev(pos, [v | masks for v in values], n, lanes, True), _ev(pos, values, n, lanes, True) | masks
+            found = _differing(lanes, meet, join)
+            for lane, j, left, right in sorted(found, key=lambda f: (f[0] % len(cases), f[0])):
+                mask, c = divmod(lane, len(cases))
+                fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
+                col.violation(_doc(space, plan, n, cases[c], **fields), _lr(n, left, right))
 
 
 def _replay_distributivity(instance, kind):
@@ -342,17 +357,19 @@ def _replay_distributivity(instance, kind):
 def _run_restriction(bounds, rng, budget, col):
     """Evaluation commutes with taking traces on a carrier."""
     for space in _spaces(bounds.max_points):
-        n, full = space.n, (1 << space.n) - 1
-        for plan, values in _sweep(bounds, list(space.open_bits()), rng, budget):
-            col.cases += 1
-            ev = eval_plan_bits(plan.positions, values) & full
-            for carrier in range(1 << n):
-                left = restrict_bits(ev & carrier, carrier)
-                right = eval_plan_bits(plan.positions, tuple(restrict_bits(v & carrier, carrier) for v in values))
-                right &= (1 << carrier.bit_count()) - 1
-                if left != right:
-                    instance = _doc(space, plan, n, values, mode=plan.mode, carrier=_pts(n, carrier))
-                    col.violation(instance, _lr(n, left, right))
+        n, carriers = space.n, range(1 << space.n)
+        traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
+        for plan, cases, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+            lanes, pos = len(cases), plan.positions
+            col.cases += lanes
+            ev, found = _ev(pos, columns, n, lanes), []
+            for carrier, trace in zip(carriers, traces):
+                left = map_lanes(ev, lanes, trace)
+                right = _ev(pos, [map_lanes(v, lanes, trace) for v in columns], carrier.bit_count(), lanes)
+                found += [(i, carrier, a, b) for i, _, a, b in _differing(lanes, (left, right))]
+            for i, carrier, left, right in sorted(found):
+                instance = _doc(space, plan, n, cases[i], mode=plan.mode, carrier=_pts(n, carrier))
+                col.violation(instance, _lr(n, left, right))
 
 
 def _replay_restriction(instance, kind):
@@ -371,20 +388,18 @@ def _run_preimage_commutes(bounds, rng, budget, col):
     """Preimages pass through the operation and its dual for every table."""
     for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
         n, m = pm.dom.n, pm.cod.n
-        full_n, full_m = (1 << n) - 1, (1 << m) - 1
         _, pre = _tables(pm)
-        for plan, values in _sweep(bounds, list(range(1 << m)), rng, budget):
-            col.cases += 1
-            pos = plan.positions
-            pulled = tuple(pre[v] for v in values)
-            checks = (
-                ("eval", pre[eval_plan_bits(pos, values) & full_m], eval_plan_bits(pos, pulled) & full_n),
-                ("dual", pre[_dual_bits(pos, values, full_m)], _dual_bits(pos, pulled, full_n)),
-            )
-            for identity, left, right in checks:
-                if left != right:
-                    instance = _doc(pm, plan, m, values, mode=plan.mode, identity=identity)
-                    col.violation(instance, _lr(n, left, right))
+        for plan, cases, columns in _batches(bounds, list(range(1 << m)), rng, budget):
+            lanes, pos = len(cases), plan.positions
+            col.cases += lanes
+            pulled = [map_lanes(v, lanes, pre) for v in columns]
+            checks = [
+                (map_lanes(_ev(pos, columns, m, lanes, dual), lanes, pre), _ev(pos, pulled, n, lanes, dual))
+                for dual in (False, True)
+            ]
+            for i, j, left, right in _differing(lanes, *checks):
+                instance = _doc(pm, plan, m, cases[i], mode=plan.mode, identity=("eval", "dual")[j])
+                col.violation(instance, _lr(n, left, right))
 
 
 def _replay_preimage_commutes(instance, kind):
@@ -404,7 +419,7 @@ def _saturated(pm):
 def _run_algebra_closure(bounds, rng, budget, col):
     """alg F is the brute-force fixed-point family and is closed under eval."""
     for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
-        n, full = pm.dom.n, (1 << pm.dom.n) - 1
+        n = pm.dom.n
         col.cases += 1
         brute = _saturated(pm)
         alg_bits = sorted(alg_enumerate(pm).member_bits())
@@ -416,12 +431,13 @@ def _run_algebra_closure(bounds, rng, budget, col):
         fibers = len(set(pm.table))
         if len(alg_bits) != 1 << fibers:
             col.violation(_doc(pm, check="cardinality"), {"size": len(alg_bits), "fibers": fibers})
-        alg_set = set(alg_bits)
-        for plan, values in _sweep(bounds, alg_bits, rng, budget):
-            out = eval_plan_bits(plan.positions, values) & full
-            if out not in alg_set:
-                instance = _doc(pm, plan, n, values, mode=plan.mode, check="eval-closure")
-                col.violation(instance, {"outcome": _pts(n, out)})
+        member = lane_table([bits in alg_bits for bits in range(1 << n)])
+        for plan, cases, columns in _batches(bounds, alg_bits, rng, budget):
+            lanes = len(cases)
+            out = _ev(plan.positions, columns, n, lanes)
+            for i, _, _, _ in _differing(lanes, (map_lanes(out, lanes, member), replicate(1, lanes))):
+                instance = _doc(pm, plan, n, cases[i], mode=plan.mode, check="eval-closure")
+                col.violation(instance, {"outcome": _pts(n, lanes_of(out, lanes)[i])})
 
 
 def _replay_algebra_closure(instance, kind):
@@ -504,29 +520,28 @@ def _run_image_commutes(bounds, rng, budget, col):
     plans = _plans(bounds, [PREFIX])
     sizes = range(1, bounds.max_points + 1)
     for pm in _maps(sizes, sizes):
-        n, m, full = pm.dom.n, pm.cod.n, (1 << pm.dom.n) - 1
+        n, m = pm.dom.n, pm.cod.n
         img, _ = _tables(pm)
         for plan in plans:
-            pos = plan.positions
-            parent = [plan.order.index(idx[:-1]) if idx else None for idx in plan.order]
-            for _ in range(budget):
-                col.cases += 1
-                raw = [rng.randrange(1 << n) for _ in plan.order]
-                dec = list(raw)
-                for i, p in enumerate(parent):
-                    if p is not None:
-                        dec[i] &= dec[p]
-                lhs, rhs = _image_pair(pm, img, pos, dec)
-                ev_raw = eval_plan_bits(pos, raw) & full
-                ev_dec = eval_plan_bits(pos, dec) & full
-                checks = (
-                    ("decreasing-image", dec, lhs, rhs, m),
-                    ("replacement-value", raw, ev_raw, ev_dec, n),
-                    ("replacement-image", raw, lhs, rhs, m),
-                )
-                for check, vals, left, right, size in checks:
-                    if left != right:
-                        col.violation(_doc(pm, plan, n, vals, check=check), _lr(size, left, right))
+            col.cases += budget
+            k, pos = len(plan.order), plan.positions
+            raw = _sample(range(1 << n), k, rng, budget)
+            dec = _columns(raw, k)
+            ev_raw = _ev(pos, dec, n, budget)
+            # cut each raw value by its parent's cut value; parents come first in the length-lex order
+            for i, idx in enumerate(plan.order):
+                if idx:
+                    dec[i] &= dec[plan.order.index(idx[:-1])]
+            lhs, rhs = _image_pair(pm, img, pos, dec, budget)
+            ev_dec = _ev(pos, dec, n, budget)
+            checks = (
+                ("decreasing-image", list(zip(*(lanes_of(v, budget) for v in dec))), m),
+                ("replacement-value", raw, n),
+                ("replacement-image", raw, m),
+            )
+            for i, j, left, right in _differing(budget, (lhs, rhs), (ev_raw, ev_dec), (lhs, rhs)):
+                check, cases, size = checks[j]
+                col.violation(_doc(pm, plan, n, cases[i], check=check), _lr(size, left, right))
 
 
 def _image_commutes(pm, base, family):
@@ -556,10 +571,10 @@ def _run_image_necessity(bounds, rng, budget, col):
         col.cases += 1
         img, _ = _tables(pm)
         if len(set(pm.table)) == n:
-            for plan, values in _sweep(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
-                lhs, rhs = _image_pair(pm, img, plan.positions, values)
-                if lhs != rhs:
-                    col.violation(_doc(pm, plan, n, values, check="injective-image"), _lr(m, lhs, rhs))
+            for plan, cases, columns in _batches(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
+                pair = _image_pair(pm, img, plan.positions, columns, len(cases))
+                for i, _, lhs, rhs in _differing(len(cases), pair):
+                    col.violation(_doc(pm, plan, n, cases[i], check="injective-image"), _lr(m, lhs, rhs))
             continue
         found = _merge_witness(pm, img)
         if found is None:

@@ -8,6 +8,7 @@ the offending hypothesis or pair.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .classes import (
@@ -189,13 +190,7 @@ class ZeroWitnessReport:
 
 
 # the indicator codomain depends only on the number of listed sets
-_INDICATOR_CODS = {}
-
-
-def _indicator_cod(k):
-    if k not in _INDICATOR_CODS:
-        _INDICATOR_CODS[k] = FinSpace.discrete(1 << k)
-    return _INDICATOR_CODS[k]
+_indicator_cod = cache(lambda k: FinSpace.discrete(1 << k))
 
 
 def zero_witness_map(space, zeros, max_points=DEFAULT_MAX_PRODUCT_POINTS):

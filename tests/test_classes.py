@@ -1,5 +1,8 @@
 """Set classes: generation, duality, reduction, separation, ladders."""
 
+import random
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from redsep import (
     ResourceError,
     SetClass,
     SubsetMask,
+    all_bases,
     borel_ladder,
     canonical_base,
     check_reduction,
@@ -111,6 +115,30 @@ def test_dual_generation_is_complementation_of_the_complemented_run(base, mode, 
     dual = generate_class(base, gens, mode, dual=True)
     assert dual == complement_class(generate_class(base, complement_class(gens), mode))
     assert dual == brute_generate(base, gens, mode, dual=True)
+
+
+def iproduct_generate(base, generators, mode, dual):
+    """The outcome bits of every assignment, walked one at a time in iproduct order."""
+    free = [idx for idx in base.relevant_indices(mode) if idx != ()]
+    out = set()
+    for assign in iproduct(generators.members, repeat=len(free)):
+        if dual:
+            assign = [m.complement() for m in assign]
+        value = evaluate(base, IndexedFamily(generators.n, mode, dict(zip(free, assign))), mode)
+        out.add((value.complement() if dual else value).bits)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9])
+def test_generate_class_matches_an_iproduct_walk(n):
+    rng = random.Random(n)
+    stock = [canonical_base("union", 2), canonical_base("intersection", 2), canonical_base("a_operation", 2, 2)]
+    for base in stock + rng.sample(all_bases(2, 2), 3):
+        for mode in (PREFIX, RANGE):
+            gens = SetClass.from_bits(n, {rng.randrange(1 << n) for _ in range(3)})
+            for dual in (False, True):
+                got = generate_class(base, gens, mode, dual=dual)
+                assert got.member_bits() == iproduct_generate(base, gens, mode, dual)
 
 
 def test_generate_class_cap_and_validation():

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from redsep import __version__, canonical_json
+from redsep import cli
 from redsep.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -320,6 +321,16 @@ def test_mode_mismatch_and_bad_budget_exit_2(tmp_path, capsys):
     code, _ = run_cli(["replay"])
     assert code == 2
     assert "nothing to replay" in capsys.readouterr().err
+
+
+def test_an_unexpected_failure_exits_3_with_one_line(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "_cmd_space", crash)
+    code, out = run_cli(["space", str(GOLDEN / "sierpinski-zeros-instance.json")])
+    assert code == 3 and out == ""
+    assert capsys.readouterr().err == "internal error: RuntimeError('boom\\nsecond line')\n"
 
 
 def test_replay_of_an_incomplete_instance_exits_2_without_a_traceback(tmp_path):

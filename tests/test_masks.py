@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from redsep import InputError, SubsetMask
-from redsep.masks import restrict_bits
+from redsep import InputError, ResourceError, SubsetMask
+from redsep.masks import lane_table, lanes_of, map_lanes, pack_lanes, replicate, restrict_bits
 
 from conftest import mask, masks
 
@@ -72,3 +72,30 @@ def test_frozen_bit_layout():
     assert SubsetMask.full(3).bits == 0b111
     assert SubsetMask.empty(3).bits == 0
     assert 1 in mask(3, [1]) and 0 not in mask(3, [1])
+
+
+@given(st.lists(st.integers(0, 255), max_size=40))
+def test_lanes_round_trip_one_byte_each(values):
+    packed = pack_lanes(values)
+    assert list(lanes_of(packed, len(values))) == values
+    assert all(packed >> 8 * i & 0xFF == v for i, v in enumerate(values))
+    assert list(lanes_of(replicate(0xA5, len(values)) & packed, len(values))) == [v & 0xA5 for v in values]
+
+
+def test_lane_tables_map_every_lane():
+    table = lane_table([v ^ 0b101 for v in range(8)])
+    assert map_lanes(pack_lanes([1, 7, 0]), 3, table) == pack_lanes([4, 2, 5])
+    assert map_lanes(pack_lanes([1, 7, 0]), 4, table) == pack_lanes([4, 2, 5, 5])
+
+
+def test_wide_lanes_round_trip():
+    wide = replicate(0x1FF, 3, width=2)
+    assert lanes_of(wide, 3, width=2) == [0x1FF] * 3
+    assert lanes_of(wide ^ (1 << 16), 3, width=2) == [0x1FF, 0x1FE, 0x1FF]
+
+
+def test_one_byte_lanes_refuse_subsets_of_more_than_8_points():
+    with pytest.raises(ResourceError, match="8 points"):
+        pack_lanes([3, 256])
+    with pytest.raises(ResourceError, match="8 points"):
+        lane_table([256])

@@ -2,15 +2,23 @@
 
 import hashlib
 import json
+import random
+import re
+import subprocess
+import sys
 from contextlib import contextmanager
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
 
 from redsep import (
+    RANGE,
+    Base,
     Bounds,
     IndexedFamily,
     InputError,
+    ResourceError,
     canonical_base,
     canonical_json,
     replay_finding,
@@ -20,10 +28,13 @@ from redsep import (
     suite_names,
 )
 from redsep import FinSpace, PointMap, serialize, suites
+from redsep.hausdorff import eval_plan_bits
+from redsep.masks import lanes_of, replicate
 
 from conftest import mask
 
-CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS = ROOT / "corpus"
 
 TIGHT = Bounds(max_points=2, alphabet=2, depth=2, cap=512)
 
@@ -183,9 +194,11 @@ def test_malformed_instance_fields_are_rejected():
         replay_finding({"suite": "diagonal-absorption", "instance": {"maps": [], "member": []}})
 
 
-# Findings of a deliberately broken kernel (every evaluation flips point 0):
-# the counts and documents pin both the finding builder and the order in
-# which assignments are drawn.
+# Findings of a deliberately broken kernel (every evaluation flips point 0 of
+# every case): the counts and documents pin both the finding builder and the
+# order in which assignments are drawn.  The suites evaluate many cases at
+# once, one per lane, and cut every lane to its universe afterwards, so the
+# fault flips bit 0 of more lanes than any run here packs.
 BROKEN_KERNEL_FINDINGS = {
     "distributivity": (31376, "ba0deedfb135636cf323842a24e141f0f2028f5ae8c32eeb9a8c613a23b8e118"),
     "restriction": (6740, "8d26493e4670aced622d3166b25faf330e898f52fd636b7fefbb930aefb5b38f"),
@@ -196,11 +209,14 @@ BROKEN_KERNEL_FINDINGS = {
 }
 
 
+EVERY_LANE = replicate(1, 1 << 12)
+
+
 @contextmanager
 def _broken_kernel(monkeypatch):
     honest = suites.eval_plan_bits
     with monkeypatch.context() as patch:
-        patch.setattr(suites, "eval_plan_bits", lambda plans, values: honest(plans, values) ^ 1)
+        patch.setattr(suites, "eval_plan_bits", lambda plans, values: honest(plans, values) ^ EVERY_LANE)
         yield
 
 
@@ -238,3 +254,66 @@ def test_witness_documents_are_pinned(name):
     res = run_suite(name, seed=0)
     assert res.passed and res.violation_count == 0
     assert (res.cases, res.witness_count, _sha(res.witnesses)) == WITNESS_FINDINGS[name]
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 64, 1000])
+def test_packed_evaluation_matches_every_lane(lanes):
+    rng = random.Random(lanes)
+    full = 0xFF
+    fulls = replicate(full, lanes)
+    plans = (*suites._compiled(2, 2), suites._plan(Base(2, [], RANGE), RANGE))
+    assert plans[-1].order == ()
+    for plan in plans:
+        pos = plan.positions
+        cases = [tuple(rng.randrange(256) for _ in plan.order) for _ in range(lanes)]
+        packed = suites._columns(cases, len(plan.order))
+        assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
+            eval_plan_bits(pos, case) & full for case in cases
+        ]
+        assert list(lanes_of(suites._ev(pos, packed, 8, lanes, dual=True), lanes)) == [
+            full ^ (eval_plan_bits(pos, [full ^ v for v in case]) & full) for case in cases
+        ]
+
+
+def _randrange_assignments(pool, k, rng, budget):
+    """The reference sampler: one rng.randrange call per coordinate."""
+    if k == 0:
+        return [()]
+    if len(pool) ** k <= max(64, budget):
+        return list(iproduct(pool, repeat=k))
+    out = [(v,) * k for v in pool[: min(3, len(pool))]]
+    for _ in range(budget):
+        out.append(tuple(pool[rng.randrange(len(pool))] for _ in range(k)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_the_sampler_draws_the_randrange_stream(seed):
+    for size in range(1, 18):
+        pool = [3 * v + 1 for v in range(size)]
+        for k in range(1, 8):
+            ours, theirs = random.Random(f"{seed}:{size}:{k}"), random.Random(f"{seed}:{size}:{k}")
+            assert suites._assignments(pool, k, ours, 10) == _randrange_assignments(pool, k, theirs, 10)
+            assert ours.random() == theirs.random()
+
+
+def test_lanes_refuse_universes_over_8_points():
+    with pytest.raises(ResourceError, match="8 points"):
+        run_suite("preimage-commutes", bounds=Bounds(max_points=9), budget=1)
+
+
+def test_sweep_digest_prints_one_line_per_suite():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "sweep_digest.py"), "--max-points", "2"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    *lines, digest = proc.stdout.splitlines()
+    fields = "seed=0 suite=(\\S+) cases=(\\d+) violations=(\\d+) witnesses=(\\d+) passed=(true|false)"
+    shape = re.compile(fields + " violations_sha256=[0-9a-f]{64} witnesses_sha256=[0-9a-f]{64}")
+    rows = [shape.fullmatch(line).groups() for line in lines]
+    assert [row[0] for row in rows] == list(suite_names())
+    res = run_suite("image-necessity", bounds=Bounds(max_points=2))
+    assert ("image-necessity", str(res.cases), "0", str(res.witness_count), "true") in rows
+    assert re.fullmatch("digest=[0-9a-f]{64}", digest)
