@@ -325,7 +325,7 @@ def _cmd_fuzz(args):
     if args.depth is not None:
         bounds = replace(bounds, depth=args.depth)
     budget = args.budget if args.budget is not None else default_budget
-    res = run_suite(args.suite, bounds=bounds, seed=args.seed, budget=budget)
+    res = run_suite(args.suite, bounds=bounds, seed=args.seed, budget=args.budget)
     written = []
     if args.corpus_dir is not None:
         corpus = Path(args.corpus_dir)
@@ -429,9 +429,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is not None and args.budget < 1:
-        print("error: --budget must be positive", file=sys.stderr)
-        return 2
     started = time.perf_counter()
     try:
         report, code = args.handler(args)

@@ -222,25 +222,25 @@ def components(space):
     return Partition(space.n, [SubsetMask(space.n, b) for b in blocks])
 
 
+_ZERO_SETS = {}  # space -> its zero sets; the sweeps ask again for the same few hundred spaces
+_ZERO_SETS_LIMIT = 512
+
+
 def zero_sets(space):
-    """All unions of connected components, the empty union included.
+    """All unions of connected components, the empty union included, memoised (bounded).
 
     These are exactly the sets cut out by continuous maps into a discrete
     pair of points: such maps are constant on components.
     """
-    blocks = [b.bits for b in components(space)]
-    out = set()
-    for pick in range(1 << len(blocks)):
-        acc = 0
-        t = pick
-        i = 0
-        while t:
-            if t & 1:
-                acc |= blocks[i]
-            t >>= 1
-            i += 1
-        out.add(acc)
-    return SetClass.from_bits(space.n, out)
+    if space in _ZERO_SETS:
+        return _ZERO_SETS[space]
+    out = {0}
+    for block in components(space):
+        out |= {acc | block.bits for acc in out}
+    if len(_ZERO_SETS) >= _ZERO_SETS_LIMIT:
+        _ZERO_SETS.clear()
+    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, out)
+    return zeros
 
 
 def subspace(space, carrier):

@@ -8,8 +8,9 @@ deterministic for a fixed (suite, bounds, seed, budget).
 
 The sweeping suites share one layer: a structural pool (spaces or table
 maps), the compiled plan of every (base, mode) pair, built once per
-(alphabet, depth), and the assignments drawn per pool entry and plan, which
-one kernel call evaluates as the lanes of packed ints (see ``masks``).
+(alphabet, depth), and per pool entry and plan the assignments, which one
+kernel call evaluates as the lanes of packed ints (see ``masks``).  Each
+pool entry lays out pool^k once per k and draws all its samples in one pass.
 
 Findings are plain JSON-ready documents.  A violation is a broken law and
 fails the suite; a witness is an expected counterexample (the suites that
@@ -22,7 +23,7 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from itertools import product as iproduct
 
 from . import serialize
@@ -36,7 +37,7 @@ from .classes import (
     generate_class,
     reduction_to_separation,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import (
     MODES,
     PREFIX,
@@ -190,34 +191,74 @@ def _is_decreasing(above, fam):
     return all(not (above[i] >> j & 1) or not (fam[j] & ~fam[i]) for i in range(k) for j in range(k) if i != j)
 
 
-def _sample(pool, k, rng, count):
-    """`count` k-tuples from the pool, drawn as rng.randrange(len(pool)) would draw each coordinate."""
-    size, bits, getrandbits, picks = len(pool), len(pool).bit_length(), rng.getrandbits, []
-    for _ in range(count * k):
-        r = getrandbits(bits)
-        while r >= size:
-            r = getrandbits(bits)
-        picks.append(pool[r])
-    return [tuple(picks[i : i + k]) for i in range(0, len(picks), k)]
+# The largest sampling budget (a plan draws budget * k values), and the most values that consecutive
+# sampled plans of a pool entry share in one draw.
+MAX_BUDGET = 1 << 16
 
 
-def _assignments(pool, k, rng, budget):
-    """Value tuples drawn from pool^k: everything when small, sampled when not."""
-    if len(pool) ** k <= max(64, budget):
-        return list(iproduct(pool, repeat=k))
-    return [(v,) * k for v in pool[:3]] + _sample(pool, k, rng, budget)
+def _sample(pool, count, rng):
+    """`count` values of the byte pool, drawn as one rng.randrange(len(pool)) per value would draw them."""
+    size, bits = len(pool), len(pool).bit_length()
+    if bits > 8:  # all 256 subsets of 8 points: 9-bit draws, one at a time
+        return bytes(pool[rng.randrange(size)] for _ in range(count))
+    # getrandbits(bits) is the top byte of one 32-bit word shifted right by 8 - bits; getrandbits(32 * w)
+    # returns w words, the first in the lowest bytes.  Rejected top bytes are deleted, and the shortfall
+    # redrawn, so no word is consumed that per-value draws would not consume.
+    shift = 8 - bits
+    table = b"".join(bytes([v]) * (1 << shift) for v in pool).ljust(256, b"\0")
+    rejected = bytes(range(size << shift, 256))
+    out = bytearray()
+    while len(out) < count:
+        words = min(count - len(out), MAX_BUDGET // 4)
+        out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, rejected)
+    return bytes(out)
 
 
-def _columns(cases, k):
-    """Each coordinate of the k-tuples packed into an int, one lane per case."""
-    return [pack_lanes(col) for col in zip(*cases)] if cases else [0] * k
+def _draws(pool, counts, rng):
+    """Per count, that many sampled pool values; consecutive counts share draws of at most MAX_BUDGET values."""
+    groups = []
+    for count in counts:
+        if groups and sum(groups[-1]) + count <= MAX_BUDGET:
+            groups[-1].append(count)
+        else:
+            groups.append([count])
+    for group in groups:
+        raw, at = _sample(pool, sum(group), rng), 0
+        for count in group:
+            yield raw[at : at + count]
+            at += count
+
+
+def _columns(raw, k):
+    """Coordinate j of every case of case-major bytes, packed one lane per case."""
+    return [int.from_bytes(raw[j::k], "little") for j in range(k)]
+
+
+def _case(plan, raw, i):
+    """Case i of a batch's case-major bytes."""
+    return tuple(raw[i * len(plan.order) : (i + 1) * len(plan.order)])
 
 
 def _batches(bounds, pool, rng, budget, modes=MODES):
-    """Each plan of the bounds, the assignments drawn for it from the pool, and their packed columns."""
-    for plan in _plans(bounds, modes):
-        cases = _assignments(pool, len(plan.order), rng, budget)
-        yield plan, cases, _columns(cases, len(plan.order))
+    """Each plan of the bounds with its assignments from the pool: lane count, case-major bytes, packed columns.
+
+    A plan gets all of pool^k while that stays small, laid out once per k, and otherwise the constant
+    corners plus `budget` samples; the samples of all sampled plans are drawn together, in plan order.
+    """
+    pool = pack_lanes(pool).to_bytes(len(pool), "little")  # raises ResourceError on values over 8 points
+    plans = [(plan, len(plan.order)) for plan in _plans(bounds, modes)]
+    products = {}  # k -> lanes, case-major bytes and columns of all of pool^k, for each small k
+    for k in {k for _, k in plans}:
+        if len(pool) ** k <= max(64, budget):
+            raw = bytes(chain.from_iterable(iproduct(pool, repeat=k)))
+            products[k] = len(pool) ** k, raw, _columns(raw, k)
+    draws = _draws(pool, [budget * k for _, k in plans if k not in products], rng)
+    for plan, k in plans:
+        if k in products:
+            yield plan, *products[k]
+        else:
+            raw = b"".join(bytes([v]) * k for v in pool[:3]) + next(draws)
+            yield plan, min(3, len(pool)) + budget, raw, _columns(raw, k)
 
 
 def _ev(positions, values, n, lanes, dual=False):
@@ -256,7 +297,8 @@ def _merge_witness(pm, img):
     n = pm.dom.n
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
-    found = _differing(len(cases), _image_pair(pm, img, _PROBE.positions, _columns(cases, 3), len(cases)))
+    columns = _columns(bytes(chain.from_iterable(cases)), 3)
+    found = _differing(len(cases), _image_pair(pm, img, _PROBE.positions, columns, len(cases)))
     return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
@@ -329,19 +371,19 @@ def _run_distributivity(bounds, rng, budget, col):
     """Meets and joins move through the operation and its dual pointwise."""
     for space in _spaces(bounds.max_points):
         n = space.n
-        for plan, cases, columns in _batches(bounds, list(space.open_bits()), rng, budget):
-            col.cases += len(cases)
-            # lane mask * len(cases) + c holds case c under that mask: the columns repeat once per mask
-            lanes, pos = len(cases) << n, plan.positions
-            values = [v * replicate(1, 1 << n, len(cases)) for v in columns]
-            masks = pack_lanes(mask for mask in range(1 << n) for _ in cases)
+        for plan, count, raw, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+            col.cases += count
+            # lane mask * count + c holds case c under that mask: the columns repeat once per mask
+            lanes, pos = count << n, plan.positions
+            values = [v * replicate(1, 1 << n, count) for v in columns]
+            masks = pack_lanes(mask for mask in range(1 << n) for _ in range(count))
             meet = _ev(pos, [v & masks for v in values], n, lanes), _ev(pos, values, n, lanes) & masks
             join = _ev(pos, [v | masks for v in values], n, lanes, True), _ev(pos, values, n, lanes, True) | masks
             found = _differing(lanes, meet, join)
-            for lane, j, left, right in sorted(found, key=lambda f: (f[0] % len(cases), f[0])):
-                mask, c = divmod(lane, len(cases))
+            for lane, j, left, right in sorted(found, key=lambda f: (f[0] % count, f[0])):
+                mask, c = divmod(lane, count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
-                col.violation(_doc(space, plan, n, cases[c], **fields), _lr(n, left, right))
+                col.violation(_doc(space, plan, n, _case(plan, raw, c), **fields), _lr(n, left, right))
 
 
 def _replay_distributivity(instance, kind):
@@ -359,8 +401,8 @@ def _run_restriction(bounds, rng, budget, col):
     for space in _spaces(bounds.max_points):
         n, carriers = space.n, range(1 << space.n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
-        for plan, cases, columns in _batches(bounds, list(space.open_bits()), rng, budget):
-            lanes, pos = len(cases), plan.positions
+        for plan, lanes, raw, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+            pos = plan.positions
             col.cases += lanes
             ev, found = _ev(pos, columns, n, lanes), []
             for carrier, trace in zip(carriers, traces):
@@ -368,7 +410,7 @@ def _run_restriction(bounds, rng, budget, col):
                 right = _ev(pos, [map_lanes(v, lanes, trace) for v in columns], carrier.bit_count(), lanes)
                 found += [(i, carrier, a, b) for i, _, a, b in _differing(lanes, (left, right))]
             for i, carrier, left, right in sorted(found):
-                instance = _doc(space, plan, n, cases[i], mode=plan.mode, carrier=_pts(n, carrier))
+                instance = _doc(space, plan, n, _case(plan, raw, i), mode=plan.mode, carrier=_pts(n, carrier))
                 col.violation(instance, _lr(n, left, right))
 
 
@@ -389,8 +431,8 @@ def _run_preimage_commutes(bounds, rng, budget, col):
     for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
         n, m = pm.dom.n, pm.cod.n
         _, pre = _tables(pm)
-        for plan, cases, columns in _batches(bounds, list(range(1 << m)), rng, budget):
-            lanes, pos = len(cases), plan.positions
+        for plan, lanes, raw, columns in _batches(bounds, list(range(1 << m)), rng, budget):
+            pos = plan.positions
             col.cases += lanes
             pulled = [map_lanes(v, lanes, pre) for v in columns]
             checks = [
@@ -398,7 +440,7 @@ def _run_preimage_commutes(bounds, rng, budget, col):
                 for dual in (False, True)
             ]
             for i, j, left, right in _differing(lanes, *checks):
-                instance = _doc(pm, plan, m, cases[i], mode=plan.mode, identity=("eval", "dual")[j])
+                instance = _doc(pm, plan, m, _case(plan, raw, i), mode=plan.mode, identity=("eval", "dual")[j])
                 col.violation(instance, _lr(n, left, right))
 
 
@@ -432,11 +474,10 @@ def _run_algebra_closure(bounds, rng, budget, col):
         if len(alg_bits) != 1 << fibers:
             col.violation(_doc(pm, check="cardinality"), {"size": len(alg_bits), "fibers": fibers})
         member = lane_table([bits in alg_bits for bits in range(1 << n)])
-        for plan, cases, columns in _batches(bounds, alg_bits, rng, budget):
-            lanes = len(cases)
+        for plan, lanes, raw, columns in _batches(bounds, alg_bits, rng, budget):
             out = _ev(plan.positions, columns, n, lanes)
             for i, _, _, _ in _differing(lanes, (map_lanes(out, lanes, member), replicate(1, lanes))):
-                instance = _doc(pm, plan, n, cases[i], mode=plan.mode, check="eval-closure")
+                instance = _doc(pm, plan, n, _case(plan, raw, i), mode=plan.mode, check="eval-closure")
                 col.violation(instance, {"outcome": _pts(n, lanes_of(out, lanes)[i])})
 
 
@@ -522,10 +563,10 @@ def _run_image_commutes(bounds, rng, budget, col):
     for pm in _maps(sizes, sizes):
         n, m = pm.dom.n, pm.cod.n
         img, _ = _tables(pm)
-        for plan in plans:
+        draws = _draws(bytes(range(1 << n)), [budget * len(plan.order) for plan in plans], rng)
+        for plan, raw in zip(plans, draws):
             col.cases += budget
             k, pos = len(plan.order), plan.positions
-            raw = _sample(range(1 << n), k, rng, budget)
             dec = _columns(raw, k)
             ev_raw = _ev(pos, dec, n, budget)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
@@ -534,14 +575,11 @@ def _run_image_commutes(bounds, rng, budget, col):
                     dec[i] &= dec[plan.order.index(idx[:-1])]
             lhs, rhs = _image_pair(pm, img, pos, dec, budget)
             ev_dec = _ev(pos, dec, n, budget)
-            checks = (
-                ("decreasing-image", list(zip(*(lanes_of(v, budget) for v in dec))), m),
-                ("replacement-value", raw, n),
-                ("replacement-image", raw, m),
-            )
+            checks = (("decreasing-image", m), ("replacement-value", n), ("replacement-image", m))
             for i, j, left, right in _differing(budget, (lhs, rhs), (ev_raw, ev_dec), (lhs, rhs)):
-                check, cases, size = checks[j]
-                col.violation(_doc(pm, plan, n, cases[i], check=check), _lr(size, left, right))
+                check, size = checks[j]
+                values = [lanes_of(v, budget)[i] for v in dec] if j == 0 else _case(plan, raw, i)
+                col.violation(_doc(pm, plan, n, values, check=check), _lr(size, left, right))
 
 
 def _image_commutes(pm, base, family):
@@ -571,10 +609,11 @@ def _run_image_necessity(bounds, rng, budget, col):
         col.cases += 1
         img, _ = _tables(pm)
         if len(set(pm.table)) == n:
-            for plan, cases, columns in _batches(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
-                pair = _image_pair(pm, img, plan.positions, columns, len(cases))
-                for i, _, lhs, rhs in _differing(len(cases), pair):
-                    col.violation(_doc(pm, plan, n, cases[i], check="injective-image"), _lr(m, lhs, rhs))
+            for plan, lanes, raw, columns in _batches(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
+                pair = _image_pair(pm, img, plan.positions, columns, lanes)
+                for i, _, lhs, rhs in _differing(lanes, pair):
+                    instance = _doc(pm, plan, n, _case(plan, raw, i), check="injective-image")
+                    col.violation(instance, _lr(m, lhs, rhs))
             continue
         found = _merge_witness(pm, img)
         if found is None:
@@ -882,15 +921,18 @@ def suite_defaults(name):
 
 
 def run_suite(name, bounds=None, seed=0, budget=None, keep=32):
-    """Run one suite deterministically and collect its findings."""
+    """Run one suite deterministically and collect its findings; budget None means the suite's default."""
     suite = _suite(name)
+    bounds = suite.bounds if bounds is None else bounds
+    for field in ("max_points", "alphabet", "depth", "cap"):
+        if getattr(bounds, field) < 0:
+            raise InputError(f"bounds.{field} must be nonnegative, got {getattr(bounds, field)}")
+    if budget is not None and budget < 1:
+        raise InputError("--budget must be positive")
+    if budget is not None and budget > MAX_BUDGET:
+        raise ResourceError(f"budget {budget} exceeds the cap {MAX_BUDGET}")
     col = _Collector(name, keep)
-    suite.run(
-        suite.bounds if bounds is None else bounds,
-        random.Random(f"{name}:{seed}"),
-        suite.budget if budget is None else budget,
-        col,
-    )
+    suite.run(bounds, random.Random(f"{name}:{seed}"), suite.budget if budget is None else budget, col)
     return SuiteResult(
         name,
         col.cases,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from redsep import __version__, canonical_json
-from redsep import cli
+from redsep import cli, suites
 from redsep.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -261,6 +261,10 @@ def test_fuzz_exit_reflects_the_suite_verdict(tmp_path):
     report = json.loads(out)
     assert code == 1 and report["verdict"] is False
     assert report["expects_witnesses"] is True and report["witnesses"] == 0
+    # a suite that samples nothing runs at its default budget of 0
+    code, out = run_cli(["fuzz", "diagonal-absorption", "--max-points", "1"])
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] is True and report["budget"] == 0
 
 
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):
@@ -279,6 +283,25 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):
     code, _ = run_cli(["eval", str(arr)])
     assert code == 2
     assert "must hold one JSON object" in capsys.readouterr().err
+
+    negative = (("--max-points", "-1", "max_points"), ("--alphabet", "-1", "alphabet"), ("--depth", "-2", "depth"))
+    for flag, value, field in negative:
+        code, out = run_cli(["fuzz", "distributivity", flag, value])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: bounds.{field} must be nonnegative, got {value}\n"
+
+
+def test_an_oversized_budget_is_refused_before_any_sweep_starts(capsys, monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setitem(suites._SUITES, "algebra-closure", suites._SUITES["algebra-closure"]._replace(run=sweep))
+    code, out = run_cli(["fuzz", "algebra-closure", "--budget", str(10**12)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: budget {10**12} exceeds the cap 65536\n"
+    code, _ = run_cli(["fuzz", "algebra-closure", "--budget", "65536", "--max-points", "0"])
+    assert code == 3  # the largest budget is accepted and the sweep starts
+    assert "the sweep started" in capsys.readouterr().err
 
 
 def test_missing_fields_name_their_instance_path(tmp_path, capsys):

@@ -19,6 +19,7 @@ from redsep import (
     subspace,
     zero_sets,
 )
+from redsep import spaces as spaces_module
 from redsep.masks import restrict_bits
 
 from conftest import mask, masks, spaces
@@ -95,6 +96,22 @@ def test_components_partition_and_zero_sets_are_their_unions(space):
                 acc |= c.bits
             expected.add(acc)
     assert zero_sets(space).member_bits() == expected
+
+
+def test_memoised_zero_sets_are_the_clopen_sets(monkeypatch):
+    # On a finite space the unions of components are exactly the clopen sets.
+    labeled = [space for n in range(5) for space in all_topologies(n)]
+    assert len(labeled) == 390
+    for space in labeled:
+        assert zero_sets(space).member_bits() == set(space.clopen_bits())
+    twin = FinSpace(3, [mask(3, []), mask(3, [0]), mask(3, [0, 1, 2])])
+    assert zero_sets(twin) is zero_sets(FinSpace(3, list(twin.opens)))
+    monkeypatch.setattr(spaces_module, "_ZERO_SETS", {})
+    monkeypatch.setattr(spaces_module, "_ZERO_SETS_LIMIT", 7)
+    for space in labeled:
+        zero_sets(space)
+        assert 1 <= len(spaces_module._ZERO_SETS) <= 7
+        assert zero_sets(space).member_bits() == set(space.clopen_bits())
 
 
 def test_discrete_and_indiscrete_extremes():

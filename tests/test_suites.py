@@ -29,7 +29,7 @@ from redsep import (
 )
 from redsep import FinSpace, PointMap, serialize, suites
 from redsep.hausdorff import eval_plan_bits
-from redsep.masks import lanes_of, replicate
+from redsep.masks import lanes_of, pack_lanes, replicate
 
 from conftest import mask
 
@@ -264,9 +264,10 @@ def test_packed_evaluation_matches_every_lane(lanes):
     plans = (*suites._compiled(2, 2), suites._plan(Base(2, [], RANGE), RANGE))
     assert plans[-1].order == ()
     for plan in plans:
-        pos = plan.positions
-        cases = [tuple(rng.randrange(256) for _ in plan.order) for _ in range(lanes)]
-        packed = suites._columns(cases, len(plan.order))
+        pos, k = plan.positions, len(plan.order)
+        raw = bytes(rng.randrange(256) for _ in range(lanes * k))
+        cases = [suites._case(plan, raw, i) for i in range(lanes)]
+        packed = suites._columns(raw, k)
         assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
             eval_plan_bits(pos, case) & full for case in cases
         ]
@@ -287,14 +288,51 @@ def _randrange_assignments(pool, k, rng, budget):
     return out
 
 
+def _pool(size):
+    """`size` distinct one-byte values, not in increasing order (3 is a unit mod 256)."""
+    return [(3 * v + 1) % 256 for v in range(size)]
+
+
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_the_sampler_draws_the_randrange_stream(seed):
-    for size in range(1, 18):
-        pool = [3 * v + 1 for v in range(size)]
+    # pool sizes up to 255 take the bulk path, 256 values the per-draw path
+    for size in (*range(1, 18), 255, 256):
+        pool = _pool(size)
         for k in range(1, 8):
             ours, theirs = random.Random(f"{seed}:{size}:{k}"), random.Random(f"{seed}:{size}:{k}")
-            assert suites._assignments(pool, k, ours, 10) == _randrange_assignments(pool, k, theirs, 10)
+            drawn = suites._sample(bytes(pool), 10 * k, ours)
+            assert list(drawn) == [pool[theirs.randrange(size)] for _ in range(10 * k)]
             assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize(
+    "size, alphabet, depth, budget, draws",
+    [
+        (3, 2, 2, 10, [2720]),  # pool^k enumerated up to k = 3, sampled from k = 4
+        (5, 2, 2, 300, [64200, 17400]),  # 81,600 samples split between plans
+        (255, 1, 2, 30000, [60000, 90000, 90000]),  # a plan of 90,000 samples is drawn on its own
+    ],
+)
+def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, budget, draws, monkeypatch):
+    calls, honest = [], suites._sample
+
+    def sample(pool, count, rng):
+        calls.append(count)
+        return honest(pool, count, rng)
+
+    monkeypatch.setattr(suites, "_sample", sample)
+    pool, bounds = _pool(size), Bounds(alphabet=alphabet, depth=depth)
+    ours, theirs = random.Random(size), random.Random(size)
+    plans = 0
+    for plan, lanes, raw, columns in suites._batches(bounds, pool, ours, budget):
+        k = len(plan.order)
+        cases = _randrange_assignments(pool, k, theirs, budget)
+        assert [suites._case(plan, raw, i) for i in range(lanes)] == cases
+        assert columns == [pack_lanes(col) for col in zip(*cases)]
+        plans += 1
+    assert plans == len(suites._compiled(alphabet, depth))
+    assert ours.random() == theirs.random()
+    assert calls == draws
 
 
 def test_lanes_refuse_universes_over_8_points():
