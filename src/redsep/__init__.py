@@ -3,7 +3,7 @@
 The engine works over explicit finite topological spaces.  Subsets are
 bitmasks, classes of subsets are extensional, and every advertised law is
 checkable by enumeration: evaluation of tree-indexed operations and their
-duals, kernels and algebras of point maps, diagonal products, reduction and
+duals, fibers and algebras of point maps, diagonal products, reduction and
 separation of classes, and constructive transfer of those properties along
 maps.  The suites module quantifies the laws over a bounded catalog and
 stores replayable counterexamples where a hypothesis is deliberately
@@ -35,14 +35,11 @@ from .hausdorff import (
     Base,
     IndexedFamily,
     canonical_base,
-    completion,
     decreasing_replacement,
     dual_eval,
     dual_evaluate,
     evaluate,
-    index_to_seq,
     is_decreasing,
-    seq_to_index,
 )
 from .maps import (
     DirectedImageReport,
@@ -52,16 +49,12 @@ from .maps import (
     alg_enumerate,
     diagonal_product,
     directed_image_check,
-    image_class,
-    kernel,
     map_properties,
-    preimage_class,
 )
 from .masks import SubsetMask
 from .serialize import canonical_json
 from .spaces import (
     FinSpace,
-    Partition,
     ProductCodec,
     closed_sets,
     components,
@@ -113,7 +106,6 @@ __all__ = [
     "ModeError",
     "PREFIX",
     "PairTrace",
-    "Partition",
     "PointMap",
     "PreconditionError",
     "ProductCodec",
@@ -141,7 +133,6 @@ __all__ = [
     "check_separation",
     "closed_sets",
     "complement_class",
-    "completion",
     "components",
     "decreasing_replacement",
     "delta_class",
@@ -152,19 +143,14 @@ __all__ = [
     "evaluate",
     "generate_class",
     "generate_topology",
-    "image_class",
-    "index_to_seq",
     "is_decreasing",
-    "kernel",
     "map_properties",
-    "preimage_class",
     "product",
     "pull_back_witnesses",
     "reduction_to_separation",
     "replay_finding",
     "restrict_class",
     "run_suite",
-    "seq_to_index",
     "subspace",
     "suite_defaults",
     "suite_description",

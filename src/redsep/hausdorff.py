@@ -229,34 +229,6 @@ def dual_evaluate(base, family, mode=None):
 dual_eval = dual_evaluate
 
 
-def completion(base, length_bound, max_branches=MAX_BRANCHES):
-    """All sequences of length <= bound whose symbol set matches some branch's.
-
-    Only meaningful under range indexing, where a branch's intersection
-    depends on its symbol set alone; evaluation is invariant under it.
-    """
-    if base.mode_hint != RANGE:
-        raise ModeError("completion is defined for range-mode bases only")
-    if not base.branches:
-        raise InputError("completion needs at least one branch")
-    if length_bound < base.depth():
-        raise InputError(
-            f"length bound {length_bound} is below the longest branch ({base.depth()})"
-        )
-    ranges = {frozenset(br) for br in base.branches}
-    symbols = sorted(set().union(*ranges))
-    out = []
-    for length in range(1, length_bound + 1):
-        for seq in iproduct(symbols, repeat=length):
-            if frozenset(seq) in ranges:
-                out.append(seq)
-                if len(out) > max_branches:
-                    raise ResourceError(
-                        f"completion exceeds the branch cap ({max_branches})"
-                    )
-    return Base(base.alphabet, out, RANGE)
-
-
 def decreasing_replacement(family):
     """Replace each value by the intersection along all its prefixes.
 
@@ -325,39 +297,3 @@ def canonical_base(
             )
         return Base(alphabet, iproduct(range(alphabet), repeat=depth), RANGE)
     raise InputError(f"unknown canonical base kind {kind!r}")
-
-
-def seq_to_index(seq, alphabet):
-    """Length-lex rank of a sequence; the empty sequence ranks 0."""
-    if alphabet < 1:
-        raise InputError("alphabet bound must be positive")
-    seq = tuple(seq)
-    if any(not isinstance(s, int) or s < 0 or s >= alphabet for s in seq):
-        raise InputError(f"sequence {seq!r} not over alphabet {alphabet}")
-    length = len(seq)
-    if alphabet == 1:
-        return length
-    shorter = (alphabet**length - 1) // (alphabet - 1)
-    rank = 0
-    for s in seq:
-        rank = rank * alphabet + s
-    return shorter + rank
-
-
-def index_to_seq(index, alphabet):
-    """Inverse of seq_to_index."""
-    if alphabet < 1:
-        raise InputError("alphabet bound must be positive")
-    if not isinstance(index, int) or index < 0:
-        raise InputError(f"index must be a nonnegative int, got {index!r}")
-    if alphabet == 1:
-        return (0,) * index
-    length = 0
-    while (alphabet ** (length + 1) - 1) // (alphabet - 1) <= index:
-        length += 1
-    rank = index - (alphabet**length - 1) // (alphabet - 1)
-    seq = []
-    for _ in range(length):
-        seq.append(rank % alphabet)
-        rank //= alphabet
-    return tuple(reversed(seq))

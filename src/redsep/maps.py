@@ -13,9 +13,11 @@ from typing import Optional
 from .classes import SetClass
 from .errors import InputError, ResourceError
 from .masks import SubsetMask
-from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, Partition, product
+from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, product
 
 MAX_ALG_FIBERS = 16
+# directedness is quadratic in the family length, which a finding document sets
+_MAX_FAMILY = 64
 
 # Products are immutable, so one built per factor tuple serves every diagonal.
 _product = lru_cache(maxsize=64)(product)
@@ -102,15 +104,8 @@ class MapProps:
     fibers_closed: bool
     surjective: bool
     injective: bool
-    # the kernel keeps nonempty fibers only; this flags that one was dropped
+    # the kernel partition keeps nonempty fibers only; this flags that one was dropped
     kernel_omits_empty_fiber: bool
-
-
-def kernel(pm):
-    """Partition of the domain into the nonempty fibers."""
-    return Partition(
-        pm.dom.n, [SubsetMask(pm.dom.n, f) for f in pm.fiber_bits() if f]
-    )
 
 
 def alg_contains(pm, mask):
@@ -137,18 +132,6 @@ def alg_enumerate(pm, max_fibers=MAX_ALG_FIBERS):
             i += 1
         out.append(acc)
     return SetClass.from_bits(pm.dom.n, out)
-
-
-def preimage_class(pm, sc):
-    if sc.n != pm.cod.n:
-        raise InputError(f"class universe {sc.n} does not match codomain {pm.cod.n}")
-    return SetClass.from_bits(pm.dom.n, (pm.preimage_bits(b) for b in sc.member_bits()))
-
-
-def image_class(pm, sc):
-    if sc.n != pm.dom.n:
-        raise InputError(f"class universe {sc.n} does not match domain {pm.dom.n}")
-    return SetClass.from_bits(pm.cod.n, (pm.image_bits(b) for b in sc.member_bits()))
 
 
 def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
@@ -212,19 +195,10 @@ def _order_closure(k, relation):
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < k and 0 <= j < k):
             raise InputError(f"order relation entry {pair!r} outside index range 0..{k - 1}")
         above[i] |= 1 << j
-    changed = True
-    while changed:
-        changed = False
+    for j in range(k):  # Warshall: whatever reaches j reaches all that j reaches
         for i in range(k):
-            acc = above[i]
-            t = acc
-            while t:
-                low = t & -t
-                acc |= above[low.bit_length() - 1]
-                t ^= low
-            if acc != above[i]:
-                above[i] = acc
-                changed = True
+            if above[i] >> j & 1:
+                above[i] |= above[j]
     for i in range(k):
         for j in range(k):
             if i != j and above[i] >> j & 1 and above[j] >> i & 1:
@@ -247,12 +221,10 @@ def directed_image_check(pm, relation, family):
         if not isinstance(m, SubsetMask) or m.n != pm.dom.n:
             raise InputError(f"family member {m!r} is not a SubsetMask over the domain")
     k = len(family)
+    if k > _MAX_FAMILY:
+        raise ResourceError(f"family of {k} sets exceeds the cap {_MAX_FAMILY}")
     above = _order_closure(k, relation)
-    directed = all(
-        any(above[i] >> u & 1 and above[j] >> u & 1 for u in range(k))
-        for i in range(k)
-        for j in range(k)
-    )
+    directed = all(a & b for a in above for b in above)
     decreasing = all(
         not (above[i] >> j & 1) or family[j].issubset(family[i])
         for i in range(k)

@@ -1,9 +1,12 @@
-"""Finite topological spaces with extensionally stored open-set lattices.
+"""Finite topological spaces, stored as their specialization preorders.
 
-Construction goes through minimal neighborhoods: the smallest open set
-around x is the intersection of the generating sets containing x, and a set
-is open exactly when it contains the minimal neighborhood of each of its
-points.  That avoids quadratic closure passes and scales to small products.
+A topology on finitely many points is its specialization preorder
+(Alexandroff 1937).  The minimal neighbourhood U_x, the smallest open set
+around x, is the set of points above x, and a set is open exactly when it
+contains U_x for each of its points x.  A space stores its n minimal
+neighbourhoods and the bitmasks of its open sets; components, subspaces and
+products are derived from the neighbourhoods, and the open sets are wrapped
+as SubsetMasks only when asked for.
 """
 
 from .classes import SetClass
@@ -14,74 +17,52 @@ DEFAULT_MAX_POINTS = 5
 DEFAULT_MAX_PRODUCT_POINTS = 12
 
 
-class Partition:
-    """Disjoint nonempty blocks covering {0, ..., n-1}, ordered by least point."""
+def _meets(n, sets):
+    """Per point, the intersection of the given sets that contain it (everything if none does)."""
+    meets = [(1 << n) - 1] * n
+    for s in sets:
+        t = s
+        while t:
+            low = t & -t
+            meets[low.bit_length() - 1] &= s
+            t ^= low
+    return meets
 
-    __slots__ = ("n", "blocks")
 
-    def __init__(self, n, blocks):
-        if not isinstance(n, int) or n < 0:
-            raise InputError(f"universe size must be a nonnegative int, got {n!r}")
-        seen = 0
-        clean = []
-        for blk in blocks:
-            if not isinstance(blk, SubsetMask) or blk.n != n:
-                raise InputError(f"block {blk!r} is not a SubsetMask over {n} points")
-            if blk.bits == 0:
-                raise InputError("partition blocks must be nonempty")
-            if blk.bits & seen:
-                raise InputError(f"block {blk!r} overlaps an earlier block")
-            seen |= blk.bits
-            clean.append(blk)
-        if seen != (1 << n) - 1:
-            raise InputError("blocks do not cover the universe")
-        clean.sort(key=lambda blk: blk.bits & -blk.bits)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", tuple(clean))
+def _up_filter_opens(min_nbhd):
+    """All sets containing the minimal neighborhood of each of their points, in increasing order.
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def block_of(self, point):
-        for blk in self.blocks:
-            if point in blk:
-                return blk
-        raise InputError(f"point {point!r} outside universe of size {self.n}")
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.n == other.n and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((self.n, self.blocks))
-
-    def __repr__(self):
-        inner = ", ".join("{" + ",".join(map(str, b.points())) + "}" for b in self.blocks)
-        return f"Partition({self.n}, [{inner}])"
+    These are the unions of minimal neighbourhoods, so the cost follows the
+    number of open sets rather than the 2^n subsets.
+    """
+    opens = {0}
+    for u in set(min_nbhd):
+        opens |= {o | u for o in opens}
+    return sorted(opens)
 
 
 class FinSpace:
-    """A finite space given by the full list of its open sets."""
+    """A finite space: its minimal neighbourhoods and the bitmasks of its open sets.
 
-    __slots__ = ("n", "opens", "_open_bits")
+    ``FinSpace(n, opens)`` takes the full list of open sets as SubsetMasks and
+    checks that it holds the empty set and the universe and is closed under
+    pairwise union and intersection.  The other constructors pass the minimal
+    neighbourhoods of a space known to be valid, and its opens are their up-filter.
+    """
 
-    def __init__(self, n, opens, _trusted=False):
+    __slots__ = ("n", "_nbhds", "_open_bits")
+
+    def __init__(self, n, opens=(), *, _nbhds=None):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"universe size must be a nonnegative int, got {n!r}")
-        bits = set()
-        for o in opens:
-            if not isinstance(o, SubsetMask) or o.n != n:
-                raise InputError(f"open set {o!r} is not a SubsetMask over {n} points")
-            bits.add(o.bits)
-        full = (1 << n) - 1
-        if 0 not in bits or full not in bits:
-            raise InputError("opens must contain the empty set and the whole universe")
-        if not _trusted:
+        if _nbhds is None:
+            bits = set()
+            for o in opens:
+                if not isinstance(o, SubsetMask) or o.n != n:
+                    raise InputError(f"open set {o!r} is not a SubsetMask over {n} points")
+                bits.add(o.bits)
+            if 0 not in bits or (1 << n) - 1 not in bits:
+                raise InputError("opens must contain the empty set and the whole universe")
             ordered = sorted(bits)
             for i, x in enumerate(ordered):
                 for y in ordered[i + 1 :]:
@@ -89,26 +70,28 @@ class FinSpace:
                         raise InputError(f"opens not closed under union: {x:b} | {y:b}")
                     if x & y not in bits:
                         raise InputError(f"opens not closed under intersection: {x:b} & {y:b}")
+            _nbhds = _meets(n, bits)
+        else:
+            bits = _up_filter_opens(_nbhds)
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "opens", tuple(SubsetMask(n, b) for b in sorted(bits, key=sort_key))
-        )
+        object.__setattr__(self, "_nbhds", tuple(_nbhds))
         object.__setattr__(self, "_open_bits", frozenset(bits))
 
     def __setattr__(self, name, value):
         raise AttributeError("FinSpace is immutable")
 
     @classmethod
-    def _from_open_bits(cls, n, bits_iter):
-        return cls(n, [SubsetMask(n, b) for b in set(bits_iter)], _trusted=True)
-
-    @classmethod
     def discrete(cls, n):
-        return cls._from_open_bits(n, range(1 << n))
+        return cls(n, _nbhds=[1 << x for x in range(n)])
 
     @classmethod
     def indiscrete(cls, n):
-        return cls._from_open_bits(n, {0, (1 << n) - 1})
+        return cls(n, _nbhds=[(1 << n) - 1] * n)
+
+    @property
+    def opens(self):
+        """The open sets as SubsetMasks, in canonical order."""
+        return tuple(SubsetMask(self.n, b) for b in sorted(self._open_bits, key=sort_key))
 
     def open_bits(self):
         return self._open_bits
@@ -125,19 +108,11 @@ class FinSpace:
         )
 
     def is_discrete(self):
-        return all(1 << x in self._open_bits for x in range(self.n))
+        return all(u == 1 << x for x, u in enumerate(self._nbhds))
 
     def min_neighborhoods(self):
         """Per point, the smallest open set containing it."""
-        full = (1 << self.n) - 1
-        out = []
-        for x in range(self.n):
-            acc = full
-            for b in self._open_bits:
-                if b >> x & 1:
-                    acc &= b
-            out.append(acc)
-        return out
+        return self._nbhds
 
     def clopen_bits(self):
         full = (1 << self.n) - 1
@@ -149,33 +124,14 @@ class FinSpace:
         return SubsetMask.full(self.n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FinSpace) and self.n == other.n and self._open_bits == other._open_bits
-        )
+        return isinstance(other, FinSpace) and self.n == other.n and self._nbhds == other._nbhds
 
     def __hash__(self):
-        return hash((self.n, self._open_bits))
+        return hash((self.n, self._nbhds))
 
     def __repr__(self):
         inner = ", ".join("{" + ",".join(map(str, o.points())) + "}" for o in self.opens)
         return f"FinSpace({self.n}, [{inner}])"
-
-
-def _up_filter_opens(n, min_nbhd):
-    """All sets containing the minimal neighborhood of each of their points."""
-    opens = []
-    for s in range(1 << n):
-        t = s
-        ok = True
-        while t:
-            low = t & -t
-            if min_nbhd[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            t ^= low
-        if ok:
-            opens.append(s)
-    return opens
 
 
 def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
@@ -184,7 +140,6 @@ def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
         raise InputError(f"universe size must be a nonnegative int, got {n!r}")
     if n > max_points:
         raise ResourceError(f"{n} points exceed the cap {max_points}")
-    full = (1 << n) - 1
     sub_bits = []
     for s in subbasis:
         if not isinstance(s, SubsetMask):
@@ -192,14 +147,7 @@ def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
         if s.n != n:
             raise InputError(f"subbasis entry {s!r} has universe {s.n}, expected {n}")
         sub_bits.append(s.bits)
-    min_nbhd = []
-    for x in range(n):
-        acc = full
-        for b in sub_bits:
-            if b >> x & 1:
-                acc &= b
-        min_nbhd.append(acc)
-    return FinSpace._from_open_bits(n, _up_filter_opens(n, min_nbhd))
+    return FinSpace(n, _nbhds=_meets(n, sub_bits))
 
 
 def closed_sets(space):
@@ -209,17 +157,24 @@ def closed_sets(space):
 
 
 def components(space):
-    """Connected components; on finite spaces these are the clopen atoms."""
-    clopens = space.clopen_bits()
-    full = (1 << space.n) - 1
-    blocks = set()
-    for x in range(space.n):
-        acc = full
-        for b in clopens:
-            if b >> x & 1:
-                acc &= b
-        blocks.add(acc)
-    return Partition(space.n, [SubsetMask(space.n, b) for b in blocks])
+    """Connected components as SubsetMask blocks, ordered by least point.
+
+    Points are connected exactly when a chain of comparable points joins
+    them, so a block grows by every minimal neighbourhood that meets it.
+    """
+    nbhds = space.min_neighborhoods()
+    blocks = []
+    left = (1 << space.n) - 1
+    while left:
+        block, grown = left & -left, 0
+        while block != grown:
+            grown = block
+            for u in nbhds:
+                if u & grown:
+                    block |= u
+        blocks.append(SubsetMask(space.n, block))
+        left &= ~block
+    return tuple(blocks)
 
 
 _ZERO_SETS = {}  # space -> its zero sets; the sweeps ask again for the same few hundred spaces
@@ -246,13 +201,15 @@ def zero_sets(space):
 def subspace(space, carrier):
     """Trace topology on the carrier, re-indexed to 0..|carrier|-1.
 
-    Returns (space, remap) where remap[i] is the original point of new index i.
+    The minimal neighbourhood of a carrier point x is U_x restricted to the
+    carrier.  Returns (space, remap) where remap[i] is the original point of
+    new index i.
     """
     if not isinstance(carrier, SubsetMask) or carrier.n != space.n:
         raise InputError(f"carrier must be a SubsetMask over {space.n} points")
     remap = carrier.points()
-    traced = {restrict_bits(b, carrier.bits) for b in space.open_bits()}
-    return FinSpace._from_open_bits(len(remap), traced), remap
+    nbhds = space.min_neighborhoods()
+    return FinSpace(len(remap), _nbhds=[restrict_bits(nbhds[x], carrier.bits) for x in remap]), remap
 
 
 class ProductCodec:
@@ -320,4 +277,4 @@ def product(spaces, max_points=DEFAULT_MAX_PRODUCT_POINTS):
                 if nb >> y & 1:
                     stack.append((depth + 1, prefix * size + y))
         min_nbhd.append(acc)
-    return FinSpace._from_open_bits(total, _up_filter_opens(total, min_nbhd)), codec
+    return FinSpace(total, _nbhds=min_nbhd), codec

@@ -144,7 +144,9 @@ _PROBE = _plan(Base(1, [(0, 0)], PREFIX), PREFIX)
 
 @cache
 def _spaces(max_points):
-    return tuple(space for k in range(max_points + 1) for space in all_topologies(k, max_points=max_points))
+    # largest first, so a bound past the enumeration ceiling is refused before anything is enumerated
+    by_size = [all_topologies(k, max_points=max_points) for k in range(max_points, -1, -1)]
+    return tuple(space for spaces in reversed(by_size) for space in spaces)
 
 
 _discrete = cache(FinSpace.discrete)
@@ -169,7 +171,7 @@ def _tables(pm):
 @cache
 def _posets(k):
     """Partial orders on 0..k-1 as above-masks: the minimal neighborhoods of T0 spaces."""
-    orders = (tuple(space.min_neighborhoods()) for space in all_topologies(k))
+    orders = (space.min_neighborhoods() for space in all_topologies(k))
     return tuple(sorted({above for above in orders if len(set(above)) == k}))
 
 
@@ -178,12 +180,7 @@ def _order_pairs(above):
 
 
 def _is_directed(above):
-    k = len(above)
-    return all(
-        any(above[i] >> u & 1 and above[j] >> u & 1 for u in range(k))
-        for i in range(k)
-        for j in range(k)
-    )
+    return all(a & b for a in above for b in above)
 
 
 def _is_decreasing(above, fam):
@@ -371,7 +368,8 @@ def _run_distributivity(bounds, rng, budget, col):
     """Meets and joins move through the operation and its dual pointwise."""
     for space in _spaces(bounds.max_points):
         n = space.n
-        for plan, count, raw, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+        # sorted: the draws must not depend on the order a frozenset happens to iterate in
+        for plan, count, raw, columns in _batches(bounds, sorted(space.open_bits()), rng, budget):
             col.cases += count
             # lane mask * count + c holds case c under that mask: the columns repeat once per mask
             lanes, pos = count << n, plan.positions
@@ -401,7 +399,7 @@ def _run_restriction(bounds, rng, budget, col):
     for space in _spaces(bounds.max_points):
         n, carriers = space.n, range(1 << space.n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
-        for plan, lanes, raw, columns in _batches(bounds, list(space.open_bits()), rng, budget):
+        for plan, lanes, raw, columns in _batches(bounds, sorted(space.open_bits()), rng, budget):
             pos = plan.positions
             col.cases += lanes
             ev, found = _ev(pos, columns, n, lanes), []

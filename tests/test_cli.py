@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from redsep import __version__, canonical_json
-from redsep import cli, suites
+from redsep import ResourceError, __version__, canonical_json
+from redsep import catalog, cli, maps, suites
 from redsep.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -290,6 +290,10 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: bounds.{field} must be nonnegative, got {value}\n"
 
+    code, out = run_cli(["fuzz", "reduction-dual-separation", "--max-points", "6"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: topology enumeration stops at 5 points, asked for 6\n"
+
 
 def test_an_oversized_budget_is_refused_before_any_sweep_starts(capsys, monkeypatch):
     def sweep(*args):
@@ -302,6 +306,60 @@ def test_an_oversized_budget_is_refused_before_any_sweep_starts(capsys, monkeypa
     code, _ = run_cli(["fuzz", "algebra-closure", "--budget", "65536", "--max-points", "0"])
     assert code == 3  # the largest budget is accepted and the sweep starts
     assert "the sweep started" in capsys.readouterr().err
+
+
+def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(capsys, monkeypatch):
+    def enumerated(*args, **kwargs):
+        raise AssertionError("a topology was enumerated")
+
+    # every topology the enumeration finds is built as a FinSpace, from the identity relation on
+    monkeypatch.setattr(catalog, "FinSpace", enumerated)
+    with pytest.raises(AssertionError):
+        catalog.all_topologies(1)
+    for bound in ("6", "7"):
+        for suite in ("reduction-dual-separation", "zero-trace-gap"):
+            code, out = run_cli(["fuzz", suite, "--max-points", bound])
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == f"error: topology enumeration stops at 5 points, asked for {bound}\n"
+    with pytest.raises(ResourceError):
+        catalog.all_topologies(6, max_points=10**6)
+
+
+def _long_family_finding(k):
+    """An intersection-image witness over a k-member chain: {0}, {1}, then X, on a map merging both points."""
+    discrete2 = {"n": 2, "subbasis": [[0], [1]]}
+    point = {"n": 1, "subbasis": []}
+    return {
+        "suite": "intersection-image-necessity",
+        "kind": "witness",
+        "instance": {
+            "map": {"dom": discrete2, "cod": point, "table": [0, 0]},
+            "order": [[i, i + 1] for i in range(k - 1)],
+            "family": [[0], [1]] + [[0, 1]] * (k - 2),
+        },
+    }
+
+
+def test_replay_refuses_a_family_past_the_cap_without_a_traceback(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "finding.json"
+    path.write_text(json.dumps(_long_family_finding(64)))
+    code, out = run_cli(["replay", str(path)])
+    assert code == 0 and json.loads(out)["retriggered"] == 1
+
+    path.write_text(json.dumps(_long_family_finding(65)))
+    with monkeypatch.context() as patch:
+        patch.setattr(maps, "_order_closure", lambda *args: pytest.fail("the order was closed"))
+        code, out = run_cli(["replay", str(path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: family of 65 sets exceeds the cap 64\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "redsep", "replay", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: family of 65 sets exceeds the cap 64\n"
 
 
 def test_missing_fields_name_their_instance_path(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Tree-indexed set operations: evaluation, duality, completion, replacement."""
+"""Tree-indexed set operations: evaluation, duality, replacement."""
 
 import pytest
 from hypothesis import given
@@ -14,13 +14,10 @@ from redsep import (
     ResourceError,
     SubsetMask,
     canonical_base,
-    completion,
     decreasing_replacement,
     dual_evaluate,
     evaluate,
-    index_to_seq,
     is_decreasing,
-    seq_to_index,
 )
 
 from conftest import base_mode_families, bases, mask, masks
@@ -99,33 +96,6 @@ def test_range_indices_are_the_mentioned_symbols():
     assert base.range_indices() == (0, 2)
 
 
-@given(bases, st.data())
-def test_completion_preserves_range_evaluation(base, data):
-    rng_base = Base(base.alphabet, base.branches, RANGE)
-    n = 3
-    values = {
-        s: data.draw(masks(n), label=f"A_{s}") for s in rng_base.range_indices()
-    }
-    family = IndexedFamily(n, RANGE, values)
-    completed = completion(rng_base, rng_base.depth() + 1)
-    assert set(completed.branches) >= {tuple(b) for b in rng_base.branches}
-    assert evaluate(completed, family) == evaluate(rng_base, family)
-
-
-def test_completion_requires_range_mode():
-    with pytest.raises(ModeError):
-        completion(Base(2, [(0,)], PREFIX), 2)
-
-
-def test_completion_lists_all_sequences_with_a_matching_symbol_set():
-    base = Base(2, [(0, 1)], RANGE)
-    done = completion(base, 3)
-    assert set(done.branches) == {
-        (0, 1), (1, 0),
-        (0, 0, 1), (0, 1, 0), (1, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0),
-    }
-
-
 @given(st.data())
 def test_decreasing_replacement_preserves_evaluation_and_decreases(data):
     base = data.draw(bases)
@@ -145,13 +115,6 @@ def test_decreasing_replacement_preserves_evaluation_and_decreases(data):
 def test_decreasing_replacement_rejects_range_mode():
     with pytest.raises(ModeError):
         decreasing_replacement(IndexedFamily.from_list(2, [mask(2, [0])]))
-
-
-@given(st.integers(1, 4), st.lists(st.integers(0, 3), max_size=4))
-def test_sequence_index_bijection(alphabet, seq):
-    seq = tuple(s % alphabet for s in seq)
-    idx = seq_to_index(seq, alphabet)
-    assert index_to_seq(idx, alphabet) == seq
 
 
 def test_canonical_base_caps():

@@ -9,17 +9,13 @@ from redsep import (
     InputError,
     PointMap,
     ResourceError,
-    SetClass,
     SubsetMask,
     alg_contains,
     alg_enumerate,
     diagonal_product,
     directed_image_check,
     generate_topology,
-    image_class,
-    kernel,
     map_properties,
-    preimage_class,
     product,
 )
 
@@ -55,18 +51,6 @@ def test_image_preimage_adjunction(nmt, data):
     assert pm.image(a).issubset(b) == a.issubset(pm.preimage(b))
 
 
-@given(tables)
-def test_kernel_blocks_are_the_nonempty_fibers(nmt):
-    n, m, table = nmt
-    pm = table_map(n, m, table)
-    blocks = {b.points() for b in kernel(pm)}
-    fibers = {
-        tuple(x for x in range(n) if table[x] == y)
-        for y in set(table)
-    }
-    assert blocks == fibers
-
-
 @given(tables, st.data())
 def test_saturation_agrees_with_the_fiber_union_reading(nmt, data):
     n, m, table = nmt
@@ -100,18 +84,6 @@ def test_algebra_enumeration_cap():
         alg_enumerate(pm, max_fibers=2)
 
 
-@given(tables, st.data())
-def test_class_transport_is_memberwise(nmt, data):
-    n, m, table = nmt
-    pm = table_map(n, m, table)
-    sc_dom = data.draw(st.lists(masks(n), min_size=1, max_size=4), label="dom")
-    sc_cod = data.draw(st.lists(masks(m), min_size=1, max_size=4), label="cod")
-    fwd = image_class(pm, SetClass(n, set(sc_dom)))
-    back = preimage_class(pm, SetClass(m, set(sc_cod)))
-    assert set(fwd) == {pm.image(a) for a in sc_dom}
-    assert set(back) == {pm.preimage(b) for b in sc_cod}
-
-
 def test_diagonal_product_refines_every_factor_algebra():
     f = table_map(3, 2, [0, 0, 1])
     g = table_map(3, 2, [0, 1, 0])
@@ -129,7 +101,7 @@ def test_diagonal_product_kernel_is_the_common_refinement():
     f = table_map(4, 2, [0, 0, 1, 1])
     g = table_map(4, 2, [0, 1, 0, 1])
     diag = diagonal_product([f, g])
-    assert {b.points() for b in kernel(diag)} == {(0,), (1,), (2,), (3,)}
+    assert {fib for fib in diag.fiber_bits() if fib} == {0b0001, 0b0010, 0b0100, 0b1000}
 
 
 def test_diagonal_product_edge_cases():
@@ -140,7 +112,7 @@ def test_diagonal_product_edge_cases():
     with pytest.raises(ResourceError):
         diagonal_product([table_map(2, 4, [0, 1]), table_map(2, 4, [2, 3])])
     single = diagonal_product([table_map(2, 2, [1, 0])])
-    assert len(kernel(single)) == 2
+    assert len([fib for fib in single.fiber_bits() if fib]) == 2
 
 
 def test_map_properties_on_known_maps(sierpinski):

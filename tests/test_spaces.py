@@ -24,6 +24,9 @@ from redsep.masks import restrict_bits
 
 from conftest import mask, masks, spaces
 
+# Every labeled space on up to 4 points: 1 + 1 + 4 + 29 + 355.
+LABELED = [space for n in range(5) for space in all_topologies(n)]
+
 
 @st.composite
 def subbases(draw):
@@ -61,16 +64,15 @@ def test_four_point_count_is_355():
     assert len(all_topologies(4, max_points=4)) == 355
 
 
-@given(spaces)
-def test_minimal_neighborhoods_are_the_smallest_opens(space):
-    nbhd = space.min_neighborhoods()
-    for x in range(space.n):
-        containing = [b for b in space.open_bits() if b >> x & 1]
-        acc = (1 << space.n) - 1
-        for b in containing:
-            acc &= b
-        assert nbhd[x] == acc
-        assert acc in set(space.open_bits())
+def test_minimal_neighborhoods_are_the_smallest_opens():
+    for space in LABELED:
+        opens = space.open_bits()
+        nbhds = space.min_neighborhoods()
+        assert len(nbhds) == space.n
+        for x in range(space.n):
+            containing = [b for b in opens if b >> x & 1]
+            smallest = [b for b in containing if all(b & ~c == 0 for c in containing)]
+            assert smallest == [nbhds[x]]
 
 
 @given(spaces)
@@ -79,28 +81,44 @@ def test_closed_sets_are_complements(space):
     assert closed_sets(space).member_bits() == {full ^ b for b in space.open_bits()}
 
 
-@given(spaces)
-def test_components_partition_and_zero_sets_are_their_unions(space):
-    comps = list(components(space))
-    seen = 0
-    for c in comps:
-        assert c.bits and not seen & c.bits
-        seen |= c.bits
-        assert space.is_open(c) and space.is_closed(c)
-    assert seen == (1 << space.n) - 1 or space.n == 0
-    expected = set()
-    for r in range(len(comps) + 1):
-        for pick in itertools.combinations(comps, r):
-            acc = 0
-            for c in pick:
-                acc |= c.bits
-            expected.add(acc)
-    assert zero_sets(space).member_bits() == expected
+def _clopen_atoms(space):
+    """Per point, the intersection of the clopen sets containing it, ordered by least point."""
+    full = (1 << space.n) - 1
+    clopens = [b for b in space.open_bits() if full ^ b in space.open_bits()]
+    atoms = set()
+    for x in range(space.n):
+        acc = full
+        for b in clopens:
+            if b >> x & 1:
+                acc &= b
+        atoms.add(acc)
+    return sorted(atoms, key=lambda b: b & -b)
+
+
+def test_components_partition_and_zero_sets_are_their_unions():
+    for space in LABELED:
+        comps = components(space)
+        assert isinstance(comps, tuple) and all(isinstance(c, SubsetMask) for c in comps)
+        assert [c.bits for c in comps] == _clopen_atoms(space)
+        seen = 0
+        for c in comps:
+            assert c.bits and not seen & c.bits
+            seen |= c.bits
+            assert space.is_open(c) and space.is_closed(c)
+        assert seen == (1 << space.n) - 1
+        expected = set()
+        for r in range(len(comps) + 1):
+            for pick in itertools.combinations(comps, r):
+                acc = 0
+                for c in pick:
+                    acc |= c.bits
+                expected.add(acc)
+        assert zero_sets(space).member_bits() == expected
 
 
 def test_memoised_zero_sets_are_the_clopen_sets(monkeypatch):
     # On a finite space the unions of components are exactly the clopen sets.
-    labeled = [space for n in range(5) for space in all_topologies(n)]
+    labeled = LABELED
     assert len(labeled) == 390
     for space in labeled:
         assert zero_sets(space).member_bits() == set(space.clopen_bits())
@@ -123,13 +141,14 @@ def test_discrete_and_indiscrete_extremes():
     assert zero_sets(i).member_bits() == {0, 0b111}
 
 
-@given(spaces, st.integers(0, 15))
-def test_subspace_opens_are_exactly_the_traces(space, carrier_bits):
-    carrier = SubsetMask(space.n, carrier_bits & ((1 << space.n) - 1))
-    sub, remap = subspace(space, carrier)
-    assert tuple(remap) == carrier.points()
-    traces = {restrict_bits(b & carrier.bits, carrier.bits) for b in space.open_bits()}
-    assert set(sub.open_bits()) == traces
+def test_subspace_opens_are_exactly_the_traces():
+    for space in LABELED:
+        for carrier_bits in range(1 << space.n):
+            carrier = SubsetMask(space.n, carrier_bits)
+            sub, remap = subspace(space, carrier)
+            assert sub.n == len(remap) and tuple(remap) == carrier.points()
+            traces = {restrict_bits(b & carrier_bits, carrier_bits) for b in space.open_bits()}
+            assert set(sub.open_bits()) == traces
 
 
 def test_subspace_of_discrete_is_discrete():
@@ -178,3 +197,30 @@ def test_invalid_topologies_rejected():
             2,
             [SubsetMask(2, 0), SubsetMask(2, 0b01), SubsetMask(2, 0b10), SubsetMask(2, 0b11)][:3],
         )
+
+
+def test_a_family_is_a_space_exactly_when_closed_under_union_and_intersection():
+    for n in range(4):
+        full = (1 << n) - 1
+        spaces_by_opens = {space.open_bits(): space for space in all_topologies(n)}
+        others = [b for b in range(1 << n) if b not in (0, full)]
+        accepted = 0
+        for r in range(len(others) + 1):
+            for pick in itertools.combinations(others, r):
+                family = {0, full, *pick}
+                closed = all(a | b in family and a & b in family for a in family for b in family)
+                masks_ = [SubsetMask(n, b) for b in sorted(family)]
+                if not closed:
+                    with pytest.raises(InputError):
+                        FinSpace(n, masks_)
+                    continue
+                accepted += 1
+                space = FinSpace(n, masks_)
+                assert space.open_bits() == family
+                for twin in (generate_topology(n, masks_), spaces_by_opens[frozenset(family)]):
+                    assert space == twin and hash(space) == hash(twin)
+                    assert space.min_neighborhoods() == twin.min_neighborhoods()
+        assert accepted == len(spaces_by_opens)
+    # The public constructor checks the given opens; it never enumerates the 2^n subsets.
+    big = FinSpace(30, [SubsetMask(30, 0), SubsetMask.full(30)])
+    assert big == FinSpace.indiscrete(30) and len(big.open_bits()) == 2
