@@ -57,7 +57,7 @@ def test_an_incorrect_or_failing_run_writes_nothing(bad, tmp_path, monkeypatch, 
 
 def test_a_clean_record_is_written_at_the_root(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
-    monkeypatch.setattr(bench_record, "run_once", lambda workload, seed, seconds: canned(float(seed)))
+    monkeypatch.setattr(bench_record, "run_once", lambda workload, seed: canned(float(seed)))
     monkeypatch.setattr(bench_record, "environment", lambda: {"python": "3.x", "src_lines": 1})
     assert bench_record.main(["--number", "9", "--seed", "4", "--seed", "5", "--seed", "6"]) == 0
     doc = json.loads((tmp_path / "BENCH_9.json").read_text())

@@ -312,7 +312,8 @@ def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(c
     def enumerated(*args, **kwargs):
         raise AssertionError("a topology was enumerated")
 
-    # every topology the enumeration finds is built as a FinSpace, from the identity relation on
+    # every topology the enumeration finds is built as a FinSpace, starting with the identity
+    # relation, so a stub that fails when called shows that no relation was filtered
     monkeypatch.setattr(catalog, "FinSpace", enumerated)
     with pytest.raises(AssertionError):
         catalog.all_topologies(1)

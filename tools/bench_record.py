@@ -2,7 +2,6 @@
 """Record the benchmark in BENCH_<n>.json: every run of bench/run.py and their medians.
 
     python3 tools/bench_record.py --number 6 --seed 11 --seed 12 --seed 13
-    python3 tools/bench_record.py --number 6 --seed 11 --seed 12 --seed 13 --seconds 20
 
 For each workload (sweep-default, then cli-batch) and each seed it runs
 
@@ -28,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("sweep-default", "cli-batch")
 MIN_SEEDS = 3
+SECONDS = 60
 
 
 class RecordError(Exception):
@@ -47,9 +47,9 @@ def parse_output(stdout):
     return result, notes
 
 
-def run_once(workload, seed, seconds):
+def run_once(workload, seed):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RecordError(f"{workload} seed {seed}: run.py exited {proc.returncode}: {proc.stderr.strip()}")
@@ -109,7 +109,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json to write")
     parser.add_argument("--seed", type=int, action="append", required=True, help=f"seed (repeat, at least {MIN_SEEDS})")
-    parser.add_argument("--seconds", type=float, default=60.0, help="seconds per run (default 60)")
     args = parser.parse_args(argv)
     if len(set(args.seed)) < MIN_SEEDS:
         parser.error(f"give at least {MIN_SEEDS} distinct seeds")
@@ -119,14 +118,14 @@ def main(argv=None):
             outputs[workload] = []
             for seed in args.seed:
                 print(f"{workload} seed {seed}", file=sys.stderr, flush=True)
-                outputs[workload].append((seed, run_once(workload, seed, args.seconds)))
+                outputs[workload].append((seed, run_once(workload, seed)))
         workloads = summarise(outputs)
     except RecordError as exc:
         print(f"error: {exc}; nothing written", file=sys.stderr)
         return 1
     doc = {
         **environment(),
-        "command": "python3 bench/run.py --workload W --seed S --seconds %g --trace 0" % args.seconds,
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "workloads": workloads,
     }
     path = ROOT / f"BENCH_{args.number}.json"
