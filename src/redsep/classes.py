@@ -26,7 +26,7 @@ class SetClass:
 
     __slots__ = ("n", "members", "_bits")
 
-    def __init__(self, n, members):
+    def __init__(self, n, members, _bits=()):
         if not isinstance(n, int) or n < 0:
             raise InputError(f"universe size must be a nonnegative int, got {n!r}")
         bits = set()
@@ -34,6 +34,10 @@ class SetClass:
             if not isinstance(m, SubsetMask) or m.n != n:
                 raise InputError(f"member {m!r} is not a SubsetMask over {n} points")
             bits.add(m.bits)
+        for b in _bits:  # raw bitmasks, refused as SubsetMask(n, b) would refuse them
+            if not isinstance(b, int) or b < 0 or b >> n:
+                raise InputError(f"bits {b!r} not a subset of a {n}-point universe")
+            bits.add(b)
         object.__setattr__(self, "n", n)
         object.__setattr__(
             self, "members", tuple(SubsetMask(n, b) for b in sorted(bits, key=sort_key))
@@ -45,7 +49,7 @@ class SetClass:
 
     @classmethod
     def from_bits(cls, n, bits_iter):
-        return cls(n, [SubsetMask(n, b) for b in bits_iter])
+        return cls(n, (), bits_iter)
 
     @classmethod
     def power_set(cls, n):

@@ -157,13 +157,17 @@ def pack_lanes(values):
 
 
 def lane_table(values):
-    """The table under which map_lanes sends a lane holding v to values[v] (no lane holds v > 255)."""
+    """The table under which map_runs sends a lane holding v to values[v] (no lane holds v > 255)."""
     return pack_lanes(values[: 1 << LANE_POINTS]).to_bytes(1 << LANE_POINTS, "little")
 
 
-def map_lanes(packed, lanes, table):
-    """The packed int with every lane v replaced by table[v]."""
-    return int.from_bytes(packed.to_bytes(lanes, "little").translate(table), "little")
+def map_runs(packed, sizes, tables):
+    """The packed int with every lane v of its i-th run of sizes[i] lanes replaced by tables[i][v]."""
+    raw, at, out = packed.to_bytes(sum(sizes), "little"), 0, []
+    for size, table in zip(sizes, tables):
+        out.append(raw[at : at + size].translate(table))
+        at += size
+    return int.from_bytes(b"".join(out), "little")
 
 
 def replicate(bits, lanes, width=1):

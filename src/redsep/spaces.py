@@ -15,6 +15,8 @@ from .masks import SubsetMask, restrict_bits, sort_key
 
 DEFAULT_MAX_POINTS = 5
 DEFAULT_MAX_PRODUCT_POINTS = 12
+# No max_points lifts this: a space on n points can have 2^n open sets, and reports list them all.
+POINT_CEILING = 12
 
 
 def _meets(n, sets):
@@ -138,8 +140,8 @@ def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
     """Smallest topology on n points containing every subbasis set."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"universe size must be a nonnegative int, got {n!r}")
-    if n > max_points:
-        raise ResourceError(f"{n} points exceed the cap {max_points}")
+    if n > min(max_points, POINT_CEILING):
+        raise ResourceError(f"{n} points exceed the cap {min(max_points, POINT_CEILING)}")
     sub_bits = []
     for s in subbasis:
         if not isinstance(s, SubsetMask):
@@ -257,8 +259,8 @@ def product(spaces, max_points=DEFAULT_MAX_PRODUCT_POINTS):
         raise InputError("product needs at least one factor")
     codec = ProductCodec(s.n for s in spaces)
     total = codec.total()
-    if total > max_points:
-        raise ResourceError(f"product has {total} points, cap is {max_points}")
+    if total > min(max_points, POINT_CEILING):
+        raise ResourceError(f"product has {total} points, cap is {min(max_points, POINT_CEILING)}")
     factor_nbhds = [s.min_neighborhoods() for s in spaces]
     min_nbhd = []
     for flat in range(total):

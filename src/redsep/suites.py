@@ -8,9 +8,10 @@ deterministic for a fixed (suite, bounds, seed, budget).
 
 The sweeping suites share one layer: a structural pool (spaces or table
 maps), the compiled plan of every (base, mode) pair, built once per
-(alphabet, depth), and per pool entry and plan the assignments, which one
-kernel call evaluates as the lanes of packed ints (see ``masks``).  Each
-pool entry lays out pool^k once per k and draws all its samples in one pass.
+(alphabet, depth), and per plan the assignments of every pool entry with the
+same universe size, which one kernel call evaluates as the lanes of packed
+ints (see ``masks``).  Each pool entry lays out pool^k once per k and draws
+all its samples in one pass, as it would alone.
 
 Findings are plain JSON-ready documents.  A violation is a broken law and
 fails the suite; a witness is an expected counterexample (the suites that
@@ -23,7 +24,8 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, combinations
+from io import BytesIO
+from itertools import accumulate, chain, combinations, groupby, islice
 from itertools import product as iproduct
 
 from . import serialize
@@ -52,7 +54,7 @@ from .hausdorff import (
     evaluate,
 )
 from .maps import PointMap, alg_contains, alg_enumerate, diagonal_product, directed_image_check
-from .masks import SubsetMask, lane_table, lanes_of, map_lanes, pack_lanes, replicate, restrict_bits
+from .masks import SubsetMask, lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
 from .spaces import FinSpace, zero_sets
 from .transfer import REDUCTION, SEPARATION, transfer_property, zero_trace_gap, zero_witness_map
 
@@ -212,18 +214,14 @@ def _sample(pool, count, rng):
 
 
 def _draws(pool, counts, rng):
-    """Per count, that many sampled pool values; consecutive counts share draws of at most MAX_BUDGET values."""
+    """The samples of every nonzero count back to back; consecutive counts share draws of at most MAX_BUDGET values."""
     groups = []
-    for count in counts:
+    for count in filter(None, counts):
         if groups and sum(groups[-1]) + count <= MAX_BUDGET:
             groups[-1].append(count)
         else:
             groups.append([count])
-    for group in groups:
-        raw, at = _sample(pool, sum(group), rng), 0
-        for count in group:
-            yield raw[at : at + count]
-            at += count
+    return b"".join(_sample(pool, sum(group), rng) for group in groups)
 
 
 def _columns(raw, k):
@@ -236,26 +234,55 @@ def _case(plan, raw, i):
     return tuple(raw[i * len(plan.order) : (i + 1) * len(plan.order)])
 
 
-def _batches(bounds, pool, rng, budget, modes=MODES):
-    """Each plan of the bounds with its assignments from the pool: lane count, case-major bytes, packed columns.
+# A plan's index and assignments from a run of pools: lanes per pool, total lanes, case-major bytes, columns.
+_Batch = namedtuple("_Batch", "index plan sizes lanes raw columns")
+
+
+def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
+    """Per plan of the bounds, the assignments from every pool back to back: one batch of lanes.
 
     A plan gets all of pool^k while that stays small, laid out once per k, and otherwise the constant
-    corners plus `budget` samples; the samples of all sampled plans are drawn together, in plan order.
+    corners plus `budget` samples; without `exhaust` it gets only the samples.  Pool by pool, before
+    the first batch, the samples of all sampled plans are drawn together, in plan order.
     """
-    pool = pack_lanes(pool).to_bytes(len(pool), "little")  # raises ResourceError on values over 8 points
-    plans = [(plan, len(plan.order)) for plan in _plans(bounds, modes)]
-    products = {}  # k -> lanes, case-major bytes and columns of all of pool^k, for each small k
-    for k in {k for _, k in plans}:
-        if len(pool) ** k <= max(64, budget):
-            raw = bytes(chain.from_iterable(iproduct(pool, repeat=k)))
-            products[k] = len(pool) ** k, raw, _columns(raw, k)
-    draws = _draws(pool, [budget * k for _, k in plans if k not in products], rng)
-    for plan, k in plans:
-        if k in products:
-            yield plan, *products[k]
-        else:
-            raw = b"".join(bytes([v]) * k for v in pool[:3]) + next(draws)
-            yield plan, min(3, len(pool)) + budget, raw, _columns(raw, k)
+    plans, layouts = _plans(bounds, modes), []
+    for pool in pools:
+        pool = pack_lanes(pool).to_bytes(len(pool), "little")  # raises ResourceError on values over 8 points
+        corners, cases = pool[:3] if exhaust else b"", {}  # k -> lanes, enumerated or corner cases, samples
+        for k in {len(plan.order) for plan in plans}:
+            if exhaust and len(pool) ** k <= max(64, budget):
+                cases[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
+            else:
+                cases[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
+        layouts.append((cases, BytesIO(_draws(pool, [cases[len(plan.order)][2] for plan in plans], rng))))
+    for index, plan in enumerate(plans):
+        k, sizes, parts = len(plan.order), [], []
+        for cases, drawn in layouts:
+            lanes, raw, count = cases[k]
+            sizes.append(lanes)
+            parts += raw, drawn.read(count)
+        raw = b"".join(parts)
+        yield _Batch(index, plan, sizes, sum(sizes), raw, _columns(raw, k))
+
+
+def _entry(batch, lane):
+    """The pool entry whose lanes hold the lane."""
+    return next(e for e, end in enumerate(accumulate(batch.sizes)) if lane < end)
+
+
+# Pool entries per batch at most: enough to amortise a kernel call, few enough to keep 5-point batches small.
+GROUP_ENTRIES = 256
+
+
+def _groups(col, entries, key):
+    """Runs of at most GROUP_ENTRIES consecutive entries with equal keys (pool entries of one universe size), each
+    with a list for its (key, kind, instance, detail) findings, reported in key order once the run is done."""
+    for _, run in groupby(entries, key):
+        while chunk := list(islice(run, GROUP_ENTRIES)):
+            found = []
+            yield chunk, found
+            for _, kind, instance, detail in sorted(found, key=lambda f: f[0]):
+                col.add(kind, instance, detail)
 
 
 def _ev(positions, values, n, lanes, dual=False):
@@ -274,10 +301,10 @@ def _differing(lanes, *pairs):
     return [(i, j, a[i], b[i]) for i in range(lanes) for j, (a, b) in enumerate(pairs) if a[i] != b[i]]
 
 
-def _image_pair(pm, img, positions, values, lanes):
-    """F(eval(values)) and eval(F(values)) on packed values."""
-    rhs = _ev(positions, [map_lanes(v, lanes, img) for v in values], pm.cod.n, lanes)
-    return map_lanes(_ev(positions, values, pm.dom.n, lanes), lanes, img), rhs
+def _image_pair(n, m, sizes, imgs, positions, values):
+    """F(eval(values)) and eval(F(values)) on packed values over n points; F maps run i of sizes[i] lanes by imgs[i]."""
+    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], m, sum(sizes))
+    return map_runs(_ev(positions, values, n, sum(sizes)), sizes, imgs), rhs
 
 
 def _meet_image(pm, img, fam):
@@ -295,7 +322,7 @@ def _merge_witness(pm, img):
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
     columns = _columns(bytes(chain.from_iterable(cases)), 3)
-    found = _differing(len(cases), _image_pair(pm, img, _PROBE.positions, columns, len(cases)))
+    found = _differing(len(cases), _image_pair(n, pm.cod.n, [len(cases)], [img], _PROBE.positions, columns))
     return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
@@ -366,22 +393,23 @@ def _base_family(instance):
 
 def _run_distributivity(bounds, rng, budget, col):
     """Meets and joins move through the operation and its dual pointwise."""
-    for space in _spaces(bounds.max_points):
-        n = space.n
+    for spaces, found in _groups(col, _spaces(bounds.max_points), lambda space: space.n):
+        n = spaces[0].n
         # sorted: the draws must not depend on the order a frozenset happens to iterate in
-        for plan, count, raw, columns in _batches(bounds, sorted(space.open_bits()), rng, budget):
+        for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
+            count, plan = batch.lanes, batch.plan
             col.cases += count
             # lane mask * count + c holds case c under that mask: the columns repeat once per mask
             lanes, pos = count << n, plan.positions
-            values = [v * replicate(1, 1 << n, count) for v in columns]
-            masks = pack_lanes(mask for mask in range(1 << n) for _ in range(count))
+            values = [v * replicate(1, 1 << n, count) for v in batch.columns]
+            masks = pack_lanes(b"".join(bytes([mask]) * count for mask in range(1 << n)))
             meet = _ev(pos, [v & masks for v in values], n, lanes), _ev(pos, values, n, lanes) & masks
             join = _ev(pos, [v | masks for v in values], n, lanes, True), _ev(pos, values, n, lanes, True) | masks
-            found = _differing(lanes, meet, join)
-            for lane, j, left, right in sorted(found, key=lambda f: (f[0] % count, f[0])):
-                mask, c = divmod(lane, count)
+            for lane, j, left, right in _differing(lanes, meet, join):
+                (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
-                col.violation(_doc(space, plan, n, _case(plan, raw, c), **fields), _lr(n, left, right))
+                instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, c), **fields)
+                found.append(((e, batch.index, c, mask, j), "violation", instance, _lr(n, left, right)))
 
 
 def _replay_distributivity(instance, kind):
@@ -396,20 +424,19 @@ def _replay_distributivity(instance, kind):
 
 def _run_restriction(bounds, rng, budget, col):
     """Evaluation commutes with taking traces on a carrier."""
-    for space in _spaces(bounds.max_points):
-        n, carriers = space.n, range(1 << space.n)
+    for spaces, found in _groups(col, _spaces(bounds.max_points), lambda space: space.n):
+        n, carriers = spaces[0].n, range(1 << spaces[0].n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
-        for plan, lanes, raw, columns in _batches(bounds, sorted(space.open_bits()), rng, budget):
-            pos = plan.positions
+        for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
+            lanes, plan, pos = batch.lanes, batch.plan, batch.plan.positions
             col.cases += lanes
-            ev, found = _ev(pos, columns, n, lanes), []
+            ev = _ev(pos, batch.columns, n, lanes)
             for carrier, trace in zip(carriers, traces):
-                left = map_lanes(ev, lanes, trace)
-                right = _ev(pos, [map_lanes(v, lanes, trace) for v in columns], carrier.bit_count(), lanes)
-                found += [(i, carrier, a, b) for i, _, a, b in _differing(lanes, (left, right))]
-            for i, carrier, left, right in sorted(found):
-                instance = _doc(space, plan, n, _case(plan, raw, i), mode=plan.mode, carrier=_pts(n, carrier))
-                col.violation(instance, _lr(n, left, right))
+                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], carrier.bit_count(), lanes)
+                for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
+                    e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
+                    instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
+                    found.append(((e, batch.index, i, carrier), "violation", instance, _lr(n, a, b)))
 
 
 def _replay_restriction(instance, kind):
@@ -426,20 +453,21 @@ def _replay_restriction(instance, kind):
 
 def _run_preimage_commutes(bounds, rng, budget, col):
     """Preimages pass through the operation and its dual for every table."""
-    for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
-        n, m = pm.dom.n, pm.cod.n
-        _, pre = _tables(pm)
-        for plan, lanes, raw, columns in _batches(bounds, list(range(1 << m)), rng, budget):
-            pos = plan.positions
+    maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
+    for pms, found in _groups(col, maps, lambda pm: (pm.dom.n, pm.cod.n)):
+        n, m, pres = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[1] for pm in pms]
+        for batch in _sweep(bounds, [range(1 << m)] * len(pms), rng, budget):
+            lanes, plan, pos, columns, sizes = batch.lanes, batch.plan, batch.plan.positions, batch.columns, batch.sizes
             col.cases += lanes
-            pulled = [map_lanes(v, lanes, pre) for v in columns]
+            pulled = [map_runs(v, sizes, pres) for v in columns]
             checks = [
-                (map_lanes(_ev(pos, columns, m, lanes, dual), lanes, pre), _ev(pos, pulled, n, lanes, dual))
+                (map_runs(_ev(pos, columns, m, lanes, dual), sizes, pres), _ev(pos, pulled, n, lanes, dual))
                 for dual in (False, True)
             ]
             for i, j, left, right in _differing(lanes, *checks):
-                instance = _doc(pm, plan, m, _case(plan, raw, i), mode=plan.mode, identity=("eval", "dual")[j])
-                col.violation(instance, _lr(n, left, right))
+                e, fields = _entry(batch, i), {"mode": plan.mode, "identity": ("eval", "dual")[j]}
+                instance = _doc(pms[e], plan, m, _case(plan, batch.raw, i), **fields)
+                found.append(((e, batch.index, i, j), "violation", instance, _lr(n, left, right)))
 
 
 def _replay_preimage_commutes(instance, kind):
@@ -458,25 +486,29 @@ def _saturated(pm):
 
 def _run_algebra_closure(bounds, rng, budget, col):
     """alg F is the brute-force fixed-point family and is closed under eval."""
-    for pm in _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1)):
-        n = pm.dom.n
-        col.cases += 1
-        brute = _saturated(pm)
-        alg_bits = sorted(alg_enumerate(pm).member_bits())
-        if alg_bits != brute:
-            col.violation(
-                _doc(pm, check="extension"),
-                {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]},
-            )
-        fibers = len(set(pm.table))
-        if len(alg_bits) != 1 << fibers:
-            col.violation(_doc(pm, check="cardinality"), {"size": len(alg_bits), "fibers": fibers})
-        member = lane_table([bits in alg_bits for bits in range(1 << n)])
-        for plan, lanes, raw, columns in _batches(bounds, alg_bits, rng, budget):
-            out = _ev(plan.positions, columns, n, lanes)
-            for i, _, _, _ in _differing(lanes, (map_lanes(out, lanes, member), replicate(1, lanes))):
-                instance = _doc(pm, plan, n, _case(plan, raw, i), mode=plan.mode, check="eval-closure")
-                col.violation(instance, {"outcome": _pts(n, lanes_of(out, lanes)[i])})
+    maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
+    for pms, found in _groups(col, maps, lambda pm: pm.dom.n):
+        n, pools, members = pms[0].dom.n, [], []
+        for e, pm in enumerate(pms):
+            col.cases += 1
+            brute = _saturated(pm)
+            alg_bits = sorted(alg_enumerate(pm).member_bits())
+            if alg_bits != brute:
+                detail = {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]}
+                found.append(((e,), "violation", _doc(pm, check="extension"), detail))
+            fibers = len(set(pm.table))
+            if len(alg_bits) != 1 << fibers:
+                detail = {"size": len(alg_bits), "fibers": fibers}
+                found.append(((e,), "violation", _doc(pm, check="cardinality"), detail))
+            pools.append(alg_bits)
+            members.append(lane_table([bits in alg_bits for bits in range(1 << n)]))
+        for batch in _sweep(bounds, pools, rng, budget):
+            lanes, plan = batch.lanes, batch.plan
+            out = _ev(plan.positions, batch.columns, n, lanes)
+            for i, _, _, _ in _differing(lanes, (map_runs(out, batch.sizes, members), replicate(1, lanes))):
+                e = _entry(batch, i)
+                instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
+                found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(n, out >> 8 * i & 0xFF)}))
 
 
 def _replay_algebra_closure(instance, kind):
@@ -556,28 +588,25 @@ def _replay_zero_witness_certificate(instance, kind):
 
 def _run_image_commutes(bounds, rng, budget, col):
     """Images pass through prefix evaluation of decreasing families."""
-    plans = _plans(bounds, [PREFIX])
     sizes = range(1, bounds.max_points + 1)
-    for pm in _maps(sizes, sizes):
-        n, m = pm.dom.n, pm.cod.n
-        img, _ = _tables(pm)
-        draws = _draws(bytes(range(1 << n)), [budget * len(plan.order) for plan in plans], rng)
-        for plan, raw in zip(plans, draws):
-            col.cases += budget
-            k, pos = len(plan.order), plan.positions
-            dec = _columns(raw, k)
-            ev_raw = _ev(pos, dec, n, budget)
+    for pms, found in _groups(col, _maps(sizes, sizes), lambda pm: (pm.dom.n, pm.cod.n)):
+        n, m, imgs = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[0] for pm in pms]
+        for batch in _sweep(bounds, [range(1 << n)] * len(pms), rng, budget, [PREFIX], exhaust=False):
+            lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
+            col.cases += lanes
+            ev_raw = _ev(pos, dec, n, lanes)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
             for i, idx in enumerate(plan.order):
                 if idx:
                     dec[i] &= dec[plan.order.index(idx[:-1])]
-            lhs, rhs = _image_pair(pm, img, pos, dec, budget)
-            ev_dec = _ev(pos, dec, n, budget)
+            lhs, rhs = _image_pair(n, m, batch.sizes, imgs, pos, dec)
+            ev_dec = _ev(pos, dec, n, lanes)
             checks = (("decreasing-image", m), ("replacement-value", n), ("replacement-image", m))
-            for i, j, left, right in _differing(budget, (lhs, rhs), (ev_raw, ev_dec), (lhs, rhs)):
-                check, size = checks[j]
-                values = [lanes_of(v, budget)[i] for v in dec] if j == 0 else _case(plan, raw, i)
-                col.violation(_doc(pm, plan, n, values, check=check), _lr(size, left, right))
+            for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec), (lhs, rhs)):
+                (check, size), e = checks[j], _entry(batch, i)
+                values = [lanes_of(v, lanes)[i] for v in dec] if j == 0 else _case(plan, batch.raw, i)
+                instance = _doc(pms[e], plan, n, values, check=check)
+                found.append(((e, batch.index, i, j), "violation", instance, _lr(size, left, right)))
 
 
 def _image_commutes(pm, base, family):
@@ -602,23 +631,25 @@ def _replay_image_commutes(instance, kind):
 def _run_image_necessity(bounds, rng, budget, col):
     """Non-injective maps break image commutation on some non-decreasing family."""
     sizes = range(1, bounds.max_points + 1)
-    for pm in _maps(sizes, sizes):
-        n, m = pm.dom.n, pm.cod.n
-        col.cases += 1
-        img, _ = _tables(pm)
-        if len(set(pm.table)) == n:
-            for plan, lanes, raw, columns in _batches(bounds, list(range(1 << n)), rng, min(budget, 4), [PREFIX]):
-                pair = _image_pair(pm, img, plan.positions, columns, lanes)
-                for i, _, lhs, rhs in _differing(lanes, pair):
-                    instance = _doc(pm, plan, n, _case(plan, raw, i), check="injective-image")
-                    col.violation(instance, _lr(m, lhs, rhs))
-            continue
-        found = _merge_witness(pm, img)
-        if found is None:
-            col.violation(_doc(pm, check="missing-witness"), {})
-        else:
-            values, lhs, rhs = found
-            col.witness(_doc(pm, _PROBE, n, values, check="non-decreasing-image"), _lr(m, lhs, rhs))
+    for pms, found in _groups(col, _maps(sizes, sizes), lambda pm: (pm.dom.n, pm.cod.n)):
+        n, m, imgs = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[0] for pm in pms]
+        injective = [e for e, pm in enumerate(pms) if len(set(pm.table)) == n]
+        col.cases += len(pms)
+        for e, pm in enumerate(pms):
+            if e in injective:
+                continue
+            witness = _merge_witness(pm, imgs[e])
+            if witness is None:
+                found.append(((e,), "violation", _doc(pm, check="missing-witness"), {}))
+            else:
+                instance = _doc(pm, _PROBE, n, witness[0], check="non-decreasing-image")
+                found.append(((e,), "witness", instance, _lr(m, *witness[1:])))
+        for batch in _sweep(bounds, [range(1 << n)] * len(injective), rng, min(budget, 4), [PREFIX]):
+            pair = _image_pair(n, m, batch.sizes, [imgs[e] for e in injective], batch.plan.positions, batch.columns)
+            for i, _, lhs, rhs in _differing(batch.lanes, pair):
+                e = injective[_entry(batch, i)]
+                instance = _doc(pms[e], batch.plan, n, _case(batch.plan, batch.raw, i), check="injective-image")
+                found.append(((e, batch.index, i), "violation", instance, _lr(m, lhs, rhs)))
 
 
 def _replay_image_necessity(instance, kind):

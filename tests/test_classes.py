@@ -52,6 +52,21 @@ def test_set_class_is_extensional_and_canonically_ordered():
         SetClass(2, [{0}])
 
 
+@pytest.mark.parametrize("n, bits", [(-1, []), ("2", [1]), (2, [4]), (2, [-1]), (2, [1.0]), (0, [1])])
+def test_from_bits_rejects_what_subset_masks_reject(n, bits):
+    with pytest.raises(InputError) as expected:
+        [SubsetMask(n, b) for b in bits] or SetClass(n, [])
+    with pytest.raises(InputError) as got:
+        SetClass.from_bits(n, bits)
+    assert str(got.value) == str(expected.value)
+
+
+def test_from_bits_equals_the_class_of_wrapped_masks():
+    bits = [5, 0, 5, 3, 7]
+    assert SetClass.from_bits(3, bits) == SetClass(3, [SubsetMask(3, b) for b in bits])
+    assert [m.bits for m in SetClass.from_bits(3, bits)] == [0, 3, 5, 7]
+
+
 @given(set_classes(3))
 def test_complement_class_is_an_involution(sc):
     assert complement_class(complement_class(sc)) == sc

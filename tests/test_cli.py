@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from redsep import ResourceError, __version__, canonical_json
-from redsep import catalog, cli, maps, suites
+from redsep import catalog, cli, maps, spaces, suites
 from redsep.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -324,6 +324,31 @@ def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(c
             assert capsys.readouterr().err == f"error: topology enumeration stops at 5 points, asked for {bound}\n"
     with pytest.raises(ResourceError):
         catalog.all_topologies(6, max_points=10**6)
+
+
+def test_instance_spaces_stop_at_12_points_whatever_max_points_says(tmp_path, capsys, monkeypatch):
+    honest, built = spaces.FinSpace, []
+
+    def recorded(n, *args, **kwargs):
+        built.append(n)
+        return honest(n, *args, **kwargs)
+
+    # generate_topology and product build the space they return as a FinSpace, so the sizes
+    # recorded are every space an instance command built
+    monkeypatch.setattr(spaces, "FinSpace", recorded)
+    discrete = [{"n": n, "subbasis": [[p] for p in range(n)]} for n in range(19)]
+    for doc, factors, message in (
+        ({"space": discrete[18]}, [], "18 points exceed the cap 12"),
+        ({"space": discrete[13]}, [], "13 points exceed the cap 12"),
+        ({"product": [discrete[4], discrete[4]]}, [4, 4], "product has 16 points, cap is 12"),
+    ):
+        built.clear()
+        code, out = run_cli(["space", "--max-points", "30", write_instance(tmp_path, doc)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert built == factors
+    with pytest.raises(ResourceError, match="cap 12"):
+        spaces.generate_topology(13, [], max_points=10**6)
 
 
 def _long_family_finding(k):

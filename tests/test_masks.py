@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redsep import InputError, ResourceError, SubsetMask
-from redsep.masks import lane_table, lanes_of, map_lanes, pack_lanes, replicate, restrict_bits
+from redsep.masks import lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
 
 from conftest import mask, masks
 
@@ -84,8 +84,16 @@ def test_lanes_round_trip_one_byte_each(values):
 
 def test_lane_tables_map_every_lane():
     table = lane_table([v ^ 0b101 for v in range(8)])
-    assert map_lanes(pack_lanes([1, 7, 0]), 3, table) == pack_lanes([4, 2, 5])
-    assert map_lanes(pack_lanes([1, 7, 0]), 4, table) == pack_lanes([4, 2, 5, 5])
+    assert map_runs(pack_lanes([1, 7, 0]), [3], [table]) == pack_lanes([4, 2, 5])
+    assert map_runs(pack_lanes([1, 7, 0]), [4], [table]) == pack_lanes([4, 2, 5, 5])
+
+
+@given(st.lists(st.lists(st.integers(0, 255), max_size=6), max_size=5))
+def test_each_run_of_lanes_maps_through_its_own_table(runs):
+    tables = [lane_table([(v * (2 * i + 3)) % 256 for v in range(256)]) for i in range(len(runs))]
+    values = [v for run in runs for v in run]
+    mapped = map_runs(pack_lanes(values), [len(run) for run in runs], tables)
+    assert list(lanes_of(mapped, len(values))) == [tables[i][v] for i, run in enumerate(runs) for v in run]
 
 
 def test_wide_lanes_round_trip():

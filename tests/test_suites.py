@@ -198,7 +198,8 @@ def test_malformed_instance_fields_are_rejected():
 # every case): the counts and documents pin both the finding builder and the
 # order in which assignments are drawn.  The suites evaluate many cases at
 # once, one per lane, and cut every lane to its universe afterwards, so the
-# fault flips bit 0 of more lanes than any run here packs.
+# fault flips bit 0 of every lane only while no kernel call packs more than
+# EVERY_LANE's lanes; the runs below check that they do not.
 BROKEN_KERNEL_FINDINGS = {
     "distributivity": (31376, "ba0deedfb135636cf323842a24e141f0f2028f5ae8c32eeb9a8c613a23b8e118"),
     "restriction": (6740, "8d26493e4670aced622d3166b25faf330e898f52fd636b7fefbb930aefb5b38f"),
@@ -214,10 +215,23 @@ EVERY_LANE = replicate(1, 1 << 12)
 
 @contextmanager
 def _broken_kernel(monkeypatch):
-    honest = suites.eval_plan_bits
+    """Flip point 0 of every lane, and check that every kernel call is made through _ev on at most 4,096 lanes."""
+    honest_kernel, honest_ev, kernel_calls, lanes = suites.eval_plan_bits, suites._ev, [], []
+
+    def kernel(plans, values):
+        kernel_calls.append(None)
+        return honest_kernel(plans, values) ^ EVERY_LANE
+
+    def ev(positions, values, n, count, dual=False):
+        lanes.append(count)
+        return honest_ev(positions, values, n, count, dual)
+
     with monkeypatch.context() as patch:
-        patch.setattr(suites, "eval_plan_bits", lambda plans, values: honest(plans, values) ^ EVERY_LANE)
+        patch.setattr(suites, "eval_plan_bits", kernel)
+        patch.setattr(suites, "_ev", ev)
         yield
+    assert len(kernel_calls) == len(lanes) > 0
+    assert max(lanes) <= 1 << 12
 
 
 @pytest.mark.parametrize("name", sorted(BROKEN_KERNEL_FINDINGS))
@@ -230,6 +244,14 @@ def test_a_broken_kernel_yields_pinned_violation_documents(name, monkeypatch):
     # the honest engine does not reproduce the injected fault
     for doc in res.violations:
         assert replay_finding(json.loads(canonical_json(doc))) is False
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_KERNEL_FINDINGS))
+def test_pool_entries_evaluated_one_per_batch_yield_the_same_documents(name, monkeypatch):
+    monkeypatch.setattr(suites, "GROUP_ENTRIES", 1)
+    with _broken_kernel(monkeypatch):
+        res = run_suite(name, bounds=TIGHT, seed=3, budget=6)
+    assert (res.violation_count, _sha(res.violations)) == BROKEN_KERNEL_FINDINGS[name]
 
 
 def test_a_broken_kernel_pins_every_sampled_assignment(monkeypatch):
@@ -311,9 +333,12 @@ def test_the_sampler_draws_the_randrange_stream(seed):
         (3, 2, 2, 10, [2720]),  # pool^k enumerated up to k = 3, sampled from k = 4
         (5, 2, 2, 300, [64200, 17400]),  # 81,600 samples split between plans
         (255, 1, 2, 30000, [60000, 90000, 90000]),  # a plan of 90,000 samples is drawn on its own
+        # four pools: k = 3 is enumerated in the pools of 2 and 3 values and sampled in the pools of 5
+        ((5, 2, 3, 5), 2, 2, 10, [2990, 280, 2720, 2990]),
     ],
 )
 def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, budget, draws, monkeypatch):
+    sizes = size if isinstance(size, tuple) else (size,)
     calls, honest = [], suites._sample
 
     def sample(pool, count, rng):
@@ -321,16 +346,21 @@ def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, 
         return honest(pool, count, rng)
 
     monkeypatch.setattr(suites, "_sample", sample)
-    pool, bounds = _pool(size), Bounds(alphabet=alphabet, depth=depth)
-    ours, theirs = random.Random(size), random.Random(size)
-    plans = 0
-    for plan, lanes, raw, columns in suites._batches(bounds, pool, ours, budget):
-        k = len(plan.order)
-        cases = _randrange_assignments(pool, k, theirs, budget)
-        assert [suites._case(plan, raw, i) for i in range(lanes)] == cases
-        assert columns == [pack_lanes(col) for col in zip(*cases)]
-        plans += 1
-    assert plans == len(suites._compiled(alphabet, depth))
+    pools, bounds = [_pool(size) for size in sizes], Bounds(alphabet=alphabet, depth=depth)
+    ours, theirs = random.Random(sum(sizes)), random.Random(sum(sizes))
+    plans = suites._compiled(alphabet, depth)
+    # every pool draws all its samples before the first batch: pool by pool, plan by plan
+    expected = [[_randrange_assignments(pool, len(plan.order), theirs, budget) for plan in plans] for pool in pools]
+    batches = list(suites._sweep(bounds, pools, ours, budget))
+    assert [(batch.index, batch.plan) for batch in batches] == list(enumerate(plans))
+    for batch in batches:
+        per_pool = [cases[batch.index] for cases in expected]
+        cases = [case for pool_cases in per_pool for case in pool_cases]
+        assert batch.sizes == [len(pool_cases) for pool_cases in per_pool] and batch.lanes == len(cases)
+        assert [suites._case(batch.plan, batch.raw, i) for i in range(batch.lanes)] == cases
+        assert batch.columns == [pack_lanes(col) for col in zip(*cases)]
+        owners = [e for e, pool_cases in enumerate(per_pool) for _ in pool_cases]
+        assert [suites._entry(batch, i) for i in range(batch.lanes)] == owners
     assert ours.random() == theirs.random()
     assert calls == draws
 
