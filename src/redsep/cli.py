@@ -18,7 +18,6 @@ import json
 import sys
 import time
 from dataclasses import replace
-from functools import cache
 from pathlib import Path
 
 from . import __version__, serialize
@@ -390,23 +389,23 @@ def build_parser():
     def instance_cmd(name, handler, help_text):
         p = sub.add_parser(name, parents=[common], help=help_text)
         p.add_argument("instance", help="instance file (JSON object), or - for stdin")
-        p.set_defaults(handler=handler)  # a handler's name, looked up when the command runs
+        p.set_defaults(handler=handler)
         return p
 
-    instance_cmd("eval", "_cmd_eval", "evaluate a base over an indexed family")
-    instance_cmd("generate", "_cmd_generate", "collect all outcomes over generator assignments")
-    instance_cmd("check-reduction", "_cmd_check_reduction", "check the reduction property")
-    instance_cmd("check-separation", "_cmd_check_separation", "check the separation property")
-    instance_cmd("transfer", "_cmd_transfer", "transfer reduction or separation along a map")
-    instance_cmd("zero-gap", "_cmd_zero_gap", "compare traced and intrinsic zero sets")
-    instance_cmd("space", "_cmd_space", "materialize a space: opens, closeds, components, zeros")
+    instance_cmd("eval", _cmd_eval, "evaluate a base over an indexed family")
+    instance_cmd("generate", _cmd_generate, "collect all outcomes over generator assignments")
+    instance_cmd("check-reduction", _cmd_check_reduction, "check the reduction property")
+    instance_cmd("check-separation", _cmd_check_separation, "check the separation property")
+    instance_cmd("transfer", _cmd_transfer, "transfer reduction or separation along a map")
+    instance_cmd("zero-gap", _cmd_zero_gap, "compare traced and intrinsic zero sets")
+    instance_cmd("space", _cmd_space, "materialize a space: opens, closeds, components, zeros")
 
     replay = sub.add_parser(
         "replay", parents=[common], help="re-run stored findings and report re-triggering"
     )
     replay.add_argument("paths", nargs="*", help="finding files to replay")
     replay.add_argument("--corpus-dir", default=None, help="replay every *.json in a directory")
-    replay.set_defaults(handler="_cmd_replay")
+    replay.set_defaults(handler=_cmd_replay)
 
     fuzz = sub.add_parser(
         "fuzz", parents=[common], help="run a property suite and persist its findings"
@@ -418,19 +417,17 @@ def build_parser():
         "--budget", type=int, default=None, help="sampled assignments per structural case"
     )
     fuzz.add_argument("--corpus-dir", default=None, help="directory for finding files")
-    fuzz.set_defaults(handler="_cmd_fuzz")
+    fuzz.set_defaults(handler=_cmd_fuzz)
 
     return parser
 
 
-_parser = cache(build_parser)
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        report, code = globals()[args.handler](args)
+        report, code = args.handler(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
