@@ -55,7 +55,7 @@ def test_set_class_is_extensional_and_canonically_ordered():
 @pytest.mark.parametrize("n, bits", [(-1, []), ("2", [1]), (2, [4]), (2, [-1]), (2, [1.0]), (0, [1])])
 def test_from_bits_rejects_what_subset_masks_reject(n, bits):
     with pytest.raises(InputError) as expected:
-        [SubsetMask(n, b) for b in bits] or SetClass(n, [])
+        SetClass(n, [SubsetMask(n, b) for b in bits])
     with pytest.raises(InputError) as got:
         SetClass.from_bits(n, bits)
     assert str(got.value) == str(expected.value)
