@@ -1,30 +1,37 @@
 """Classes of subsets and the reduction / separation properties.
 
 A SetClass is a deduplicated, canonically ordered collection of subsets of a
-fixed universe.  generate_class applies a base to every assignment of
-generator sets to the base's relevant indices and collects the outcomes.
+fixed universe, stored as bitmasks and wrapped as SubsetMasks on demand.
+generate_class applies a base to every assignment of generator sets to the
+base's relevant indices and collects the outcomes.
 
 A pair (A, B) is reduced by (C, D) when C <= A, D <= B, C and D are disjoint
 and C u D = A u B.  Disjoint (A, B) are separated by C when A <= C and
 B n C = 0; separators are drawn from the ambiguous part (members whose
-complement is also a member).
+complement is also a member).  Each property has one search on bitmasks for
+the canonical-first witness of a pair; the checkers keep no witnesses, so
+callers that want them search again.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
-from .masks import SubsetMask, lanes_of, replicate, restrict_bits, sort_key
+from .masks import SubsetMask, lanes_of, points_of, replicate, restrict_bits, sort_key
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
 MAX_LADDER_DEPTH = 64
+# the checkers scan |C|^2 pairs with up to |C| candidates each
+MAX_CLASS_MEMBERS = 256
+
+REDUCTION = "reduction"
+SEPARATION = "separation"
 
 
 class SetClass:
     """A canonical collection of subsets of {0, ..., n-1}."""
-
-    __slots__ = ("n", "members", "_bits")
 
     def __init__(self, n, members, _bits=()):
         if not isinstance(n, int) or n < 0:
@@ -39,13 +46,16 @@ class SetClass:
                 raise InputError(f"bits {b!r} not a subset of a {n}-point universe")
             bits.add(b)
         object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "members", tuple(SubsetMask(n, b) for b in sorted(bits, key=sort_key))
-        )
         object.__setattr__(self, "_bits", frozenset(bits))
+        object.__setattr__(self, "_order", tuple(sorted(bits, key=sort_key)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetClass is immutable")
+
+    @cached_property
+    def members(self):
+        """The members as SubsetMasks in canonical order, wrapped on first access."""
+        return tuple(SubsetMask(self.n, b) for b in self._order)
 
     @classmethod
     def from_bits(cls, n, bits_iter):
@@ -65,7 +75,7 @@ class SetClass:
         return iter(self.members)
 
     def __len__(self):
-        return len(self.members)
+        return len(self._order)
 
     def __eq__(self, other):
         return isinstance(other, SetClass) and self.n == other.n and self._bits == other._bits
@@ -74,7 +84,7 @@ class SetClass:
         return hash((self.n, self._bits))
 
     def __repr__(self):
-        inner = ", ".join("{" + ",".join(map(str, m.points())) + "}" for m in self.members)
+        inner = ", ".join("{" + ",".join(map(str, points_of(b))) + "}" for b in self._order)
         return f"SetClass({self.n}, [{inner}])"
 
 
@@ -121,7 +131,7 @@ def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=Fals
     n, universe = generators.n, (1 << generators.n) - 1
     width = (n + 7) // 8 or 1  # bytes per lane
     full = replicate(universe, count, width)
-    cells = [(universe ^ m.bits if dual else m.bits).to_bytes(width, "little") for m in generators.members]
+    cells = [(universe ^ b if dual else b).to_bytes(width, "little") for b in generators._order]
     values = [full] * len(order)
     # coordinate j of assignment a is generator a // g**(k-1-j) % g
     for j, i in enumerate(enum_pos):
@@ -163,63 +173,63 @@ class SeparationWitness:
 class CheckResult:
     holds: bool
     pairs_checked: int
-    witnesses: Optional[dict]
     failing_pair: Optional[tuple]
 
 
 def _reduction_witness(sc, a, b):
-    """First (C, D) in canonical order reducing (a, b), or None.
+    """Bits (c, d) of the first reduction of the pair of bits (a, b), or None.
 
     C u D = a u b and C n D = 0 force D = (a u b) \\ C, so scanning C in
     canonical member order visits candidate pairs in lexicographic order.
     """
-    union = a.bits | b.bits
-    members = sc.member_bits()
-    for c in sc.members:
-        if c.bits & ~a.bits:
+    union, bits = a | b, sc._bits
+    for c in sc._order:
+        if c & ~a:
             continue
-        d = union & ~c.bits
-        if d in members and not d & ~b.bits:
-            return ReductionWitness(a, b, c, SubsetMask(sc.n, d))
+        d = union & ~c
+        if d in bits and not d & ~b:
+            return c, d
     return None
+
+
+def _separation_witness(sc, a, b):
+    """Bits (s,) of the first ambiguous member containing a and missing b, or
+    None; always None when a meets b, since every superset of a then meets b."""
+    full, bits = (1 << sc.n) - 1, sc._bits
+    for s in sc._order:
+        if not a & ~s and not b & s and full ^ s in bits:
+            return (s,)
+    return None
+
+
+def _checked_pairs(sc, which):
+    """(a, b, witness bits or None) for each pair of member bits that the
+    property checks, row-major in canonical order."""
+    search = _reduction_witness if which == REDUCTION else _separation_witness
+    for a in sc._order:
+        for b in sc._order:
+            if which == REDUCTION or not a & b:
+                yield a, b, search(sc, a, b)
+
+
+def _check(sc, which):
+    if len(sc) > MAX_CLASS_MEMBERS:
+        raise ResourceError(f"class of {len(sc)} members exceeds the cap {MAX_CLASS_MEMBERS}")
+    checked = 0
+    for checked, (a, b, found) in enumerate(_checked_pairs(sc, which), 1):
+        if found is None:
+            return CheckResult(False, checked, (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
+    return CheckResult(True, checked, None)
 
 
 def check_reduction(sc):
     """Does every ordered pair of members admit a reduction witness in the class?"""
-    witnesses = {}
-    checked = 0
-    for a in sc.members:
-        for b in sc.members:
-            checked += 1
-            w = _reduction_witness(sc, a, b)
-            if w is None:
-                return CheckResult(False, checked, None, (a, b))
-            witnesses[(a, b)] = w
-    return CheckResult(True, checked, witnesses, None)
-
-
-def _separation_witness(sc, delta, a, b):
-    for c in delta.members:
-        if not a.bits & ~c.bits and not b.bits & c.bits:
-            return SeparationWitness(a, b, c)
-    return None
+    return _check(sc, REDUCTION)
 
 
 def check_separation(sc):
     """Does every disjoint ordered pair admit a separator from the ambiguous part?"""
-    delta = delta_class(sc)
-    witnesses = {}
-    checked = 0
-    for a in sc.members:
-        for b in sc.members:
-            if not a.isdisjoint(b):
-                continue
-            checked += 1
-            w = _separation_witness(sc, delta, a, b)
-            if w is None:
-                return CheckResult(False, checked, None, (a, b))
-            witnesses[(a, b)] = w
-    return CheckResult(True, checked, witnesses, None)
+    return _check(sc, SEPARATION)
 
 
 def reduction_to_separation(sc, a, b):
@@ -229,22 +239,20 @@ def reduction_to_separation(sc, a, b):
     universe) yields (C, D); D then contains a, misses b, and both D and its
     complement C lie in sc, so D is ambiguous for the complement class.
     """
-    comp = complement_class(sc)
-    if a not in comp:
-        raise PreconditionError(f"{a!r} is not in the complement class")
-    if b not in comp:
-        raise PreconditionError(f"{b!r} is not in the complement class")
-    if not a.isdisjoint(b):
+    full, bits = (1 << sc.n) - 1, sc._bits
+    for m in (a, b):
+        if not (isinstance(m, SubsetMask) and m.n == sc.n and full ^ m.bits in bits):
+            raise PreconditionError(f"{m!r} is not in the complement class")
+    if a.bits & b.bits:
         raise PreconditionError(f"{a!r} and {b!r} are not disjoint")
-    w = _reduction_witness(sc, a.complement(), b.complement())
-    if w is None:
-        raise PreconditionError(
-            f"no reduction witness for the complement pair of ({a!r}, {b!r})"
-        )
-    witness = SeparationWitness(a, b, w.d)
-    if not witness.holds(delta_class(comp)):
+    found = _reduction_witness(sc, full ^ a.bits, full ^ b.bits)
+    if found is None:
+        raise PreconditionError(f"no reduction witness for the complement pair of ({a!r}, {b!r})")
+    d = found[1]
+    # a separator contains a, misses b, and it and its complement lie in the complement class
+    if a.bits & ~d or b.bits & d or d not in bits or full ^ d not in bits:
         raise PreconditionError("constructed separator failed validation")
-    return witness
+    return SeparationWitness(a, b, SubsetMask(sc.n, d))
 
 
 @dataclass(frozen=True)

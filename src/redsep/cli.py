@@ -18,11 +18,14 @@ import json
 import sys
 import time
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 from . import __version__, serialize
 from .classes import (
+    REDUCTION,
     SetClass,
+    _checked_pairs,
     check_reduction,
     check_separation,
     complement_class,
@@ -30,7 +33,7 @@ from .classes import (
 )
 from .errors import EngineError, InputError
 from .hausdorff import dual_evaluate, evaluate
-from .masks import SubsetMask
+from .masks import SubsetMask, points_of
 from .spaces import closed_sets, components, product, zero_sets
 from .suites import replay_finding, run_suite, suite_defaults, suite_names
 from .transfer import transfer_property, zero_trace_gap
@@ -144,38 +147,30 @@ def _cmd_generate(args):
     return report, 0
 
 
-def _check_report(res, sc):
+def _cmd_check(args):
+    sc = _class_from_instance(_load_instance(args.instance), args)
+    which = args.command.removeprefix("check-")
+    res = check_reduction(sc) if which == REDUCTION else check_separation(sc)
+    # a class with the property has a witness for every checked pair
+    witness_count = res.pairs_checked if res.holds else 0
     report = {
         "universe": sc.n,
         "class_size": len(sc),
         "verdict": res.holds,
         "pairs_checked": res.pairs_checked,
-        "witness_count": len(res.witnesses) if res.witnesses else 0,
+        "witness_count": witness_count,
         "failing_pair": None,
         "witnesses": None,
     }
     if res.failing_pair is not None:
         report["failing_pair"] = [serialize.points_doc(m) for m in res.failing_pair]
-    if res.witnesses:
+    if witness_count:
+        names = ("a", "b", "c", "d") if which == REDUCTION else ("a", "b", "separator")
         report["witnesses"] = [
-            {
-                "a": serialize.points_doc(a),
-                "b": serialize.points_doc(b),
-                **_witness_doc(w),
-            }
-            for (a, b), w in sorted(res.witnesses.items())[:_TRACE_CAP]
+            {name: list(points_of(x)) for name, x in zip(names, (a, b, *found))}
+            for a, b, found in islice(_checked_pairs(sc, which), _TRACE_CAP)
         ]
     return report, 0 if res.holds else 1
-
-
-def _cmd_check_reduction(args):
-    sc = _class_from_instance(_load_instance(args.instance), args)
-    return _check_report(check_reduction(sc), sc)
-
-
-def _cmd_check_separation(args):
-    sc = _class_from_instance(_load_instance(args.instance), args)
-    return _check_report(check_separation(sc), sc)
 
 
 def _generators_from(doc, key, space, args):
@@ -394,8 +389,8 @@ def build_parser():
 
     instance_cmd("eval", _cmd_eval, "evaluate a base over an indexed family")
     instance_cmd("generate", _cmd_generate, "collect all outcomes over generator assignments")
-    instance_cmd("check-reduction", _cmd_check_reduction, "check the reduction property")
-    instance_cmd("check-separation", _cmd_check_separation, "check the separation property")
+    instance_cmd("check-reduction", _cmd_check, "check the reduction property")
+    instance_cmd("check-separation", _cmd_check, "check the separation property")
     instance_cmd("transfer", _cmd_transfer, "transfer reduction or separation along a map")
     instance_cmd("zero-gap", _cmd_zero_gap, "compare traced and intrinsic zero sets")
     instance_cmd("space", _cmd_space, "materialize a space: opens, closeds, components, zeros")

@@ -9,11 +9,11 @@ field, so the batch front-end can surface field-level diagnostics.
 import json
 
 from .classes import SetClass
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .hausdorff import MODES, PREFIX, Base, IndexedFamily
 from .maps import PointMap
 from .masks import SubsetMask
-from .spaces import DEFAULT_MAX_POINTS, generate_topology
+from .spaces import DEFAULT_MAX_POINTS, POINT_CEILING, generate_topology
 
 
 def canonical_json(doc):
@@ -31,13 +31,13 @@ def _field(doc, name, path, optional=False, default=None):
     return doc[name]
 
 
-def _int_field(doc, name, path, minimum=0, optional=False, default=None):
-    val = _field(doc, name, path, optional, default)
-    if optional and val == default and name not in doc:
-        return default
+def _int_field(doc, name, path, minimum=0, maximum=None):
+    val = _field(doc, name, path)
     where = path + "." + name if path else name
     if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
         raise InputError(f"{where} must be an integer >= {minimum}")
+    if maximum is not None and val > maximum:
+        raise ResourceError(f"{where} = {val} exceeds the cap {maximum}")
     return val
 
 
@@ -133,7 +133,7 @@ def family_to_doc(family):
 
 
 def family_from_doc(doc, path="family"):
-    n = _int_field(doc, "universe", path)
+    n = _int_field(doc, "universe", path, maximum=POINT_CEILING)
     mode = _field(doc, "mode", path)
     if mode not in MODES:
         raise InputError(f"{path}.mode must be one of {MODES}")
@@ -180,7 +180,7 @@ def class_to_doc(sc):
 
 
 def class_from_doc(doc, path="class"):
-    n = _int_field(doc, "universe", path)
+    n = _int_field(doc, "universe", path, maximum=POINT_CEILING)
     members = _field(doc, "members", path)
     if not isinstance(members, list):
         raise InputError(f"{path}.members must be an array of point arrays")

@@ -32,6 +32,7 @@ from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
 from .classes import (
     SetClass,
+    _checked_pairs,
     check_reduction,
     check_separation,
     complement_class,
@@ -840,15 +841,13 @@ def _run_transfer_identity(bounds, rng, budget, col):
                     col.cases += 1
                     rep = transfer_property(ident, base, opens, opens, mode, which, cap=bounds.cap)
                     if which == REDUCTION:
-                        direct, key = check_reduction(phi), lambda w: (w.c, w.d)
+                        direct, key = check_reduction(phi), lambda w: (w.c.bits, w.d.bits)
                     else:
-                        direct, key = check_separation(phi), lambda w: w.separator
+                        direct, key = check_separation(phi), lambda w: (w.separator.bits,)
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
-                        agree = all(
-                            (w := direct.witnesses.get((t.a, t.b))) is not None and key(t.witness_dom) == key(w)
-                            for t in rep.pairs
-                        )
+                        got = [(t.a.bits, t.b.bits, key(t.witness_dom)) for t in rep.pairs]
+                        agree = got == list(_checked_pairs(phi, which))
                     if not agree:
                         col.violation(
                             _doc(space, base=serialize.base_to_doc(base), mode=mode, which=which),

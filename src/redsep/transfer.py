@@ -13,6 +13,8 @@ from typing import Optional
 
 from .classes import (
     DEFAULT_ASSIGNMENT_CAP,
+    REDUCTION,
+    SEPARATION,
     ReductionWitness,
     SeparationWitness,
     SetClass,
@@ -28,9 +30,6 @@ from .errors import InputError, PreconditionError, ResourceError
 from .maps import PointMap, alg_contains
 from .masks import SubsetMask
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, subspace, zero_sets
-
-REDUCTION = "reduction"
-SEPARATION = "separation"
 
 
 def pull_back_witnesses(pm, a, b, witness):
@@ -144,34 +143,32 @@ def transfer_property(
             None, class_cod, (),
         )
 
+    # the hypotheses make class_dom the preimages of class_cod, so the class-size
+    # cap that the codomain check enforces bounds this pair loop too
     class_dom = generate_class(base, generators_dom, mode, cap=cap)
-    delta_cod = delta_class(class_cod)
-    delta_dom = delta_class(class_dom)
+    if which == REDUCTION:
+        kind, search = ReductionWitness, _reduction_witness
+        valid_in_dom = lambda w: w.holds() and w.c in class_dom and w.d in class_dom
+    else:
+        kind, search, delta_dom = SeparationWitness, _separation_witness, delta_class(class_dom)
+        valid_in_dom = lambda w: w.holds(delta_dom)
     traces = []
     for a in class_dom.members:
         for b in class_dom.members:
             if which == SEPARATION and not a.isdisjoint(b):
                 continue
             fa, fb = pm.image(a), pm.image(b)
-            if which == REDUCTION:
-                w_cod = _reduction_witness(class_cod, fa, fb)
-            else:
-                if not fa.isdisjoint(fb):
-                    w_cod = None
-                else:
-                    w_cod = _separation_witness(class_cod, delta_cod, fa, fb)
-            if w_cod is None:
+            found = search(class_cod, fa.bits, fb.bits)
+            if found is None:
                 traces.append(PairTrace(a, b, fa, fb, None, None, False))
                 return TransferReport(
                     which, hypotheses, False,
                     f"no codomain witness for the image pair ({fa!r}, {fb!r})",
                     class_dom, class_cod, tuple(traces),
                 )
+            w_cod = kind(fa, fb, *(SubsetMask(class_cod.n, x) for x in found))
             pulled = pull_back_witnesses(pm, a, b, w_cod)
-            if which == REDUCTION:
-                valid = pulled.holds() and pulled.c in class_dom and pulled.d in class_dom
-            else:
-                valid = pulled.holds(delta_dom)
+            valid = valid_in_dom(pulled)
             traces.append(PairTrace(a, b, fa, fb, w_cod, pulled, valid))
             if not valid:
                 return TransferReport(

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 
 from redsep import (
     MODES,
+    REDUCTION,
     FinSpace,
     IndexedFamily,
+    ReductionWitness,
+    SeparationWitness,
     SetClass,
     SubsetMask,
     all_bases,
@@ -19,6 +22,7 @@ from redsep import (
     all_topologies,
     generate_topology,
 )
+from redsep.classes import _reduction_witness, _separation_witness
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -63,6 +67,15 @@ def mask(n, points):
 
 def sclass(n, sets):
     return SetClass(n, [SubsetMask.from_points(n, s) for s in sets])
+
+
+def canonical_witness(sc, which, a, b):
+    """The property's per-pair search on (a, b) in sc, wrapped as a witness, or None."""
+    if which == REDUCTION:
+        kind, found = ReductionWitness, _reduction_witness(sc, a.bits, b.bits)
+    else:
+        kind, found = SeparationWitness, _separation_witness(sc, a.bits, b.bits)
+    return None if found is None else kind(a, b, *(SubsetMask(sc.n, x) for x in found))
 
 
 spaces = st.sampled_from(SPACE_POOL)

@@ -10,8 +10,12 @@ from hypothesis import strategies as st
 from redsep import (
     PREFIX,
     RANGE,
+    REDUCTION,
+    SEPARATION,
+    FinSpace,
     IndexedFamily,
     InputError,
+    PointMap,
     PreconditionError,
     ResourceError,
     SetClass,
@@ -29,10 +33,13 @@ from redsep import (
     generate_topology,
     reduction_to_separation,
     restrict_class,
+    transfer_property,
 )
+from redsep import classes
+from redsep.classes import _reduction_witness, _separation_witness
 from redsep.masks import restrict_bits
 
-from conftest import bases, mask, modes, sclass, set_classes
+from conftest import bases, canonical_witness, mask, modes, sclass, set_classes
 
 
 def opens_class(space):
@@ -168,27 +175,35 @@ def test_generate_class_cap_and_validation():
 
 
 def test_power_set_has_reduction_with_canonical_witnesses():
-    res = check_reduction(SetClass.power_set(3))
+    sc = SetClass.power_set(3)
+    res = check_reduction(sc)
     assert res.holds and res.failing_pair is None
-    assert res.pairs_checked == 64 and len(res.witnesses) == 64
-    for (a, b), w in res.witnesses.items():
-        assert (w.a, w.b) == (a, b) and w.holds()
-    w = res.witnesses[(mask(3, [0, 1]), mask(3, [1, 2]))]
+    assert res.pairs_checked == 64
+    for a in sc:
+        for b in sc:
+            w = canonical_witness(sc, REDUCTION, a, b)
+            assert w is not None and (w.a, w.b) == (a, b) and w.holds()
+    w = canonical_witness(sc, REDUCTION, mask(3, [0, 1]), mask(3, [1, 2]))
     assert w.c == mask(3, [0]) and w.d == mask(3, [1, 2])
 
 
 def test_five_open_space_fails_reduction_at_the_overlapping_pair(five_open):
-    res = check_reduction(opens_class(five_open))
-    assert not res.holds and res.witnesses is None
+    sc = opens_class(five_open)
+    res = check_reduction(sc)
+    assert not res.holds
     assert res.pairs_checked == 14
     assert res.failing_pair == (mask(3, [0, 1]), mask(3, [1, 2]))
+    assert canonical_witness(sc, REDUCTION, *res.failing_pair) is None
 
 
 def test_nested_opens_always_reduce(sierpinski, chain3):
     for space in (sierpinski, chain3):
-        res = check_reduction(opens_class(space))
+        sc = opens_class(space)
+        res = check_reduction(sc)
         assert res.holds
-        assert all(w.holds() for w in res.witnesses.values())
+        for a in sc:
+            for b in sc:
+                assert canonical_witness(sc, REDUCTION, a, b).holds()
 
 
 def test_separation_frozen_failure():
@@ -200,25 +215,151 @@ def test_separation_frozen_failure():
 
 
 def test_power_set_has_separation_with_canonical_separators():
-    res = check_separation(SetClass.power_set(2))
+    sc = SetClass.power_set(2)
+    res = check_separation(sc)
     assert res.holds
-    for (a, b), w in res.witnesses.items():
-        assert w.holds(delta_class(SetClass.power_set(2)))
-    assert res.witnesses[(mask(2, [0]), mask(2, [1]))].separator == mask(2, [0])
+    delta = delta_class(sc)
+    for a in sc:
+        for b in sc:
+            if a.isdisjoint(b):
+                assert canonical_witness(sc, SEPARATION, a, b).holds(delta)
+    assert canonical_witness(sc, SEPARATION, mask(2, [0]), mask(2, [1])).separator == mask(2, [0])
 
 
 @given(set_classes(3))
 def test_check_results_report_witnesses_exactly_when_they_hold(sc):
     red = check_reduction(sc)
     if red.holds:
-        assert all(w.holds() for w in red.witnesses.values())
+        assert all(canonical_witness(sc, REDUCTION, a, b).holds() for a in sc for b in sc)
     else:
         a, b = red.failing_pair
         assert a in sc and b in sc
     sep = check_separation(sc)
     if sep.holds:
         delta = delta_class(sc)
-        assert all(w.holds(delta) for w in sep.witnesses.values())
+        assert all(
+            canonical_witness(sc, SEPARATION, a, b).holds(delta)
+            for a in sc
+            for b in sc
+            if a.isdisjoint(b)
+        )
+
+
+def oracle_rows(n, bits, which):
+    """(a, b, witness) for every pair the property checks, row-major in canonical
+    order, each witness the first candidate in canonical order that meets the
+    definition, or None."""
+    order = sorted(bits, key=lambda x: (bin(x).count("1"), x))
+    full = (1 << n) - 1
+    rows = []
+    for a in order:
+        for b in order:
+            if which == REDUCTION:
+                found = next(
+                    (
+                        (c, d)
+                        for c in order
+                        for d in order
+                        if c | a == a and d | b == b and c & d == 0 and c | d == a | b
+                    ),
+                    None,
+                )
+            elif a & b == 0:
+                found = next(
+                    ((s,) for s in order if full ^ s in bits and a | s == s and b & s == 0), None
+                )
+            else:
+                continue
+            rows.append((a, b, found))
+    return rows
+
+
+def differential_classes():
+    """Every class on 3 points, then classes of every size on 4 points."""
+    for pick in range(1 << 8):
+        yield 3, frozenset(b for b in range(8) if pick >> b & 1)
+    rng = random.Random(4)
+    for size in range(17):
+        for _ in range(6):
+            yield 4, frozenset(rng.sample(range(16), size))
+
+
+def test_checkers_and_searches_match_a_brute_force_oracle_on_small_classes():
+    searches = (
+        (REDUCTION, check_reduction, _reduction_witness),
+        (SEPARATION, check_separation, _separation_witness),
+    )
+    for n, bits in differential_classes():
+        sc = SetClass.from_bits(n, bits)
+        rows = {}
+        for which, check, search in searches:
+            rows[which] = oracle_rows(n, bits, which)
+            failed = next((i for i, row in enumerate(rows[which]) if row[2] is None), None)
+            res = check(sc)
+            assert res.holds == (failed is None)
+            assert res.pairs_checked == (len(rows[which]) if failed is None else failed + 1)
+            if failed is None:
+                assert res.failing_pair is None
+            else:
+                a, b, _ = rows[which][failed]
+                assert res.failing_pair == (SubsetMask(n, a), SubsetMask(n, b))
+            assert [search(sc, a, b) for a, b, _ in rows[which]] == [w for _, _, w in rows[which]]
+        if any(w is None for _, _, w in rows[REDUCTION]):
+            continue
+        # every disjoint pair of the complement class is separated by the second
+        # half of the oracle's reduction of the pair of complements
+        full = (1 << n) - 1
+        reductions = {(a, b): w for a, b, w in rows[REDUCTION]}
+        comp = {full ^ x for x in bits}
+        for a in comp:
+            for b in comp:
+                if a & b:
+                    continue
+                w = reduction_to_separation(sc, SubsetMask(n, a), SubsetMask(n, b))
+                d = reductions[(full ^ a, full ^ b)][1]
+                assert (w.a.bits, w.b.bits, w.separator.bits) == (a, b, d)
+                assert a | d == d and b & d == 0 and d in comp and full ^ d in comp
+
+
+def test_checkers_wrap_only_the_failing_pair(monkeypatch):
+    wrapped = []
+
+    class CountingMask(SubsetMask):
+        def __init__(self, n, bits=0):
+            wrapped.append(bits)
+            super().__init__(n, bits)
+
+    power = SetClass.power_set(6)
+    failing = sclass(3, [[], [0], [1], [0, 1, 2]])
+    monkeypatch.setattr(classes, "SubsetMask", CountingMask)
+    assert check_reduction(power).holds and check_separation(power).holds
+    assert wrapped == []  # neither a witness nor the members were wrapped
+    assert not check_separation(failing).holds
+    assert wrapped == [0b001, 0b010]
+
+
+def test_checkers_refuse_a_class_over_the_size_cap_before_any_pair(monkeypatch):
+    scanned = []
+
+    def search(sc, a, b):
+        scanned.append((a, b))
+        return (a, b)
+
+    monkeypatch.setattr(classes, "_reduction_witness", search)
+    monkeypatch.setattr(classes, "_separation_witness", search)
+    assert check_reduction(SetClass.from_bits(9, range(256))).pairs_checked == 256**2
+    scanned.clear()
+    over = SetClass.from_bits(9, range(257))
+    for check in (check_reduction, check_separation):
+        with pytest.raises(ResourceError) as err:
+            check(over)
+        assert str(err.value) == "class of 257 members exceeds the cap 256"
+    power = SetClass.power_set(9)
+    with pytest.raises(ResourceError):
+        transfer_property(
+            PointMap.identity(FinSpace.discrete(9)), canonical_base("union", 1), power, power, RANGE, REDUCTION
+        )
+    assert scanned == []
 
 
 def test_reduction_converts_to_separation_for_complement_pairs(five_open):

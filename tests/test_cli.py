@@ -156,6 +156,15 @@ def test_check_reduction_on_an_inline_class(tmp_path):
     assert set(first) == {"a", "b", "c", "d"}
 
 
+def test_an_oversized_class_exits_2_with_one_line(tmp_path, capsys):
+    members = [[p for p in range(9) if b >> p & 1] for b in range(512)]
+    inst = write_instance(tmp_path, {"class": {"universe": 9, "members": members}})
+    for command in ("check-reduction", "check-separation"):
+        code, out = run_cli([command, inst])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: class of 512 members exceeds the cap 256\n"
+
+
 def test_check_separation_reports_the_failing_pair(tmp_path):
     inst = write_instance(
         tmp_path,
@@ -293,6 +302,16 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):
     code, out = run_cli(["fuzz", "reduction-dual-separation", "--max-points", "6"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == "error: topology enumeration stops at 5 points, asked for 6\n"
+
+    huge = 2_000_000_000
+    oversized = (
+        ("check-separation", {"class": {"universe": huge, "members": [[], [0], [1], [0, 1]]}}, "instance.class"),
+        ("eval", {"base": UNION2, "family": {"universe": huge, "mode": "range", "assignments": {"0": [0], "1": [1]}}}, "family"),
+    )
+    for command, doc, path in oversized:
+        code, out = run_cli([command, write_instance(tmp_path, doc)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: {path}.universe = {huge} exceeds the cap 12\n"
 
 
 def test_an_oversized_budget_is_refused_before_any_sweep_starts(capsys, monkeypatch):

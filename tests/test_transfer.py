@@ -28,7 +28,7 @@ from redsep import (
     zero_witness_map,
 )
 
-from conftest import mask, sclass, spaces, tables
+from conftest import canonical_witness, mask, sclass, spaces, tables
 
 
 def merge32():
@@ -78,13 +78,13 @@ def test_pulled_back_canonical_witnesses_always_validate(nmt, data):
     saturated = list(alg_enumerate(pm))
     a = data.draw(st.sampled_from(saturated), label="a")
     b = data.draw(st.sampled_from(saturated), label="b")
-    direct = check_reduction(SetClass.power_set(m))
-    w = direct.witnesses[(pm.image(a), pm.image(b))]
+    target = SetClass.power_set(m)
+    assert check_reduction(target).holds and check_separation(target).holds
+    w = canonical_witness(target, REDUCTION, pm.image(a), pm.image(b))
     pulled = pull_back_witnesses(pm, a, b, w)
     assert pulled.holds()
     if a.isdisjoint(b) and pm.image(a).isdisjoint(pm.image(b)):
-        sep = check_separation(SetClass.power_set(m))
-        ws = sep.witnesses[(pm.image(a), pm.image(b))]
+        ws = canonical_witness(target, SEPARATION, pm.image(a), pm.image(b))
         assert pull_back_witnesses(pm, a, b, ws).holds()
 
 
@@ -184,8 +184,8 @@ def test_identity_transfer_agrees_with_the_direct_check(space, which):
     assert rep.verdict == direct.holds
     if rep.verdict:
         for t in rep.pairs:
-            assert t.witness_dom == direct.witnesses[(t.a, t.b)]
-            assert t.witness_cod == direct.witnesses[(t.a, t.b)]
+            w = canonical_witness(generated, which, t.a, t.b)
+            assert w is not None and t.witness_dom == w and t.witness_cod == w
 
 
 def test_indicator_diagonal_certifies_every_listed_zero_set(connected3):
