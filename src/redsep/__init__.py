@@ -15,8 +15,6 @@ from .classes import (
     CheckResult,
     Ladder,
     LadderLevel,
-    ReductionWitness,
-    SeparationWitness,
     SetClass,
     borel_ladder,
     check_reduction,
@@ -111,10 +109,8 @@ __all__ = [
     "ProductCodec",
     "RANGE",
     "REDUCTION",
-    "ReductionWitness",
     "ResourceError",
     "SEPARATION",
-    "SeparationWitness",
     "SetClass",
     "SubsetMask",
     "SuiteResult",

@@ -8,9 +8,11 @@ base's relevant indices and collects the outcomes.
 A pair (A, B) is reduced by (C, D) when C <= A, D <= B, C and D are disjoint
 and C u D = A u B.  Disjoint (A, B) are separated by C when A <= C and
 B n C = 0; separators are drawn from the ambiguous part (members whose
-complement is also a member).  Each property has one search on bitmasks for
-the canonical-first witness of a pair; the checkers keep no witnesses, so
-callers that want them search again.
+complement is also a member).  A witness is its bits: (c, d) for reduction,
+(s,) for separation.  Each condition is written once (reduces, separates),
+and each property has one search on bitmasks for the canonical-first witness
+of a pair; the checkers keep no witnesses, so callers that want them search
+again.
 """
 
 from dataclasses import dataclass
@@ -140,33 +142,20 @@ def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=Fals
     return SetClass.from_bits(n, set(lanes_of(full ^ out if dual else out, count, width)))
 
 
-@dataclass(frozen=True)
-class ReductionWitness:
-    a: SubsetMask
-    b: SubsetMask
-    c: SubsetMask
-    d: SubsetMask
-
-    def holds(self):
-        return (
-            self.c.issubset(self.a)
-            and self.d.issubset(self.b)
-            and self.c.isdisjoint(self.d)
-            and (self.c | self.d) == (self.a | self.b)
-        )
+def reduces(a, b, c, d, sc=None):
+    """Does (c, d) reduce (a, b): c <= a, d <= b, c n d = 0 and c u d = a u b,
+    with c and d members of sc when a class is given?"""
+    if c & ~a or d & ~b or c & d or c | d != a | b:
+        return False
+    return sc is None or (c in sc._bits and d in sc._bits)
 
 
-@dataclass(frozen=True)
-class SeparationWitness:
-    a: SubsetMask
-    b: SubsetMask
-    separator: SubsetMask
-
-    def holds(self, delta=None):
-        ok = self.a.issubset(self.separator) and self.b.isdisjoint(self.separator)
-        if delta is not None:
-            ok = ok and self.separator in delta
-        return ok
+def separates(a, b, s, sc=None):
+    """Does s separate (a, b): a <= s and b n s = 0, with s an ambiguous member
+    of sc (its complement a member too) when a class is given?"""
+    if a & ~s or b & s:
+        return False
+    return sc is None or (s in sc._bits and ((1 << sc.n) - 1) ^ s in sc._bits)
 
 
 @dataclass(frozen=True)
@@ -182,12 +171,10 @@ def _reduction_witness(sc, a, b):
     C u D = a u b and C n D = 0 force D = (a u b) \\ C, so scanning C in
     canonical member order visits candidate pairs in lexicographic order.
     """
-    union, bits = a | b, sc._bits
+    union = a | b
     for c in sc._order:
-        if c & ~a:
-            continue
         d = union & ~c
-        if d in bits and not d & ~b:
+        if reduces(a, b, c, d, sc):
             return c, d
     return None
 
@@ -195,17 +182,25 @@ def _reduction_witness(sc, a, b):
 def _separation_witness(sc, a, b):
     """Bits (s,) of the first ambiguous member containing a and missing b, or
     None; always None when a meets b, since every superset of a then meets b."""
-    full, bits = (1 << sc.n) - 1, sc._bits
     for s in sc._order:
-        if not a & ~s and not b & s and full ^ s in bits:
+        if separates(a, b, s, sc):
             return (s,)
     return None
+
+
+def _property(which):
+    """The witness condition and the canonical-first witness search of a property."""
+    if which == REDUCTION:
+        return reduces, _reduction_witness
+    if which == SEPARATION:
+        return separates, _separation_witness
+    raise InputError(f"which must be {REDUCTION!r} or {SEPARATION!r}")
 
 
 def _checked_pairs(sc, which):
     """(a, b, witness bits or None) for each pair of member bits that the
     property checks, row-major in canonical order."""
-    search = _reduction_witness if which == REDUCTION else _separation_witness
+    _, search = _property(which)
     for a in sc._order:
         for b in sc._order:
             if which == REDUCTION or not a & b:
@@ -233,11 +228,13 @@ def check_separation(sc):
 
 
 def reduction_to_separation(sc, a, b):
-    """Separate disjoint members of the complement class via a reduction witness.
+    """The separator of disjoint members a, b of the complement class, found
+    through a reduction witness.
 
     Reducing the pair of complements (both in sc, with union the whole
     universe) yields (C, D); D then contains a, misses b, and both D and its
-    complement C lie in sc, so D is ambiguous for the complement class.
+    complement C lie in sc, so D is ambiguous for the complement class (and
+    for sc, the same condition).
     """
     full, bits = (1 << sc.n) - 1, sc._bits
     for m in (a, b):
@@ -248,11 +245,9 @@ def reduction_to_separation(sc, a, b):
     found = _reduction_witness(sc, full ^ a.bits, full ^ b.bits)
     if found is None:
         raise PreconditionError(f"no reduction witness for the complement pair of ({a!r}, {b!r})")
-    d = found[1]
-    # a separator contains a, misses b, and it and its complement lie in the complement class
-    if a.bits & ~d or b.bits & d or d not in bits or full ^ d not in bits:
+    if not separates(a.bits, b.bits, found[1], sc):
         raise PreconditionError("constructed separator failed validation")
-    return SeparationWitness(a, b, SubsetMask(sc.n, d))
+    return SubsetMask(sc.n, found[1])
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__, serialize
 from .classes import (
     REDUCTION,
+    SEPARATION,
     SetClass,
     _checked_pairs,
     check_reduction,
@@ -32,7 +33,7 @@ from .classes import (
     generate_class,
 )
 from .errors import EngineError, InputError
-from .hausdorff import dual_evaluate, evaluate
+from .hausdorff import MODES, dual_evaluate, evaluate
 from .masks import SubsetMask, points_of
 from .spaces import closed_sets, components, product, zero_sets
 from .suites import replay_finding, run_suite, suite_defaults, suite_names
@@ -90,12 +91,12 @@ def _class_doc(sc):
     return [serialize.points_doc(m) for m in sc.members] if sc is not None else None
 
 
-def _witness_doc(w):
-    if w is None:
-        return None
-    if hasattr(w, "separator"):
-        return {"separator": serialize.points_doc(w.separator)}
-    return {"c": serialize.points_doc(w.c), "d": serialize.points_doc(w.d)}
+# the report fields of a witness's bits, per property
+_WITNESS_FIELDS = {REDUCTION: ("c", "d"), SEPARATION: ("separator",)}
+
+
+def _bits_doc(names, bits):
+    return {name: list(points_of(x)) for name, x in zip(names, bits)}
 
 
 def _offending_doc(item):
@@ -104,8 +105,19 @@ def _offending_doc(item):
     return [serialize.points_doc(m) for m in item]
 
 
-def _mode_for(doc, base):
-    return doc.get("mode") or base.mode_hint
+def _mode_for(doc, default):
+    return serialize._field(doc, "mode", "instance", optional=True, choices=(None, *MODES)) or default
+
+
+def _dual(doc):
+    dual = serialize._field(doc, "dual", "instance", optional=True, default=False)
+    if not isinstance(dual, bool):
+        raise InputError(f"instance.dual must be true or false, got {dual!r}")
+    return dual
+
+
+def _base(doc):
+    return serialize.base_from_doc(serialize._field(doc, "base", "instance"), "instance.base")
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +126,10 @@ def _mode_for(doc, base):
 
 def _cmd_eval(args):
     doc = _load_instance(args.instance)
-    base = serialize.base_from_doc(serialize._field(doc, "base", "instance"))
-    family = serialize.family_from_doc(serialize._field(doc, "family", "instance"))
-    mode = doc.get("mode") or family.mode
-    dual = bool(doc.get("dual", False))
+    base = _base(doc)
+    family = serialize.family_from_doc(serialize._field(doc, "family", "instance"), "instance.family")
+    mode = _mode_for(doc, family.mode)
+    dual = _dual(doc)
     value = dual_evaluate(base, family, mode) if dual else evaluate(base, family, mode)
     report = {
         "universe": family.n,
@@ -130,12 +142,12 @@ def _cmd_eval(args):
 
 def _cmd_generate(args):
     doc = _load_instance(args.instance)
-    base = serialize.base_from_doc(serialize._field(doc, "base", "instance"))
+    base = _base(doc)
     generators = serialize.class_from_doc(
         serialize._field(doc, "generators", "instance"), "instance.generators"
     )
-    mode = _mode_for(doc, base)
-    dual = bool(doc.get("dual", False))
+    mode = _mode_for(doc, base.mode_hint)
+    dual = _dual(doc)
     sc = generate_class(base, generators, mode, dual=dual)
     report = {
         "universe": sc.n,
@@ -165,10 +177,9 @@ def _cmd_check(args):
     if res.failing_pair is not None:
         report["failing_pair"] = [serialize.points_doc(m) for m in res.failing_pair]
     if witness_count:
-        names = ("a", "b", "c", "d") if which == REDUCTION else ("a", "b", "separator")
+        names = ("a", "b", *_WITNESS_FIELDS[which])
         report["witnesses"] = [
-            {name: list(points_of(x)) for name, x in zip(names, (a, b, *found))}
-            for a, b, found in islice(_checked_pairs(sc, which), _TRACE_CAP)
+            _bits_doc(names, (a, b, *found)) for a, b, found in islice(_checked_pairs(sc, which), _TRACE_CAP)
         ]
     return report, 0 if res.holds else 1
 
@@ -185,20 +196,18 @@ def _cmd_transfer(args):
     pm = serialize.map_from_doc(
         serialize._field(doc, "map", "instance"), "instance.map", **_point_cap(args)
     )
-    base = serialize.base_from_doc(serialize._field(doc, "base", "instance"))
-    mode = _mode_for(doc, base)
-    which = serialize._field(doc, "which", "instance")
+    base = _base(doc)
+    mode = _mode_for(doc, base.mode_hint)
+    which = serialize._field(doc, "which", "instance", choices=tuple(_WITNESS_FIELDS))
     gens_dom = _generators_from(doc, "dom_generators", pm.dom, args)
     gens_cod = _generators_from(doc, "cod_generators", pm.cod, args)
     rep = transfer_property(pm, base, gens_dom, gens_cod, mode, which)
+    fields = _WITNESS_FIELDS[which]
     traces = [
         {
-            "a": serialize.points_doc(t.a),
-            "b": serialize.points_doc(t.b),
-            "fa": serialize.points_doc(t.fa),
-            "fb": serialize.points_doc(t.fb),
-            "witness_cod": _witness_doc(t.witness_cod),
-            "witness_dom": _witness_doc(t.witness_dom),
+            **_bits_doc(("a", "b", "fa", "fb"), (t.a, t.b, t.fa, t.fb)),
+            "witness_cod": None if t.witness_cod is None else _bits_doc(fields, t.witness_cod),
+            "witness_dom": None if t.witness_dom is None else _bits_doc(fields, t.witness_dom),
             "valid": t.valid,
         }
         for t in rep.pairs[:_TRACE_CAP]

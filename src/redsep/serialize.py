@@ -21,14 +21,20 @@ def canonical_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _field(doc, name, path, optional=False, default=None):
+def _field(doc, name, path, optional=False, default=None, choices=()):
+    """One field of an object, checked against its allowed values when they are given."""
     if not isinstance(doc, dict):
         raise InputError(f"{path or 'document'} must be an object")
+    where = path + "." + name if path else name
     if name not in doc:
         if optional:
             return default
-        raise InputError(f"missing field {path + '.' + name if path else name}")
-    return doc[name]
+        raise InputError(f"missing field {where}")
+    val = doc[name]
+    if choices and val not in choices:
+        allowed = ", ".join(c for c in choices if c is not None)
+        raise InputError(f"{where} must be one of {allowed}, got {val!r}")
+    return val
 
 
 def _int_field(doc, name, path, minimum=0, maximum=None):

@@ -36,9 +36,9 @@ from .classes import (
     check_reduction,
     check_separation,
     complement_class,
-    delta_class,
     generate_class,
     reduction_to_separation,
+    separates,
 )
 from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import (
@@ -364,13 +364,8 @@ def _doc(where, plan=None, n=0, values=(), **fields):
 
 def _field(instance, name, parse=None, choices=()):
     """One instance field, parsed or checked against its allowed values (None: may be absent)."""
-    val = serialize._field(instance, name, "instance", optional=None in choices)
-    if parse is not None:
-        return parse(val, f"instance.{name}")
-    if choices and val not in choices:
-        allowed = ", ".join(c for c in choices if c is not None)
-        raise InputError(f"instance.{name} must be one of {allowed}, got {val!r}")
-    return val
+    val = serialize._field(instance, name, "instance", optional=None in choices, choices=choices)
+    return val if parse is None else parse(val, f"instance.{name}")
 
 
 def _mask(instance, name, n):
@@ -602,8 +597,8 @@ def _run_image_commutes(bounds, rng, budget, col):
                     dec[i] &= dec[plan.order.index(idx[:-1])]
             lhs, rhs = _image_pair(n, m, batch.sizes, imgs, pos, dec)
             ev_dec = _ev(pos, dec, n, lanes)
-            checks = (("decreasing-image", m), ("replacement-value", n), ("replacement-image", m))
-            for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec), (lhs, rhs)):
+            checks = (("decreasing-image", m), ("replacement-value", n))
+            for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
                 (check, size), e = checks[j], _entry(batch, i)
                 values = [lanes_of(v, lanes)[i] for v in dec] if j == 0 else _case(plan, batch.raw, i)
                 instance = _doc(pms[e], plan, n, values, check=check)
@@ -621,11 +616,8 @@ def _image_commutes(pm, base, family):
 def _replay_image_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
     base, family = _base_family(instance)
-    check = _field(instance, "check", choices=("decreasing-image", "replacement-value", "replacement-image"))
-    if check == "replacement-value":
+    if _field(instance, "check", choices=("decreasing-image", "replacement-value")) == "replacement-value":
         return evaluate(base, family) != evaluate(base, decreasing_replacement(family))
-    if check == "replacement-image":
-        family = decreasing_replacement(family)
     return _image_commutes(pm, base, family)
 
 
@@ -745,19 +737,18 @@ def _run_reduction_dual_separation(bounds, rng, budget, col):
                 {"failing_pair": [serialize.points_doc(s) for s in sep.failing_pair]},
             )
             continue
-        delta = delta_class(closeds)
         for a in closeds.members:
             for b in closeds.members:
-                if not a.isdisjoint(b):
+                if a.bits & b.bits:
                     continue
                 try:
-                    w = reduction_to_separation(opens, a, b)
+                    separator = reduction_to_separation(opens, a, b)
                 except PreconditionError as exc:
                     detail = {"error": str(exc)}
                 else:
-                    if w.holds(delta) and w.separator in closeds:
+                    if separates(a.bits, b.bits, separator.bits, closeds):
                         continue
-                    detail = {"separator": serialize.points_doc(w.separator)}
+                    detail = {"separator": serialize.points_doc(separator)}
                 pair = [serialize.points_doc(a), serialize.points_doc(b)]
                 col.violation(_doc(space, check="constructed-witness", pair=pair), detail)
 
@@ -775,10 +766,10 @@ def _replay_reduction_dual_separation(instance, kind):
     if len(pair) != 2:
         raise InputError("instance.pair must hold two point arrays")
     try:
-        w = reduction_to_separation(opens, *pair)
+        separator = reduction_to_separation(opens, *pair)
     except PreconditionError:
         return True
-    return not (w.holds(delta_class(closeds)) and w.separator in closeds)
+    return not separates(pair[0].bits, pair[1].bits, separator.bits, closeds)
 
 
 def _run_zero_trace_gap(bounds, rng, budget, col):
@@ -840,13 +831,10 @@ def _run_transfer_identity(bounds, rng, budget, col):
                 for which in (REDUCTION, SEPARATION):
                     col.cases += 1
                     rep = transfer_property(ident, base, opens, opens, mode, which, cap=bounds.cap)
-                    if which == REDUCTION:
-                        direct, key = check_reduction(phi), lambda w: (w.c.bits, w.d.bits)
-                    else:
-                        direct, key = check_separation(phi), lambda w: (w.separator.bits,)
+                    direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
-                        got = [(t.a.bits, t.b.bits, key(t.witness_dom)) for t in rep.pairs]
+                        got = [(t.a, t.b, t.witness_dom) for t in rep.pairs]
                         agree = got == list(_checked_pairs(phi, which))
                     if not agree:
                         col.violation(

@@ -15,14 +15,10 @@ from .classes import (
     DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
     SEPARATION,
-    ReductionWitness,
-    SeparationWitness,
     SetClass,
-    _reduction_witness,
-    _separation_witness,
+    _property,
     check_reduction,
     check_separation,
-    delta_class,
     generate_class,
     restrict_class,
 )
@@ -32,33 +28,35 @@ from .masks import SubsetMask
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, subspace, zero_sets
 
 
-def pull_back_witnesses(pm, a, b, witness):
-    """Pull a codomain witness for (F(a), F(b)) back to one for (a, b).
+def pull_back_witnesses(pm, a, b, witness, which):
+    """Pull the bits of a codomain witness for (F(a), F(b)) back to one for the
+    bits (a, b): (c, d) for reduction, (s,) for separation.
 
     Both a and b must be saturated (unions of fibers); preimages then restore
     them exactly, and the pulled-back sets inherit every witness condition.
     """
-    for name, mask in (("a", a), ("b", b)):
-        if not isinstance(mask, SubsetMask) or mask.n != pm.dom.n:
-            raise InputError(f"{name} must be a SubsetMask over the domain")
-        if not alg_contains(pm, mask):
-            raise PreconditionError(f"{name} = {mask!r} is not saturated for the map")
-    fa, fb = pm.image(a), pm.image(b)
-    if isinstance(witness, ReductionWitness):
-        if witness.a != fa or witness.b != fb or not witness.holds():
-            raise PreconditionError(f"witness does not reduce ({fa!r}, {fb!r})")
-        pulled = ReductionWitness(a, b, pm.preimage(witness.c), pm.preimage(witness.d))
-        if not pulled.holds():
-            raise PreconditionError("pulled-back reduction witness failed validation")
-        return pulled
-    if isinstance(witness, SeparationWitness):
-        if witness.a != fa or witness.b != fb or not witness.holds():
-            raise PreconditionError(f"witness does not separate ({fa!r}, {fb!r})")
-        pulled = SeparationWitness(a, b, pm.preimage(witness.separator))
-        if not pulled.holds():
-            raise PreconditionError("pulled-back separation witness failed validation")
-        return pulled
-    raise InputError(f"unsupported witness type {type(witness).__name__}")
+    holds, _ = _property(which)
+    images = []
+    for name, bits in (("a", a), ("b", b)):
+        if not isinstance(bits, int) or bits < 0 or bits >> pm.dom.n:
+            raise InputError(f"{name} must be the bits of a subset of the domain")
+        images.append(pm.image_bits(bits))
+        if pm.preimage_bits(images[-1]) != bits:
+            raise PreconditionError(f"{name} = {SubsetMask(pm.dom.n, bits)!r} is not saturated for the map")
+    arity = 2 if which == REDUCTION else 1
+    if not (
+        isinstance(witness, tuple)
+        and len(witness) == arity
+        and all(isinstance(x, int) and x >= 0 and not x >> pm.cod.n for x in witness)
+    ):
+        raise InputError(f"a {which} witness is a tuple of {arity} subsets of the codomain, as bits")
+    if not holds(*images, *witness):
+        fa, fb = (SubsetMask(pm.cod.n, x) for x in images)
+        raise PreconditionError(f"not a {which} witness for ({fa!r}, {fb!r})")
+    pulled = tuple(pm.preimage_bits(x) for x in witness)
+    if not holds(a, b, *pulled):
+        raise PreconditionError(f"pulled-back {which} witness failed validation")
+    return pulled
 
 
 @dataclass(frozen=True)
@@ -70,12 +68,15 @@ class HypothesisReport:
 
 @dataclass(frozen=True)
 class PairTrace:
-    a: SubsetMask
-    b: SubsetMask
-    fa: SubsetMask
-    fb: SubsetMask
-    witness_cod: object
-    witness_dom: object
+    """One checked pair as bits: the domain pair, its images, and the witness
+    bits found in the codomain and pulled back to the domain (None if none)."""
+
+    a: int
+    b: int
+    fa: int
+    fb: int
+    witness_cod: Optional[tuple]
+    witness_dom: Optional[tuple]
     valid: bool
 
 
@@ -108,22 +109,18 @@ def transfer_property(
     generated domain class is handled by image, canonical witness search,
     pullback, and re-validation in the domain class.
     """
-    if which not in (REDUCTION, SEPARATION):
-        raise InputError(f"which must be {REDUCTION!r} or {SEPARATION!r}")
+    holds, search = _property(which)
     if generators_dom.n != pm.dom.n:
         raise InputError("domain generators live on the wrong universe")
     if generators_cod.n != pm.cod.n:
         raise InputError("codomain generators live on the wrong universe")
 
-    bad_images = tuple(
-        g for g in generators_dom.members if pm.image(g) not in generators_cod
-    )
-    bad_preimages = tuple(
-        h for h in generators_cod.members if pm.preimage(h) not in generators_dom
-    )
-    bad_saturation = tuple(
-        g for g in generators_dom.members if not alg_contains(pm, g)
-    )
+    def offending(gens, bad):
+        return tuple(SubsetMask(gens.n, g) for g in gens._order if bad(g))
+
+    bad_images = offending(generators_dom, lambda g: pm.image_bits(g) not in generators_cod._bits)
+    bad_preimages = offending(generators_cod, lambda h: pm.preimage_bits(h) not in generators_dom._bits)
+    bad_saturation = offending(generators_dom, lambda g: pm.preimage_bits(pm.image_bits(g)) != g)
     class_cod = generate_class(base, generators_cod, mode, cap=cap)
     target_check = check_reduction(class_cod) if which == REDUCTION else check_separation(class_cod)
     hypotheses = (
@@ -146,34 +143,27 @@ def transfer_property(
     # the hypotheses make class_dom the preimages of class_cod, so the class-size
     # cap that the codomain check enforces bounds this pair loop too
     class_dom = generate_class(base, generators_dom, mode, cap=cap)
-    if which == REDUCTION:
-        kind, search = ReductionWitness, _reduction_witness
-        valid_in_dom = lambda w: w.holds() and w.c in class_dom and w.d in class_dom
-    else:
-        kind, search, delta_dom = SeparationWitness, _separation_witness, delta_class(class_dom)
-        valid_in_dom = lambda w: w.holds(delta_dom)
     traces = []
-    for a in class_dom.members:
-        for b in class_dom.members:
-            if which == SEPARATION and not a.isdisjoint(b):
+    for a in class_dom._order:
+        for b in class_dom._order:
+            if which == SEPARATION and a & b:
                 continue
-            fa, fb = pm.image(a), pm.image(b)
-            found = search(class_cod, fa.bits, fb.bits)
+            fa, fb = pm.image_bits(a), pm.image_bits(b)
+            found = search(class_cod, fa, fb)
             if found is None:
                 traces.append(PairTrace(a, b, fa, fb, None, None, False))
+                pair = ", ".join(repr(SubsetMask(pm.cod.n, x)) for x in (fa, fb))
                 return TransferReport(
-                    which, hypotheses, False,
-                    f"no codomain witness for the image pair ({fa!r}, {fb!r})",
+                    which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
                     class_dom, class_cod, tuple(traces),
                 )
-            w_cod = kind(fa, fb, *(SubsetMask(class_cod.n, x) for x in found))
-            pulled = pull_back_witnesses(pm, a, b, w_cod)
-            valid = valid_in_dom(pulled)
-            traces.append(PairTrace(a, b, fa, fb, w_cod, pulled, valid))
+            pulled = pull_back_witnesses(pm, a, b, found, which)
+            valid = holds(a, b, *pulled, class_dom)
+            traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
             if not valid:
+                pair = ", ".join(repr(SubsetMask(pm.dom.n, x)) for x in (a, b))
                 return TransferReport(
-                    which, hypotheses, False,
-                    f"pulled-back witness left the domain class for ({a!r}, {b!r})",
+                    which, hypotheses, False, f"pulled-back witness left the domain class for ({pair})",
                     class_dom, class_cod, tuple(traces),
                 )
     return TransferReport(which, hypotheses, True, None, class_dom, class_cod, tuple(traces))

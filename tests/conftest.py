@@ -13,8 +13,6 @@ from redsep import (
     REDUCTION,
     FinSpace,
     IndexedFamily,
-    ReductionWitness,
-    SeparationWitness,
     SetClass,
     SubsetMask,
     all_bases,
@@ -69,13 +67,34 @@ def sclass(n, sets):
     return SetClass(n, [SubsetMask.from_points(n, s) for s in sets])
 
 
-def canonical_witness(sc, which, a, b):
-    """The property's per-pair search on (a, b) in sc, wrapped as a witness, or None."""
+def _points(x):
+    """The point set of a SubsetMask or of bits."""
+    return set(x.points()) if isinstance(x, SubsetMask) else {p for p in range(x.bit_length()) if x >> p & 1}
+
+
+def witness_holds(which, a, b, witness, sc=None):
+    """An independent check, on point sets, that the witness bits reduce or
+    separate (a, b); with a class, that the witness sets are members, and for
+    separation that the separator's complement is a member too."""
+    a, b, sets = _points(a), _points(b), [_points(x) for x in witness]
     if which == REDUCTION:
-        kind, found = ReductionWitness, _reduction_witness(sc, a.bits, b.bits)
+        c, d = sets
+        ok = c <= a and d <= b and not c & d and c | d == a | b
     else:
-        kind, found = SeparationWitness, _separation_witness(sc, a.bits, b.bits)
-    return None if found is None else kind(a, b, *(SubsetMask(sc.n, x) for x in found))
+        (s,) = sets
+        ok = a <= s and not b & s
+    if sc is None or not ok:
+        return ok
+    members = [set(m.points()) for m in sc]
+    if which != REDUCTION:
+        sets.append(set(range(sc.n)) - s)
+    return all(x in members for x in sets)
+
+
+def canonical_witness(sc, which, a, b):
+    """The property's per-pair search on masks or bits (a, b) in sc: the witness bits, or None."""
+    a, b = (x.bits if isinstance(x, SubsetMask) else x for x in (a, b))
+    return (_reduction_witness if which == REDUCTION else _separation_witness)(sc, a, b)
 
 
 spaces = st.sampled_from(SPACE_POOL)

@@ -11,6 +11,7 @@ from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
 
 from redsep import (
+    SEPARATION,
     FinSpace,
     PointMap,
     SetClass,
@@ -21,7 +22,6 @@ from redsep import (
     all_topologies,
     check_reduction,
     complement_class,
-    delta_class,
     diagonal_product,
     reduction_to_separation,
     replay_finding,
@@ -31,6 +31,8 @@ from redsep import (
     zero_trace_gap,
 )
 from redsep.cli import main as cli_main
+
+from conftest import witness_holds
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
@@ -189,12 +191,12 @@ def test_criterion_6_reduction_gives_dual_separation():
                 if not check_reduction(opens).holds:
                     continue
                 closeds = complement_class(opens)
-                ambiguous = delta_class(closeds)
                 for a in closeds:
                     for b in closeds:
                         if a.isdisjoint(b):
-                            w = reduction_to_separation(opens, a, b)
-                            assert w.holds(ambiguous)
+                            separator = reduction_to_separation(opens, a, b)
+                            # contains a, misses b, and lies in the closeds with its complement
+                            assert witness_holds(SEPARATION, a, b, (separator.bits,), closeds)
 
 
 def test_criterion_7_transfer_pipeline():

@@ -36,10 +36,10 @@ from redsep import (
     transfer_property,
 )
 from redsep import classes
-from redsep.classes import _reduction_witness, _separation_witness
+from redsep.classes import _reduction_witness, _separation_witness, reduces, separates
 from redsep.masks import restrict_bits
 
-from conftest import bases, canonical_witness, mask, modes, sclass, set_classes
+from conftest import bases, canonical_witness, mask, modes, sclass, set_classes, witness_holds
 
 
 def opens_class(space):
@@ -182,9 +182,9 @@ def test_power_set_has_reduction_with_canonical_witnesses():
     for a in sc:
         for b in sc:
             w = canonical_witness(sc, REDUCTION, a, b)
-            assert w is not None and (w.a, w.b) == (a, b) and w.holds()
+            assert w is not None and witness_holds(REDUCTION, a, b, w, sc)
     w = canonical_witness(sc, REDUCTION, mask(3, [0, 1]), mask(3, [1, 2]))
-    assert w.c == mask(3, [0]) and w.d == mask(3, [1, 2])
+    assert w == (mask(3, [0]).bits, mask(3, [1, 2]).bits)
 
 
 def test_five_open_space_fails_reduction_at_the_overlapping_pair(five_open):
@@ -203,7 +203,7 @@ def test_nested_opens_always_reduce(sierpinski, chain3):
         assert res.holds
         for a in sc:
             for b in sc:
-                assert canonical_witness(sc, REDUCTION, a, b).holds()
+                assert witness_holds(REDUCTION, a, b, canonical_witness(sc, REDUCTION, a, b), sc)
 
 
 def test_separation_frozen_failure():
@@ -218,27 +218,25 @@ def test_power_set_has_separation_with_canonical_separators():
     sc = SetClass.power_set(2)
     res = check_separation(sc)
     assert res.holds
-    delta = delta_class(sc)
     for a in sc:
         for b in sc:
             if a.isdisjoint(b):
-                assert canonical_witness(sc, SEPARATION, a, b).holds(delta)
-    assert canonical_witness(sc, SEPARATION, mask(2, [0]), mask(2, [1])).separator == mask(2, [0])
+                assert witness_holds(SEPARATION, a, b, canonical_witness(sc, SEPARATION, a, b), sc)
+    assert canonical_witness(sc, SEPARATION, mask(2, [0]), mask(2, [1])) == (mask(2, [0]).bits,)
 
 
 @given(set_classes(3))
 def test_check_results_report_witnesses_exactly_when_they_hold(sc):
     red = check_reduction(sc)
     if red.holds:
-        assert all(canonical_witness(sc, REDUCTION, a, b).holds() for a in sc for b in sc)
+        assert all(witness_holds(REDUCTION, a, b, canonical_witness(sc, REDUCTION, a, b), sc) for a in sc for b in sc)
     else:
         a, b = red.failing_pair
         assert a in sc and b in sc
     sep = check_separation(sc)
     if sep.holds:
-        delta = delta_class(sc)
         assert all(
-            canonical_witness(sc, SEPARATION, a, b).holds(delta)
+            witness_holds(SEPARATION, a, b, canonical_witness(sc, SEPARATION, a, b), sc)
             for a in sc
             for b in sc
             if a.isdisjoint(b)
@@ -315,10 +313,19 @@ def test_checkers_and_searches_match_a_brute_force_oracle_on_small_classes():
             for b in comp:
                 if a & b:
                     continue
-                w = reduction_to_separation(sc, SubsetMask(n, a), SubsetMask(n, b))
+                separator = reduction_to_separation(sc, SubsetMask(n, a), SubsetMask(n, b))
                 d = reductions[(full ^ a, full ^ b)][1]
-                assert (w.a.bits, w.b.bits, w.separator.bits) == (a, b, d)
+                assert separator == SubsetMask(n, d)
                 assert a | d == d and b & d == 0 and d in comp and full ^ d in comp
+
+
+def test_the_witness_conditions_match_the_point_set_reference():
+    # every (a, b, witness) on 3 points, bare and against classes with and without the sets
+    for sc in (None, SetClass.power_set(3), sclass(3, [[], [0], [1, 2], [0, 1, 2]]), sclass(3, [[0], [0, 1]])):
+        for a, b, c, d in iproduct(range(8), repeat=4):
+            assert reduces(a, b, c, d, sc) == witness_holds(REDUCTION, a, b, (c, d), sc)
+            if d == 0:
+                assert separates(a, b, c, sc) == witness_holds(SEPARATION, a, b, (c,), sc)
 
 
 def test_checkers_wrap_only_the_failing_pair(monkeypatch):
@@ -364,10 +371,9 @@ def test_checkers_refuse_a_class_over_the_size_cap_before_any_pair(monkeypatch):
 
 def test_reduction_converts_to_separation_for_complement_pairs(five_open):
     a, b = mask(3, [0]), mask(3, [2])
-    w = reduction_to_separation(SetClass.power_set(3), a, b)
-    assert (w.a, w.b) == (a, b)
-    assert w.separator == mask(3, [0, 1])
-    assert w.holds(delta_class(SetClass.power_set(3)))
+    separator = reduction_to_separation(SetClass.power_set(3), a, b)
+    assert separator == mask(3, [0, 1])
+    assert witness_holds(SEPARATION, a, b, (separator.bits,), SetClass.power_set(3))
 
     with pytest.raises(PreconditionError):
         reduction_to_separation(opens_class(five_open), a, b)
@@ -375,9 +381,9 @@ def test_reduction_converts_to_separation_for_complement_pairs(five_open):
 
 def test_degenerate_separation_uses_the_first_canonical_witness(sierpinski):
     empty = mask(2, [])
-    w = reduction_to_separation(opens_class(sierpinski), empty, empty)
-    assert w.separator == SubsetMask.full(2)
-    assert w.holds(delta_class(complement_class(opens_class(sierpinski))))
+    separator = reduction_to_separation(opens_class(sierpinski), empty, empty)
+    assert separator == SubsetMask.full(2)
+    assert witness_holds(SEPARATION, empty, empty, (separator.bits,), complement_class(opens_class(sierpinski)))
 
 
 def test_separation_preconditions_are_reported(sierpinski):

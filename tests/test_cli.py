@@ -1,13 +1,18 @@
 """Command-line front end: golden reports, exit codes, determinism."""
 
+import copy
+import hashlib
 import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redsep import ResourceError, __version__, canonical_json
 from redsep import catalog, cli, maps, spaces, suites
@@ -201,6 +206,20 @@ def test_transfer_runs_the_shipped_instances():
     assert bad["offending"] == [[[0, 1], [1, 2]]]
 
 
+# sha256 over name, exit code and report bytes of every shipped transfer instance
+TRANSFER_REPORTS_SHA = "8077a042b9d9b1ceb30012164a19a744aaa2232782d277775344a648d8a11db5"
+
+
+def test_transfer_reports_of_the_shipped_instances_are_pinned():
+    digest, exits = hashlib.sha256(), []
+    for path in sorted(INSTANCES.glob("*.json")):
+        code, out = run_cli(["transfer", str(path)])
+        exits.append(code)
+        digest.update(path.name.encode() + b"\0" + str(code).encode() + b"\0" + out.encode())
+    assert sorted(exits) == [0] * 23 + [1] * 2
+    assert digest.hexdigest() == TRANSFER_REPORTS_SHA
+
+
 def test_zero_gap_flags_the_connected_carrier(tmp_path):
     inst = write_instance(tmp_path, {"space": CONNECTED3, "carrier": [1, 2]})
     code, out = run_cli(["zero-gap", inst])
@@ -306,7 +325,7 @@ def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):
     huge = 2_000_000_000
     oversized = (
         ("check-separation", {"class": {"universe": huge, "members": [[], [0], [1], [0, 1]]}}, "instance.class"),
-        ("eval", {"base": UNION2, "family": {"universe": huge, "mode": "range", "assignments": {"0": [0], "1": [1]}}}, "family"),
+        ("eval", {"base": UNION2, "family": {"universe": huge, "mode": "range", "assignments": {"0": [0], "1": [1]}}}, "instance.family"),
     )
     for command, doc, path in oversized:
         code, out = run_cli([command, write_instance(tmp_path, doc)])
@@ -421,6 +440,92 @@ def test_missing_fields_name_their_instance_path(tmp_path, capsys):
     code, _ = run_cli(["transfer", inst])
     assert code == 2
     assert capsys.readouterr().err == "error: missing field instance.map.table\n"
+
+
+EVAL_DOC = {"base": UNION2, "family": {"universe": 2, "mode": "range", "assignments": {"0": [0], "1": [1]}}}
+GENERATE_DOC = {"base": AOP22, "generators": {"universe": 3, "members": [[0, 1], [1, 2]]}, "mode": "prefix"}
+
+
+def test_instance_fields_are_named_in_their_messages(tmp_path, capsys):
+    transfer = json.loads((INSTANCES / "12-merge32-union-reduction.json").read_text())
+    cases = (
+        ("transfer", {**transfer, "which": 5}, "instance.which must be one of reduction, separation, got 5"),
+        ("eval", {**EVAL_DOC, "base": []}, "instance.base must be an object"),
+        ("generate", {**GENERATE_DOC, "base": {"alphabet": 0}}, "instance.base.alphabet must be an integer >= 1"),
+        ("eval", {**EVAL_DOC, "family": "x"}, "instance.family must be an object"),
+        ("eval", {**EVAL_DOC, "mode": 5}, "instance.mode must be one of prefix, range, got 5"),
+        ("generate", {**GENERATE_DOC, "mode": ["range"]}, "instance.mode must be one of prefix, range, got ['range']"),
+        ("transfer", {**transfer, "mode": ""}, "instance.mode must be one of prefix, range, got ''"),
+        ("eval", {**EVAL_DOC, "dual": "no"}, "instance.dual must be true or false, got 'no'"),
+        ("generate", {**GENERATE_DOC, "dual": 1}, "instance.dual must be true or false, got 1"),
+    )
+    for command, doc, message in cases:
+        code, out = run_cli([command, write_instance(tmp_path, doc)])
+        assert (code, out, capsys.readouterr().err) == (2, "", f"error: {message}\n")
+    for dual in (False, True):
+        code, out = run_cli(["eval", write_instance(tmp_path, {**EVAL_DOC, "dual": dual})])
+        assert code == 0 and json.loads(out)["dual"] is dual
+
+
+def _instance_seeds():
+    """(subcommand, instance) for every instance subcommand: the shipped transfer
+    instances, the golden instances, and small inline ones."""
+    golden = {name: json.loads((GOLDEN / f"{name}-instance.json").read_text()) for name in (
+        "reduction-five-opens", "sierpinski-zeros", "sierpinski-square"
+    )}
+    return [
+        *(("transfer", json.loads(p.read_text())) for p in sorted(INSTANCES.glob("*.json"))),
+        ("check-reduction", golden["reduction-five-opens"]),
+        ("check-separation", golden["reduction-five-opens"]),
+        ("check-separation", {"class": {"universe": 3, "members": [[], [0], [1], [0, 1, 2]]}}),
+        ("space", golden["sierpinski-zeros"]),
+        ("space", golden["sierpinski-square"]),
+        ("zero-gap", {"space": CONNECTED3, "carrier": [1, 2]}),
+        ("eval", {**EVAL_DOC, "dual": True}),
+        ("generate", GENERATE_DOC),
+    ]
+
+
+INSTANCE_SEEDS = _instance_seeds()
+OTHER_JSON = (None, True, False, 0, 1, -1, 7, 2.5, "", "x", "opens", [], [0], [[0], [1]], {}, {"n": 1})
+
+
+def _locations(doc, at=()):
+    """The key path of every value below the root of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield (*at, key)
+        yield from _locations(val, (*at, key))
+
+
+@st.composite
+def mutated_instances(draw):
+    """A seed instance with one value dropped or swapped for one of another JSON type."""
+    command, doc = draw(st.sampled_from(INSTANCE_SEEDS))
+    doc = copy.deepcopy(doc)
+    *at, key = draw(st.sampled_from(list(_locations(doc))))
+    parent = doc
+    for step in at:
+        parent = parent[step]
+    old = parent[key]
+    if draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = draw(st.sampled_from([v for v in OTHER_JSON if type(v) is not type(old)]))
+    return command, doc
+
+
+@settings(max_examples=300)
+@given(mutated_instances())
+def test_mutated_instances_exit_0_1_or_2_without_a_traceback(case):
+    command, doc = case
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), redirect_stderr(err):
+        code = main([command, "-"])
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_mode_mismatch_and_bad_budget_exit_2(tmp_path, capsys):

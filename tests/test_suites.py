@@ -19,8 +19,11 @@ from redsep import (
     IndexedFamily,
     InputError,
     ResourceError,
+    SetClass,
+    all_topologies,
     canonical_base,
     canonical_json,
+    check_reduction,
     replay_finding,
     run_suite,
     suite_defaults,
@@ -205,7 +208,7 @@ BROKEN_KERNEL_FINDINGS = {
     "restriction": (6740, "8d26493e4670aced622d3166b25faf330e898f52fd636b7fefbb930aefb5b38f"),
     "preimage-commutes": (20512, "60758e0181716772019d732fe4e710699f99b03ed7ba4ac81a10b88ac2cd2547"),
     "algebra-closure": (6624, "ef82383f8960d22b6ab4023d28e154248f5ca0344f843bfcd83876a775a3e043"),
-    "image-commutes": (2746, "d0c56604aed75d2b9f88d4830225651ad2cf1eeff389e9bb7c5c8c2254cb7c86"),
+    "image-commutes": (1373, "a8d78741d0ed5aa05f8b839382173d72d57508b6cb26b69fde6c439e2f4985c5"),
     "image-necessity": (2932, "211f4572e88ff90bdee0295881db27929c35af0b557b0ebb5d770d3edbebc10c"),
 }
 
@@ -252,6 +255,24 @@ def test_pool_entries_evaluated_one_per_batch_yield_the_same_documents(name, mon
     with _broken_kernel(monkeypatch):
         res = run_suite(name, bounds=TIGHT, seed=3, budget=6)
     assert (res.violation_count, _sha(res.violations)) == BROKEN_KERNEL_FINDINGS[name]
+
+
+def test_reduction_dual_separation_checks_each_separator_against_its_own_pair(monkeypatch):
+    # a separator built for the swapped pair (b, a) contains b and misses a, so
+    # it separates (a, b) only when both are empty
+    real = suites.reduction_to_separation
+    monkeypatch.setattr(suites, "reduction_to_separation", lambda sc, a, b: real(sc, b, a))
+    res = run_suite("reduction-dual-separation", bounds=Bounds(max_points=3), keep=10**6)
+    expected = 0
+    for k in range(4):
+        for space in all_topologies(k):
+            opens = SetClass.from_bits(k, space.open_bits())
+            if check_reduction(opens).holds:
+                closeds = [((1 << k) - 1) ^ o for o in space.open_bits()]
+                expected += sum(1 for a in closeds for b in closeds if not a & b and a | b)
+    assert res.violation_count == len(res.violations) == expected == 240
+    assert {doc["instance"]["check"] for doc in res.violations} == {"constructed-witness"}
+    assert all(replay_finding(json.loads(canonical_json(doc))) for doc in res.violations)
 
 
 def test_a_broken_kernel_pins_every_sampled_assignment(monkeypatch):

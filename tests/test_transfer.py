@@ -9,11 +9,10 @@ from redsep import (
     SEPARATION,
     FinSpace,
     InputError,
+    PairTrace,
     PointMap,
     PreconditionError,
-    ReductionWitness,
     ResourceError,
-    SeparationWitness,
     SetClass,
     SubsetMask,
     alg_enumerate,
@@ -28,7 +27,10 @@ from redsep import (
     zero_witness_map,
 )
 
-from conftest import canonical_witness, mask, sclass, spaces, tables
+from redsep import transfer
+from redsep.classes import _reduction_witness, reduces
+
+from conftest import canonical_witness, mask, sclass, spaces, tables, witness_holds
 
 
 def merge32():
@@ -38,37 +40,48 @@ def merge32():
 MERGE_GENS = [[], [0, 1], [2], [0, 1, 2]]
 
 
+def bits(n, points):
+    return mask(n, points).bits
+
+
 def test_pull_back_restores_reduction_witnesses():
     pm = merge32()
-    a, b = mask(3, [0, 1]), mask(3, [2])
-    w = ReductionWitness(mask(2, [0]), mask(2, [1]), mask(2, [0]), mask(2, [1]))
-    pulled = pull_back_witnesses(pm, a, b, w)
-    assert (pulled.a, pulled.b) == (a, b)
-    assert pulled.c == mask(3, [0, 1]) and pulled.d == mask(3, [2])
-    assert pulled.holds()
+    a, b = bits(3, [0, 1]), bits(3, [2])
+    pulled = pull_back_witnesses(pm, a, b, (bits(2, [0]), bits(2, [1])), REDUCTION)
+    assert pulled == (bits(3, [0, 1]), bits(3, [2]))
+    assert witness_holds(REDUCTION, a, b, pulled)
 
 
 def test_pull_back_restores_separation_witnesses():
     pm = merge32()
-    a, b = mask(3, [0, 1]), mask(3, [2])
-    w = SeparationWitness(mask(2, [0]), mask(2, [1]), mask(2, [0]))
-    pulled = pull_back_witnesses(pm, a, b, w)
-    assert pulled.separator == mask(3, [0, 1])
-    assert pulled.holds()
+    a, b = bits(3, [0, 1]), bits(3, [2])
+    pulled = pull_back_witnesses(pm, a, b, (bits(2, [0]),), SEPARATION)
+    assert pulled == (bits(3, [0, 1]),)
+    assert witness_holds(SEPARATION, a, b, pulled)
 
 
 def test_pull_back_preconditions():
     pm = merge32()
-    ok = ReductionWitness(mask(2, [0]), mask(2, [1]), mask(2, [0]), mask(2, [1]))
+    ok = (bits(2, [0]), bits(2, [1]))
+    # an unsaturated domain set
     with pytest.raises(PreconditionError):
-        pull_back_witnesses(pm, mask(3, [0]), mask(3, [2]), ok)
-    stale = ReductionWitness(mask(2, [1]), mask(2, [0]), mask(2, [1]), mask(2, [0]))
+        pull_back_witnesses(pm, bits(3, [0]), bits(3, [2]), ok, REDUCTION)
+    # a witness for another image pair
+    stale = (bits(2, [1]), bits(2, [0]))
     with pytest.raises(PreconditionError):
-        pull_back_witnesses(pm, mask(3, [0, 1]), mask(3, [2]), stale)
+        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), stale, REDUCTION)
+    with pytest.raises(PreconditionError):
+        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), (bits(2, [1]),), SEPARATION)
+    # a witness of the wrong shape, of an unknown property, or off the codomain
+    malformed = (((1, 2), SEPARATION), ((1,), REDUCTION), (ok, "both"), ((4, 0), REDUCTION), ((mask(2, [0]),), SEPARATION))
+    for witness, which in malformed:
+        with pytest.raises(InputError):
+            pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), witness, which)
+    # a domain set off the domain, or not given as bits
     with pytest.raises(InputError):
-        pull_back_witnesses(pm, mask(3, [0, 1]), mask(3, [2]), (1, 2))
+        pull_back_witnesses(pm, 0b1000, bits(3, [2]), ok, REDUCTION)
     with pytest.raises(InputError):
-        pull_back_witnesses(pm, mask(2, [0]), mask(3, [2]), ok)
+        pull_back_witnesses(pm, mask(3, [0, 1]), bits(3, [2]), ok, REDUCTION)
 
 
 @given(tables, st.data())
@@ -81,11 +94,10 @@ def test_pulled_back_canonical_witnesses_always_validate(nmt, data):
     target = SetClass.power_set(m)
     assert check_reduction(target).holds and check_separation(target).holds
     w = canonical_witness(target, REDUCTION, pm.image(a), pm.image(b))
-    pulled = pull_back_witnesses(pm, a, b, w)
-    assert pulled.holds()
+    assert witness_holds(REDUCTION, a, b, pull_back_witnesses(pm, a.bits, b.bits, w, REDUCTION))
     if a.isdisjoint(b) and pm.image(a).isdisjoint(pm.image(b)):
         ws = canonical_witness(target, SEPARATION, pm.image(a), pm.image(b))
-        assert pull_back_witnesses(pm, a, b, ws).holds()
+        assert witness_holds(SEPARATION, a, b, pull_back_witnesses(pm, a.bits, b.bits, ws, SEPARATION))
 
 
 def test_merge_map_transfers_reduction_to_its_saturated_class():
@@ -101,8 +113,8 @@ def test_merge_map_transfers_reduction_to_its_saturated_class():
     assert all(h.holds for h in rep.hypotheses)
     assert {m.points() for m in rep.class_dom} == {(), (2,), (0, 1), (0, 1, 2)}
     assert len(rep.pairs) == 16
-    assert all(t.valid and t.witness_dom.holds() for t in rep.pairs)
-    assert all(t.fa == merge32().image(t.a) for t in rep.pairs)
+    assert all(t.valid and witness_holds(REDUCTION, t.a, t.b, t.witness_dom, rep.class_dom) for t in rep.pairs)
+    assert all(t.fa == merge32().image(SubsetMask(3, t.a)).bits for t in rep.pairs)
 
 
 def test_merge_map_transfers_separation_too():
@@ -115,8 +127,24 @@ def test_merge_map_transfers_separation_too():
         SEPARATION,
     )
     assert rep.verdict
-    assert all(t.valid for t in rep.pairs)
-    assert all(t.a.isdisjoint(t.b) for t in rep.pairs)
+    assert all(t.valid and witness_holds(SEPARATION, t.a, t.b, t.witness_dom, rep.class_dom) for t in rep.pairs)
+    assert all(not t.a & t.b for t in rep.pairs)
+
+
+def test_pair_failures_name_the_pair_as_masks(monkeypatch):
+    args = (merge32(), canonical_base("union", 2), sclass(3, MERGE_GENS), SetClass.power_set(2), "range", REDUCTION)
+    with monkeypatch.context() as patch:
+        # a search that finds nothing
+        patch.setattr(transfer, "_property", lambda which: (reduces, lambda sc, a, b: None))
+        rep = transfer_property(*args)
+    assert rep.failure == "no codomain witness for the image pair (SubsetMask(2, {}), SubsetMask(2, {}))"
+    assert rep.pairs == (PairTrace(0, 0, 0, 0, None, None, False),)
+    # a condition that accepts every witness but none inside a class
+    outside_every_class = lambda a, b, c, d, sc=None: sc is None
+    monkeypatch.setattr(transfer, "_property", lambda which: (outside_every_class, _reduction_witness))
+    rep = transfer_property(*args)
+    assert rep.failure == "pulled-back witness left the domain class for (SubsetMask(3, {}), SubsetMask(3, {}))"
+    assert rep.pairs == (PairTrace(0, 0, 0, 0, (0, 0), (0, 0), False),)
 
 
 def test_unsaturated_generators_fail_the_saturation_hypothesis():
@@ -186,6 +214,7 @@ def test_identity_transfer_agrees_with_the_direct_check(space, which):
         for t in rep.pairs:
             w = canonical_witness(generated, which, t.a, t.b)
             assert w is not None and t.witness_dom == w and t.witness_cod == w
+            assert witness_holds(which, t.a, t.b, w, generated)
 
 
 def test_indicator_diagonal_certifies_every_listed_zero_set(connected3):

@@ -144,7 +144,9 @@ def check_transfer(doc, expect):
         mode, doc["which"],
     )
     assert rep.verdict is expect, (doc, rep.verdict, rep.failure)
+    # traces hold bits: each pair's images, and witness bits pulled back to a valid witness
     for trace in rep.pairs:
+        assert (trace.fa, trace.fb) == (pm.image_bits(trace.a), pm.image_bits(trace.b)), (doc, trace)
         if trace.witness_dom is not None:
             assert trace.valid, (doc, trace)
     return rep
