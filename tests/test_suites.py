@@ -405,4 +405,5 @@ def test_sweep_digest_prints_one_line_per_suite():
     assert [row[0] for row in rows] == list(suite_names())
     res = run_suite("image-necessity", bounds=Bounds(max_points=2))
     assert ("image-necessity", str(res.cases), "0", str(res.witness_count), "true") in rows
-    assert re.fullmatch("digest=[0-9a-f]{64}", digest)
+    # pinned: a refactor that changes any finding at 2 points changes this line
+    assert digest == "digest=1bf3905f842936a914dc8a5028a5a82601222f66295321d8456cd49f042cc199"
