@@ -12,6 +12,8 @@ dropped.
 
 from .catalog import all_bases, all_sequences, all_tables, all_topologies
 from .classes import (
+    REDUCTION,
+    SEPARATION,
     CheckResult,
     Ladder,
     LadderLevel,
@@ -57,6 +59,7 @@ from .spaces import (
     closed_sets,
     components,
     generate_topology,
+    open_sets,
     product,
     subspace,
     zero_sets,
@@ -71,8 +74,6 @@ from .suites import (
     suite_names,
 )
 from .transfer import (
-    REDUCTION,
-    SEPARATION,
     GapReport,
     HypothesisReport,
     PairTrace,
@@ -141,6 +142,7 @@ __all__ = [
     "generate_topology",
     "is_decreasing",
     "map_properties",
+    "open_sets",
     "product",
     "pull_back_witnesses",
     "reduction_to_separation",

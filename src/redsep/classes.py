@@ -17,11 +17,12 @@ again.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product as iproduct
 from typing import Optional
 
 from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
-from .masks import SubsetMask, lanes_of, points_of, replicate, restrict_bits, sort_key
+from .masks import SubsetMask, lanes_of, points_of, replicate, restrict_bits, sort_key, unions
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
 MAX_LADDER_DEPTH = 64
@@ -197,22 +198,29 @@ def _property(which):
     raise InputError(f"which must be {REDUCTION!r} or {SEPARATION!r}")
 
 
+def _pairs(sc, which):
+    """The pairs of member bits a property quantifies over, row-major in canonical
+    order: every pair for reduction, the disjoint pairs for separation."""
+    order = sc._order
+    if which == REDUCTION:
+        return iproduct(order, repeat=2)
+    return ((a, b) for a in order for b in order if not a & b)
+
+
 def _checked_pairs(sc, which):
     """(a, b, witness bits or None) for each pair of member bits that the
     property checks, row-major in canonical order."""
     _, search = _property(which)
-    for a in sc._order:
-        for b in sc._order:
-            if which == REDUCTION or not a & b:
-                yield a, b, search(sc, a, b)
+    return ((a, b, search(sc, a, b)) for a, b in _pairs(sc, which))
 
 
 def _check(sc, which):
     if len(sc) > MAX_CLASS_MEMBERS:
         raise ResourceError(f"class of {len(sc)} members exceeds the cap {MAX_CLASS_MEMBERS}")
+    _, search = _property(which)
     checked = 0
-    for checked, (a, b, found) in enumerate(_checked_pairs(sc, which), 1):
-        if found is None:
+    for checked, (a, b) in enumerate(_pairs(sc, which), 1):
+        if search(sc, a, b) is None:
             return CheckResult(False, checked, (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
     return CheckResult(True, checked, None)
 
@@ -263,22 +271,6 @@ class Ladder:
     stabilized: bool
 
 
-def _union_closure(n, bits_iter):
-    """All unions of nonempty subfamilies: close the members under binary union."""
-    sets = set(bits_iter)
-    frontier = list(sets)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(sets):
-                u = x | y
-                if u not in sets:
-                    sets.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return SetClass.from_bits(n, sets)
-
-
 def borel_ladder(generators, depth, max_depth=MAX_LADDER_DEPTH):
     """Alternate union closures and complements, accumulating the dual levels.
 
@@ -293,18 +285,13 @@ def borel_ladder(generators, depth, max_depth=MAX_LADDER_DEPTH):
         raise InputError(f"depth must be a positive int, got {depth!r}")
     if depth > max_depth:
         raise ResourceError(f"depth {depth} exceeds the cap {max_depth}")
-    n = generators.n
-    levels = []
-    pool = set()
-    prev = None
+    levels, source, pool = [], generators.member_bits(), set()
     for _ in range(depth):
-        source = generators.member_bits() if not levels else pool
-        sigma = _union_closure(n, source)
-        pi = complement_class(sigma)
-        level = LadderLevel(sigma, pi, delta_class(sigma))
-        if prev is not None and level.sigma == prev.sigma and level.pi == prev.pi:
+        # the unions of nonempty subfamilies: the empty union only if a source set is empty
+        sigma = SetClass.from_bits(generators.n, unions(source) - ({0} - source))
+        if levels and sigma == levels[-1].sigma:  # then its complements repeat too
             return Ladder(tuple(levels), True)
-        levels.append(level)
-        pool |= pi.member_bits()
-        prev = level
+        pi = complement_class(sigma)
+        levels.append(LadderLevel(sigma, pi, delta_class(sigma)))
+        source = pool = pool | pi.member_bits()
     return Ladder(tuple(levels), False)

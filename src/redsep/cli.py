@@ -25,7 +25,6 @@ from . import __version__, serialize
 from .classes import (
     REDUCTION,
     SEPARATION,
-    SetClass,
     _checked_pairs,
     check_reduction,
     check_separation,
@@ -35,7 +34,7 @@ from .classes import (
 from .errors import EngineError, InputError
 from .hausdorff import MODES, dual_evaluate, evaluate
 from .masks import SubsetMask, points_of
-from .spaces import closed_sets, components, product, zero_sets
+from .spaces import closed_sets, components, open_sets, product, zero_sets
 from .suites import replay_finding, run_suite, suite_defaults, suite_names
 from .transfer import transfer_property, zero_trace_gap
 
@@ -68,11 +67,10 @@ def _space_from_instance(doc, args, name="space"):
 
 
 def _derived_class(space, which, path):
-    opens = SetClass.from_bits(space.n, space.open_bits())
     if which == "opens":
-        return opens
+        return open_sets(space)
     if which == "closeds":
-        return complement_class(opens)
+        return closed_sets(space)
     if which == "zeros":
         return zero_sets(space)
     raise InputError(f"{path} must be 'opens', 'closeds', or 'zeros', not {which!r}")
@@ -126,8 +124,7 @@ def _base(doc):
 
 def _cmd_eval(args):
     doc = _load_instance(args.instance)
-    base = _base(doc)
-    family = serialize.family_from_doc(serialize._field(doc, "family", "instance"), "instance.family")
+    base, family = serialize.base_family_from_doc(doc, "instance")
     mode = _mode_for(doc, family.mode)
     dual = _dual(doc)
     value = dual_evaluate(base, family, mode) if dual else evaluate(base, family, mode)
@@ -267,14 +264,14 @@ def _cmd_space(args):
         space, _codec = product(factors, **_point_cap(args))
     else:
         space = _space_from_instance(doc, args)
-    opens = SetClass.from_bits(space.n, space.open_bits())
+    opens = open_sets(space)
     comps = components(space)
     zeros = zero_sets(space)
     report = {
         "n": space.n,
         "discrete": space.is_discrete(),
         "opens": _class_doc(opens),
-        "closeds": _class_doc(closed_sets(space)),
+        "closeds": _class_doc(complement_class(opens)),
         "components": [serialize.points_doc(c) for c in comps],
         "zeros": _class_doc(zeros),
         "counts": {"opens": len(opens), "components": len(comps), "zeros": len(zeros)},

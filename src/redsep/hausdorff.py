@@ -38,6 +38,14 @@ def _length_lex_key(seq):
     return (len(seq), seq)
 
 
+def _prefix_closure(seqs):
+    """Every prefix of every sequence, the empty one included, in length-lex order."""
+    idx = {()}
+    for seq in seqs:
+        idx.update(seq[:k] for k in range(1, len(seq) + 1))
+    return tuple(sorted(idx, key=_length_lex_key))
+
+
 class Base:
     """A finite set of branches over the alphabet {0, ..., alphabet-1}."""
 
@@ -68,11 +76,7 @@ class Base:
 
     def prefix_indices(self):
         """All prefixes of all branches, including the empty one, length-lex order."""
-        idx = {()}
-        for br in self.branches:
-            for k in range(1, len(br) + 1):
-                idx.add(br[:k])
-        return tuple(sorted(idx, key=_length_lex_key))
+        return _prefix_closure(self.branches)
 
     def range_indices(self):
         """The symbols mentioned by some branch, in increasing order."""
@@ -238,12 +242,8 @@ def decreasing_replacement(family):
     """
     if family.mode != PREFIX:
         raise ModeError("decreasing replacement is defined for prefix-mode families only")
-    closure = {()}
-    for key in family.assignments:
-        for k in range(1, len(key) + 1):
-            closure.add(key[:k])
     out = {}
-    for key in sorted(closure, key=_length_lex_key):
+    for key in _prefix_closure(family.assignments):
         acc = SubsetMask.full(family.n)
         for k in range(len(key) + 1):
             acc = acc & family.value(key[:k])

@@ -12,7 +12,7 @@ from typing import Optional
 
 from .classes import SetClass
 from .errors import InputError, ResourceError
-from .masks import SubsetMask
+from .masks import SubsetMask, unions
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, product
 
 MAX_ALG_FIBERS = 16
@@ -120,18 +120,7 @@ def alg_enumerate(pm, max_fibers=MAX_ALG_FIBERS):
     fibers = [f for f in pm.fiber_bits() if f]
     if len(fibers) > max_fibers:
         raise ResourceError(f"{len(fibers)} fibers exceed the cap {max_fibers}")
-    out = []
-    for pick in range(1 << len(fibers)):
-        acc = 0
-        t = pick
-        i = 0
-        while t:
-            if t & 1:
-                acc |= fibers[i]
-            t >>= 1
-            i += 1
-        out.append(acc)
-    return SetClass.from_bits(pm.dom.n, out)
+    return SetClass.from_bits(pm.dom.n, unions(fibers))
 
 
 def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
@@ -206,6 +195,17 @@ def _order_closure(k, relation):
     return above
 
 
+def _directed(above):
+    """Do any two indices of the order (above-masks) have a common upper bound?"""
+    return all(a & b for a in above for b in above)
+
+
+def _decreasing(above, bits):
+    """Is bits[j] a subset of bits[i] whenever i <= j in the order (above-masks)?"""
+    k = len(above)
+    return all(not (above[i] >> j & 1) or not (bits[j] & ~bits[i]) for i in range(k) for j in range(k) if i != j)
+
+
 def directed_image_check(pm, relation, family):
     """Compare F(n A_i) with n F(A_i) and report which hypotheses held.
 
@@ -223,25 +223,17 @@ def directed_image_check(pm, relation, family):
     k = len(family)
     if k > _MAX_FAMILY:
         raise ResourceError(f"family of {k} sets exceeds the cap {_MAX_FAMILY}")
-    above = _order_closure(k, relation)
-    directed = all(a & b for a in above for b in above)
-    decreasing = all(
-        not (above[i] >> j & 1) or family[j].issubset(family[i])
-        for i in range(k)
-        for j in range(k)
-    )
-    inter = (1 << pm.dom.n) - 1
-    for m in family:
-        inter &= m.bits
+    above, bits = _order_closure(k, relation), [m.bits for m in family]
+    inter, rhs = (1 << pm.dom.n) - 1, (1 << pm.cod.n) - 1
+    for v in bits:
+        inter &= v
+        rhs &= pm.image_bits(v)
     lhs = pm.image_bits(inter)
-    rhs = (1 << pm.cod.n) - 1
-    for m in family:
-        rhs &= pm.image_bits(m.bits)
     missing = rhs & ~lhs
     return DirectedImageReport(
         equal=lhs == rhs,
-        directed=directed,
-        decreasing=decreasing,
+        directed=_directed(above),
+        decreasing=_decreasing(above, bits),
         intersection_image=SubsetMask(pm.cod.n, lhs),
         image_intersection=SubsetMask(pm.cod.n, rhs),
         missing=SubsetMask(pm.cod.n, missing) if missing else None,

@@ -43,6 +43,19 @@ def restrict_bits(bits, carrier_bits):
     return out
 
 
+def unions(sets):
+    """Every union of a subfamily of the bitmasks, the empty union 0 included, as a set of bits.
+
+    A set already found adds nothing and any other at most doubles what was
+    found, so the cost follows the number of unions, not of subfamilies.
+    """
+    out = {0}
+    for s in sets:
+        if s not in out:
+            out |= {u | s for u in out}
+    return out
+
+
 def sort_key(bits):
     """Canonical order: cardinality, then numeric value."""
     return (bits.bit_count(), bits)

@@ -95,6 +95,9 @@ def base_from_doc(doc, path="base"):
             or not all(isinstance(s, int) and not isinstance(s, bool) for s in br)
         ):
             raise InputError(f"{path}.branches[{i}] must be a nonempty array of integers")
+        bad = [s for s in br if not 0 <= s < alphabet]
+        if bad:
+            raise InputError(f"{path}.branches[{i}] has symbol {bad[0]} outside the alphabet 0..{alphabet - 1}")
     mode = _field(doc, "mode", path, optional=True, default=PREFIX)
     if mode not in MODES:
         raise InputError(f"{path}.mode must be one of {MODES}")
@@ -155,6 +158,19 @@ def family_from_doc(doc, path="family"):
     if default is not None:
         default = mask_from_doc(n, default, f"{path}.default")
     return IndexedFamily(n, mode, assignments, default)
+
+
+def base_family_from_doc(doc, path):
+    """The base and family fields of an instance, with every index the base
+    needs in the family's mode assigned (the empty prefix may default)."""
+    base = base_from_doc(_field(doc, "base", path), f"{path}.base")
+    family = family_from_doc(_field(doc, "family", path), f"{path}.family")
+    if family.default is None:
+        for idx in base.relevant_indices(family.mode):
+            if idx != () and idx not in family.assignments:
+                key = _index_key(family.mode, idx)
+                raise InputError(f"{path}.family.assignments has no value for index {key!r} and no default is set")
+    return base, family
 
 
 def map_to_doc(pm):

@@ -9,9 +9,9 @@ products are derived from the neighbourhoods, and the open sets are wrapped
 as SubsetMasks only when asked for.
 """
 
-from .classes import SetClass
+from .classes import SetClass, complement_class
 from .errors import InputError, ResourceError
-from .masks import SubsetMask, restrict_bits, sort_key
+from .masks import SubsetMask, restrict_bits, sort_key, unions
 
 DEFAULT_MAX_POINTS = 5
 DEFAULT_MAX_PRODUCT_POINTS = 12
@@ -29,18 +29,6 @@ def _meets(n, sets):
             meets[low.bit_length() - 1] &= s
             t ^= low
     return meets
-
-
-def _up_filter_opens(min_nbhd):
-    """All sets containing the minimal neighborhood of each of their points, in increasing order.
-
-    These are the unions of minimal neighbourhoods, so the cost follows the
-    number of open sets rather than the 2^n subsets.
-    """
-    opens = {0}
-    for u in set(min_nbhd):
-        opens |= {o | u for o in opens}
-    return sorted(opens)
 
 
 class FinSpace:
@@ -74,7 +62,9 @@ class FinSpace:
                         raise InputError(f"opens not closed under intersection: {x:b} & {y:b}")
             _nbhds = _meets(n, bits)
         else:
-            bits = _up_filter_opens(_nbhds)
+            # the opens are the unions of minimal neighbourhoods: the cost follows
+            # the number of open sets rather than the 2^n subsets
+            bits = unions(_nbhds)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_nbhds", tuple(_nbhds))
         object.__setattr__(self, "_open_bits", frozenset(bits))
@@ -116,12 +106,6 @@ class FinSpace:
         """Per point, the smallest open set containing it."""
         return self._nbhds
 
-    def clopen_bits(self):
-        full = (1 << self.n) - 1
-        return sorted(
-            (b for b in self._open_bits if full ^ b in self._open_bits), key=sort_key
-        )
-
     def universe(self):
         return SubsetMask.full(self.n)
 
@@ -152,10 +136,14 @@ def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
     return FinSpace(n, _nbhds=_meets(n, sub_bits))
 
 
+def open_sets(space):
+    """The open sets as a class."""
+    return SetClass.from_bits(space.n, space.open_bits())
+
+
 def closed_sets(space):
     """Complements of the open sets."""
-    full = (1 << space.n) - 1
-    return SetClass.from_bits(space.n, (full ^ b for b in space.open_bits()))
+    return complement_class(open_sets(space))
 
 
 def components(space):
@@ -191,12 +179,9 @@ def zero_sets(space):
     """
     if space in _ZERO_SETS:
         return _ZERO_SETS[space]
-    out = {0}
-    for block in components(space):
-        out |= {acc | block.bits for acc in out}
     if len(_ZERO_SETS) >= _ZERO_SETS_LIMIT:
         _ZERO_SETS.clear()
-    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, out)
+    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, unions(block.bits for block in components(space)))
     return zeros
 
 

@@ -31,8 +31,10 @@ from itertools import product as iproduct
 from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
 from .classes import (
-    SetClass,
+    REDUCTION,
+    SEPARATION,
     _checked_pairs,
+    _pairs,
     check_reduction,
     check_separation,
     complement_class,
@@ -54,10 +56,10 @@ from .hausdorff import (
     eval_plan_bits,
     evaluate,
 )
-from .maps import PointMap, alg_contains, alg_enumerate, diagonal_product, directed_image_check
+from .maps import PointMap, _decreasing, _directed, alg_contains, alg_enumerate, diagonal_product, directed_image_check
 from .masks import SubsetMask, lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
-from .spaces import FinSpace, zero_sets
-from .transfer import REDUCTION, SEPARATION, transfer_property, zero_trace_gap, zero_witness_map
+from .spaces import FinSpace, open_sets, zero_sets
+from .transfer import transfer_property, zero_trace_gap, zero_witness_map
 
 
 @dataclass(frozen=True)
@@ -180,15 +182,6 @@ def _posets(k):
 
 def _order_pairs(above):
     return [[i, j] for i in range(len(above)) for j in range(len(above)) if i != j and above[i] >> j & 1]
-
-
-def _is_directed(above):
-    return all(a & b for a in above for b in above)
-
-
-def _is_decreasing(above, fam):
-    k = len(above)
-    return all(not (above[i] >> j & 1) or not (fam[j] & ~fam[i]) for i in range(k) for j in range(k) if i != j)
 
 
 # The largest sampling budget (a plan draws budget * k values), and the most values that consecutive
@@ -379,10 +372,6 @@ def _masks(instance, name, n):
     return [serialize.mask_from_doc(n, v, f"instance.{name}[{i}]") for i, v in enumerate(vals)]
 
 
-def _base_family(instance):
-    return _field(instance, "base", serialize.base_from_doc), _field(instance, "family", serialize.family_from_doc)
-
-
 # ---------------------------------------------------------------------------
 # the suites
 
@@ -409,7 +398,7 @@ def _run_distributivity(bounds, rng, budget, col):
 
 
 def _replay_distributivity(instance, kind):
-    base, family = _base_family(instance)
+    base, family = serialize.base_family_from_doc(instance, "instance")
     mode = _field(instance, "mode", choices=MODES)
     mask = _mask(instance, "mask", family.n)
     if _field(instance, "identity", choices=("intersection", "union")) == "intersection":
@@ -436,7 +425,7 @@ def _run_restriction(bounds, rng, budget, col):
 
 
 def _replay_restriction(instance, kind):
-    base, family = _base_family(instance)
+    base, family = serialize.base_family_from_doc(instance, "instance")
     mode = _field(instance, "mode", choices=MODES)
     carrier = _mask(instance, "carrier", family.n).bits
     sub_n = carrier.bit_count()
@@ -468,7 +457,7 @@ def _run_preimage_commutes(bounds, rng, budget, col):
 
 def _replay_preimage_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
-    base, family = _base_family(instance)
+    base, family = serialize.base_family_from_doc(instance, "instance")
     mode = _field(instance, "mode", choices=MODES)
     op = evaluate if _field(instance, "identity", choices=("eval", "dual")) == "eval" else dual_evaluate
     pulled = IndexedFamily(pm.dom.n, mode, {idx: pm.preimage(v) for idx, v in family.assignments.items()})
@@ -515,7 +504,7 @@ def _replay_algebra_closure(instance, kind):
         return alg_bits != _saturated(pm)
     if check == "cardinality":
         return len(alg_bits) != 1 << len(set(pm.table))
-    base, family = _base_family(instance)
+    base, family = serialize.base_family_from_doc(instance, "instance")
     return evaluate(base, family, _field(instance, "mode", choices=MODES)).bits not in set(alg_bits)
 
 
@@ -615,7 +604,7 @@ def _image_commutes(pm, base, family):
 
 def _replay_image_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
-    base, family = _base_family(instance)
+    base, family = serialize.base_family_from_doc(instance, "instance")
     if _field(instance, "check", choices=("decreasing-image", "replacement-value")) == "replacement-value":
         return evaluate(base, family) != evaluate(base, decreasing_replacement(family))
     return _image_commutes(pm, base, family)
@@ -650,7 +639,7 @@ def _replay_image_necessity(instance, kind):
     check = _field(instance, "check", choices=("missing-witness", "injective-image", "non-decreasing-image"))
     if check == "missing-witness":
         return _merge_witness(pm, _tables(pm)[0]) is None
-    return _image_commutes(pm, *_base_family(instance))
+    return _image_commutes(pm, *serialize.base_family_from_doc(instance, "instance"))
 
 
 def _run_intersection_image(bounds, rng, budget, col):
@@ -659,10 +648,10 @@ def _run_intersection_image(bounds, rng, budget, col):
     for n in sizes:
         for k in sizes:
             for above in _posets(k):
-                if not _is_directed(above):
+                if not _directed(above):
                     continue
                 relation = _order_pairs(above)
-                decreasing = [fam for fam in iproduct(range(1 << n), repeat=k) if _is_decreasing(above, fam)]
+                decreasing = [fam for fam in iproduct(range(1 << n), repeat=k) if _decreasing(above, fam)]
                 for pm in _maps([n], sizes):
                     img, _ = _tables(pm)
                     for fi, fam in enumerate(decreasing):
@@ -703,14 +692,14 @@ def _run_intersection_image_necessity(bounds, rng, budget, col):
         img, _ = _tables(pm)
         for k in sizes:
             for above in _posets(k):
-                directed = _is_directed(above)
+                directed = _directed(above)
                 relation = _order_pairs(above)
                 for fam in iproduct(range(1 << n), repeat=k):
                     col.cases += 1
                     lhs, rhs = _meet_image(pm, img, fam)
                     if lhs == rhs:
                         continue
-                    decreasing = _is_decreasing(above, fam)
+                    decreasing = _decreasing(above, fam)
                     col.add(
                         "violation" if directed and decreasing else "witness",
                         _doc(pm, order=relation, family=[_pts(n, v) for v in fam]),
@@ -718,15 +707,11 @@ def _run_intersection_image_necessity(bounds, rng, budget, col):
                     )
 
 
-def _opens_class(space):
-    return SetClass.from_bits(space.n, space.open_bits())
-
-
 def _run_reduction_dual_separation(bounds, rng, budget, col):
     """Reduction for the opens forces separation for the closeds, with witnesses."""
     for space in _spaces(bounds.max_points):
         col.cases += 1
-        opens = _opens_class(space)
+        opens = open_sets(space)
         if not check_reduction(opens).holds:
             continue
         closeds = complement_class(opens)
@@ -737,26 +722,24 @@ def _run_reduction_dual_separation(bounds, rng, budget, col):
                 {"failing_pair": [serialize.points_doc(s) for s in sep.failing_pair]},
             )
             continue
-        for a in closeds.members:
-            for b in closeds.members:
-                if a.bits & b.bits:
+        member = dict(zip(closeds._order, closeds.members))
+        for a, b in _pairs(closeds, SEPARATION):
+            try:
+                separator = reduction_to_separation(opens, member[a], member[b])
+            except PreconditionError as exc:
+                detail = {"error": str(exc)}
+            else:
+                if separates(a, b, separator.bits, closeds):
                     continue
-                try:
-                    separator = reduction_to_separation(opens, a, b)
-                except PreconditionError as exc:
-                    detail = {"error": str(exc)}
-                else:
-                    if separates(a.bits, b.bits, separator.bits, closeds):
-                        continue
-                    detail = {"separator": serialize.points_doc(separator)}
-                pair = [serialize.points_doc(a), serialize.points_doc(b)]
-                col.violation(_doc(space, check="constructed-witness", pair=pair), detail)
+                detail = {"separator": serialize.points_doc(separator)}
+            pair = [serialize.points_doc(member[a]), serialize.points_doc(member[b])]
+            col.violation(_doc(space, check="constructed-witness", pair=pair), detail)
 
 
 def _replay_reduction_dual_separation(instance, kind):
     space = _field(instance, "space", serialize.space_from_doc)
     check = _field(instance, "check", choices=("separation-verdict", "constructed-witness"))
-    opens = _opens_class(space)
+    opens = open_sets(space)
     if not check_reduction(opens).holds:
         return False
     closeds = complement_class(opens)
@@ -819,7 +802,7 @@ _IDENTITY_BASES = (
 def _run_transfer_identity(bounds, rng, budget, col):
     """Transfer along the identity agrees with the direct checkers."""
     for space in _spaces(bounds.max_points):
-        opens = _opens_class(space)
+        opens = open_sets(space)
         ident = PointMap.identity(space)
         for kind_name, params in _IDENTITY_BASES:
             base = canonical_base(kind_name, *params)
@@ -848,7 +831,7 @@ def _replay_transfer_identity(instance, kind):
     base = _field(instance, "base", serialize.base_from_doc)
     mode = _field(instance, "mode", choices=MODES)
     which = _field(instance, "which", choices=(REDUCTION, SEPARATION))
-    opens = _opens_class(space)
+    opens = open_sets(space)
     phi = generate_class(base, opens, mode)
     rep = transfer_property(PointMap.identity(space), base, opens, opens, mode, which)
     direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)

@@ -14,8 +14,8 @@ from typing import Optional
 from .classes import (
     DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
-    SEPARATION,
     SetClass,
+    _pairs,
     _property,
     check_reduction,
     check_separation,
@@ -144,28 +144,25 @@ def transfer_property(
     # cap that the codomain check enforces bounds this pair loop too
     class_dom = generate_class(base, generators_dom, mode, cap=cap)
     traces = []
-    for a in class_dom._order:
-        for b in class_dom._order:
-            if which == SEPARATION and a & b:
-                continue
-            fa, fb = pm.image_bits(a), pm.image_bits(b)
-            found = search(class_cod, fa, fb)
-            if found is None:
-                traces.append(PairTrace(a, b, fa, fb, None, None, False))
-                pair = ", ".join(repr(SubsetMask(pm.cod.n, x)) for x in (fa, fb))
-                return TransferReport(
-                    which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
-                    class_dom, class_cod, tuple(traces),
-                )
-            pulled = pull_back_witnesses(pm, a, b, found, which)
-            valid = holds(a, b, *pulled, class_dom)
-            traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
-            if not valid:
-                pair = ", ".join(repr(SubsetMask(pm.dom.n, x)) for x in (a, b))
-                return TransferReport(
-                    which, hypotheses, False, f"pulled-back witness left the domain class for ({pair})",
-                    class_dom, class_cod, tuple(traces),
-                )
+    for a, b in _pairs(class_dom, which):
+        fa, fb = pm.image_bits(a), pm.image_bits(b)
+        found = search(class_cod, fa, fb)
+        if found is None:
+            traces.append(PairTrace(a, b, fa, fb, None, None, False))
+            pair = ", ".join(repr(SubsetMask(pm.cod.n, x)) for x in (fa, fb))
+            return TransferReport(
+                which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
+                class_dom, class_cod, tuple(traces),
+            )
+        pulled = pull_back_witnesses(pm, a, b, found, which)
+        valid = holds(a, b, *pulled, class_dom)
+        traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
+        if not valid:
+            pair = ", ".join(repr(SubsetMask(pm.dom.n, x)) for x in (a, b))
+            return TransferReport(
+                which, hypotheses, False, f"pulled-back witness left the domain class for ({pair})",
+                class_dom, class_cod, tuple(traces),
+            )
     return TransferReport(which, hypotheses, True, None, class_dom, class_cod, tuple(traces))
 
 

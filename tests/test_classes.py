@@ -426,6 +426,28 @@ def test_ladder_levels_are_dual_pairs_and_eventually_monotone(gens):
             assert x | y in final
 
 
+def _union_closure(bits):
+    """Close under binary union: the unions of nonempty subfamilies."""
+    closed = set(bits)
+    while True:
+        grown = closed | {x | y for x in closed for y in closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+@given(set_classes(3))
+def test_ladder_sigma_levels_are_union_closures(gens):
+    # level 1 closes the generators, each later level every earlier pi level,
+    # until the next level would repeat the last
+    ladder = borel_ladder(gens, 16)
+    source, pool = gens.member_bits(), set()
+    for level in ladder.levels:
+        assert level.sigma.member_bits() == _union_closure(source)
+        source = pool = pool | level.pi.member_bits()
+    assert ladder.stabilized and _union_closure(source) == ladder.levels[-1].sigma.member_bits()
+
+
 def test_ladder_validation():
     gens = sclass(2, [[0]])
     with pytest.raises(InputError):

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
 from pathlib import Path
 from unittest import mock
 
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redsep import ResourceError, __version__, canonical_json
-from redsep import catalog, cli, maps, spaces, suites
+from redsep import Bounds, FinSpace, PointMap, ResourceError, __version__, canonical_json, run_suite
+from redsep import catalog, cli, maps, serialize, spaces, suites
 from redsep.cli import main
+from redsep.masks import replicate
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -448,7 +450,19 @@ GENERATE_DOC = {"base": AOP22, "generators": {"universe": 3, "members": [[0, 1],
 
 def test_instance_fields_are_named_in_their_messages(tmp_path, capsys):
     transfer = json.loads((INSTANCES / "12-merge32-union-reduction.json").read_text())
+    bad_symbol = {**UNION2, "branches": [[0], [-1]]}
+    missing_index = {**EVAL_DOC["family"], "assignments": {"1": [1]}}
+    finding = {"suite": "distributivity", "kind": "violation", "instance": {
+        **EVAL_DOC, "mode": "range", "mask": [0], "identity": "union"
+    }}
     cases = (
+        ("eval", {**EVAL_DOC, "base": bad_symbol}, "instance.base.branches[1] has symbol -1 outside the alphabet 0..1"),
+        ("replay", {**finding, "instance": {**finding["instance"], "base": bad_symbol}},
+         "instance.base.branches[1] has symbol -1 outside the alphabet 0..1"),
+        ("eval", {**EVAL_DOC, "family": missing_index},
+         "instance.family.assignments has no value for index '0' and no default is set"),
+        ("replay", {**finding, "instance": {**finding["instance"], "family": missing_index}},
+         "instance.family.assignments has no value for index '0' and no default is set"),
         ("transfer", {**transfer, "which": 5}, "instance.which must be one of reduction, separation, got 5"),
         ("eval", {**EVAL_DOC, "base": []}, "instance.base must be an object"),
         ("generate", {**GENERATE_DOC, "base": {"alphabet": 0}}, "instance.base.alphabet must be an integer >= 1"),
@@ -465,6 +479,8 @@ def test_instance_fields_are_named_in_their_messages(tmp_path, capsys):
     for dual in (False, True):
         code, out = run_cli(["eval", write_instance(tmp_path, {**EVAL_DOC, "dual": dual})])
         assert code == 0 and json.loads(out)["dual"] is dual
+    code, out = run_cli(["replay", write_instance(tmp_path, finding)])
+    assert code == 1 and json.loads(out)["retriggered"] == 0
 
 
 def _instance_seeds():
@@ -515,6 +531,14 @@ def mutated_instances(draw):
     return command, doc
 
 
+def _assert_exits_0_1_or_2_cleanly(code, out, err):
+    """Exit 0, 1 or 2 with no traceback, and on exit 2 one error line and no report."""
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and "internal error" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 @settings(max_examples=300)
 @given(mutated_instances())
 def test_mutated_instances_exit_0_1_or_2_without_a_traceback(case):
@@ -522,10 +546,75 @@ def test_mutated_instances_exit_0_1_or_2_without_a_traceback(case):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))), redirect_stdout(out), redirect_stderr(err):
         code = main([command, "-"])
-    assert code in (0, 1, 2), (code, err.getvalue())
-    assert "Traceback" not in err.getvalue() and "internal error" not in err.getvalue()
-    if code == 2:
-        assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    _assert_exits_0_1_or_2_cleanly(code, out.getvalue(), err.getvalue())
+
+
+# the suites whose findings come from packed kernel calls
+LANE_SUITES = (
+    "distributivity", "restriction", "preimage-commutes", "algebra-closure", "image-commutes", "image-necessity"
+)
+
+
+@cache
+def _finding_seeds():
+    """Finding documents of all 13 suites: the corpus; violations of the lane suites
+    under a kernel that flips point 0 of every lane; violations of
+    reduction-dual-separation when each separator is built for the swapped pair;
+    and one inline document for each suite left."""
+    docs = [json.loads(path.read_text()) for path in sorted(CORPUS.glob("*.json"))]
+    honest_kernel, every_lane = suites.eval_plan_bits, replicate(1, 1 << 12)
+    with mock.patch.object(suites, "eval_plan_bits", lambda plans, values: honest_kernel(plans, values) ^ every_lane):
+        for name in LANE_SUITES:
+            docs += run_suite(name, bounds=Bounds(max_points=2, alphabet=1), seed=3, budget=2, keep=3).violations
+    honest_separator = suites.reduction_to_separation
+    with mock.patch.object(suites, "reduction_to_separation", lambda sc, a, b: honest_separator(sc, b, a)):
+        docs += run_suite("reduction-dual-separation", bounds=Bounds(max_points=2), keep=3).violations
+    square = serialize.space_to_doc(FinSpace.discrete(2))
+    merge = serialize.map_to_doc(PointMap(FinSpace.discrete(2), FinSpace.discrete(1), [0, 0]))
+    identity = serialize.map_to_doc(PointMap.identity(FinSpace.discrete(2)))
+    inline = {
+        "diagonal-absorption": {"maps": [merge, identity], "factor": "left", "member": [0, 1]},
+        "zero-witness-certificate": {"space": square, "zeros": [[0], [1]]},
+        "intersection-image": {"map": merge, "order": [[0, 1]], "family": [[0, 1], [0]], "check": "report"},
+        "transfer-identity": {"space": square, "base": UNION2, "mode": "range", "which": "separation"},
+    }
+    docs += [{"suite": name, "kind": "violation", "instance": doc, "detail": {}} for name, doc in inline.items()]
+    assert {doc["suite"] for doc in docs} == set(suites.suite_names())
+    return [json.loads(canonical_json(doc)) for doc in docs]
+
+
+@st.composite
+def mutated_findings(draw):
+    """A seed finding with one key dropped or renamed, or one value swapped for another JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(_finding_seeds())))
+    *at, key = draw(st.sampled_from(list(_locations(doc))))
+    parent = doc
+    for step in at:
+        parent = parent[step]
+    old = parent.pop(key) if isinstance(parent, dict) else parent[key]
+    how = draw(st.sampled_from(("drop", "rename", "swap") if isinstance(parent, dict) else ("drop", "swap")))
+    if how == "rename":
+        parent[key + "_"] = old
+    elif how == "swap":
+        parent[key] = draw(st.sampled_from([v for v in OTHER_JSON if v != old or type(v) is not type(old)]))
+    elif isinstance(parent, list):
+        del parent[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def finding_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("replay") / "finding.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=mutated_findings())
+def test_mutated_findings_replay_with_exit_0_1_or_2_without_a_traceback(finding_file, doc):
+    finding_file.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["replay", str(finding_file)])
+    _assert_exits_0_1_or_2_cleanly(code, out.getvalue(), err.getvalue())
 
 
 def test_mode_mismatch_and_bad_budget_exit_2(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Bitmask subsets behave exactly like Python sets over range(n)."""
 
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from redsep import InputError, ResourceError, SubsetMask
-from redsep.masks import lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
+from redsep.masks import lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits, unions
 
 from conftest import mask, masks
 
@@ -107,3 +111,21 @@ def test_one_byte_lanes_refuse_subsets_of_more_than_8_points():
         pack_lanes([3, 256])
     with pytest.raises(ResourceError, match="8 points"):
         lane_table([256])
+
+
+def _brute_unions(sets):
+    """The union of every subfamily, picked by position."""
+    return {reduce(or_, pick, 0) for r in range(len(sets) + 1) for pick in combinations(sets, r)}
+
+
+def test_unions_match_every_subfamily_on_up_to_2_points():
+    for n in range(3):
+        for k in range(6):
+            for sets in product(range(1 << n), repeat=k):
+                assert unions(iter(sets)) == _brute_unions(sets)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), max_size=5)))
+def test_unions_match_every_subfamily_on_up_to_4_points(sets):
+    # repeated and empty sets included; the empty union is always there
+    assert unions(sets) == _brute_unions(sets)

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from redsep import serialize  # noqa: E402
-from redsep.cli import main as cli_main  # noqa: E402
+from redsep.cli import _derived_class, main as cli_main  # noqa: E402
 from redsep.spaces import components  # noqa: E402
 from redsep.suites import replay_finding, run_suite  # noqa: E402
 from redsep.transfer import transfer_property  # noqa: E402
@@ -131,12 +131,8 @@ def check_transfer(doc, expect):
     mode = doc.get("mode") or base.mode_hint
 
     def gens(val, space):
-        from redsep.classes import SetClass, complement_class
-        from redsep.spaces import zero_sets
-
         if isinstance(val, str):
-            opens = SetClass.from_bits(space.n, space.open_bits())
-            return {"opens": opens, "closeds": complement_class(opens), "zeros": zero_sets(space)}[val]
+            return _derived_class(space, val, "instance")
         return serialize.class_from_doc(val, "instance")
 
     rep = transfer_property(
