@@ -39,17 +39,14 @@ from .hausdorff import (
     dual_eval,
     dual_evaluate,
     evaluate,
-    is_decreasing,
 )
 from .maps import (
     DirectedImageReport,
-    MapProps,
     PointMap,
     alg_contains,
     alg_enumerate,
     diagonal_product,
     directed_image_check,
-    map_properties,
 )
 from .masks import SubsetMask
 from .serialize import canonical_json
@@ -70,7 +67,6 @@ from .suites import (
     replay_finding,
     run_suite,
     suite_defaults,
-    suite_description,
     suite_names,
 )
 from .transfer import (
@@ -101,7 +97,6 @@ __all__ = [
     "Ladder",
     "LadderLevel",
     "MODES",
-    "MapProps",
     "ModeError",
     "PREFIX",
     "PairTrace",
@@ -140,8 +135,6 @@ __all__ = [
     "evaluate",
     "generate_class",
     "generate_topology",
-    "is_decreasing",
-    "map_properties",
     "open_sets",
     "product",
     "pull_back_witnesses",
@@ -151,7 +144,6 @@ __all__ = [
     "run_suite",
     "subspace",
     "suite_defaults",
-    "suite_description",
     "suite_names",
     "transfer_property",
     "zero_sets",

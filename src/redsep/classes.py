@@ -64,10 +64,6 @@ class SetClass:
     def from_bits(cls, n, bits_iter):
         return cls(n, (), bits_iter)
 
-    @classmethod
-    def power_set(cls, n):
-        return cls.from_bits(n, range(1 << n))
-
     def member_bits(self):
         return self._bits
 

@@ -251,21 +251,6 @@ def decreasing_replacement(family):
     return IndexedFamily(family.n, PREFIX, out, None)
 
 
-def is_decreasing(family):
-    """True when every assigned value contains each of its extensions' values."""
-    if family.mode != PREFIX:
-        raise ModeError("decreasingness concerns prefix-mode families only")
-    for key in family.assignments:
-        for k in range(len(key)):
-            try:
-                parent = family.value(key[:k])
-            except InputError:
-                continue
-            if not family.value(key).issubset(parent):
-                return False
-    return True
-
-
 def canonical_base(
     kind,
     *params,

@@ -96,18 +96,6 @@ class PointMap:
         return f"PointMap({self.dom.n} -> {self.cod.n}, {list(self.table)})"
 
 
-@dataclass(frozen=True)
-class MapProps:
-    continuous: bool
-    closed_map: bool
-    open_map: bool
-    fibers_closed: bool
-    surjective: bool
-    injective: bool
-    # the kernel partition keeps nonempty fibers only; this flags that one was dropped
-    kernel_omits_empty_fiber: bool
-
-
 def alg_contains(pm, mask):
     """Is the set saturated, i.e. a union of fibers?"""
     if not isinstance(mask, SubsetMask) or mask.n != pm.dom.n:
@@ -135,32 +123,6 @@ def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
     cod, codec = _product(tuple(pm.cod for pm in pms), max_points)
     table = [codec.encode([pm.table[x] for pm in pms]) for x in range(dom.n)]
     return PointMap(dom, cod, table)
-
-
-def map_properties(pm):
-    dom_open = pm.dom.open_bits()
-    cod_open = pm.cod.open_bits()
-    dom_full = (1 << pm.dom.n) - 1
-    cod_full = (1 << pm.cod.n) - 1
-    continuous = all(pm.preimage_bits(b) in dom_open for b in cod_open)
-    open_map = all(pm.image_bits(b) in cod_open for b in dom_open)
-    closed_map = all(
-        cod_full ^ pm.image_bits(dom_full ^ b) in cod_open for b in dom_open
-    )
-    fibers_closed = all(
-        dom_full ^ f in dom_open for f in pm.fiber_bits() if f
-    )
-    surjective = all(f for f in pm.fiber_bits())
-    injective = all(f.bit_count() <= 1 for f in pm.fiber_bits())
-    return MapProps(
-        continuous=continuous,
-        closed_map=closed_map,
-        open_map=open_map,
-        fibers_closed=fibers_closed,
-        surjective=surjective,
-        injective=injective,
-        kernel_omits_empty_fiber=not surjective,
-    )
 
 
 @dataclass(frozen=True)

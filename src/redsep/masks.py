@@ -120,10 +120,6 @@ class SubsetMask:
         self._check_universe(other)
         return self.bits & ~other.bits == 0
 
-    def isdisjoint(self, other):
-        self._check_universe(other)
-        return self.bits & other.bits == 0
-
     def __le__(self, other):
         return self.issubset(other)
 

@@ -128,19 +128,6 @@ def _index_from_key(mode, key, path):
     return nums if mode == PREFIX else nums[0]
 
 
-def family_to_doc(family):
-    assignments = {
-        _index_key(family.mode, idx): points_doc(val)
-        for idx, val in family.assignments.items()
-    }
-    return {
-        "universe": family.n,
-        "mode": family.mode,
-        "assignments": assignments,
-        "default": None if family.default is None else points_doc(family.default),
-    }
-
-
 def family_from_doc(doc, path="family"):
     n = _int_field(doc, "universe", path, maximum=POINT_CEILING)
     mode = _field(doc, "mode", path)
@@ -195,10 +182,6 @@ def map_from_doc(doc, path="map", max_points=DEFAULT_MAX_POINTS):
         if not 0 <= t < cod.n:
             raise InputError(f"{path}.table[{i}] = {t} is outside the codomain 0..{cod.n - 1}")
     return PointMap(dom, cod, table)
-
-
-def class_to_doc(sc):
-    return {"universe": sc.n, "members": [points_doc(m) for m in sc.members]}
 
 
 def class_from_doc(doc, path="class"):

@@ -76,10 +76,6 @@ class FinSpace:
     def discrete(cls, n):
         return cls(n, _nbhds=[1 << x for x in range(n)])
 
-    @classmethod
-    def indiscrete(cls, n):
-        return cls(n, _nbhds=[(1 << n) - 1] * n)
-
     @property
     def opens(self):
         """The open sets as SubsetMasks, in canonical order."""
@@ -87,17 +83,6 @@ class FinSpace:
 
     def open_bits(self):
         return self._open_bits
-
-    def is_open(self, mask):
-        return isinstance(mask, SubsetMask) and mask.n == self.n and mask.bits in self._open_bits
-
-    def is_closed(self, mask):
-        full = (1 << self.n) - 1
-        return (
-            isinstance(mask, SubsetMask)
-            and mask.n == self.n
-            and full ^ mask.bits in self._open_bits
-        )
 
     def is_discrete(self):
         return all(u == 1 << x for x, u in enumerate(self._nbhds))

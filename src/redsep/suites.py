@@ -150,7 +150,7 @@ _PROBE = _plan(Base(1, [(0, 0)], PREFIX), PREFIX)
 @cache
 def _spaces(max_points):
     # largest first, so a bound past the enumeration ceiling is refused before anything is enumerated
-    by_size = [all_topologies(k, max_points=max_points) for k in range(max_points, -1, -1)]
+    by_size = [all_topologies(k) for k in range(max_points, -1, -1)]
     return tuple(space for spaces in reversed(by_size) for space in spaces)
 
 
@@ -372,6 +372,15 @@ def _masks(instance, name, n):
     return [serialize.mask_from_doc(n, v, f"instance.{name}[{i}]") for i, v in enumerate(vals)]
 
 
+def _map_family(instance, pm, side):
+    """The base and family fields, the family over the points of the map's side ("dom" or "cod")."""
+    base, family = serialize.base_family_from_doc(instance, "instance")
+    n = getattr(pm, side).n
+    if family.n != n:
+        raise InputError(f"instance.family.universe must be {n}, the points of instance.map.{side}, got {family.n}")
+    return base, family
+
+
 # ---------------------------------------------------------------------------
 # the suites
 
@@ -457,7 +466,7 @@ def _run_preimage_commutes(bounds, rng, budget, col):
 
 def _replay_preimage_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
-    base, family = serialize.base_family_from_doc(instance, "instance")
+    base, family = _map_family(instance, pm, "cod")
     mode = _field(instance, "mode", choices=MODES)
     op = evaluate if _field(instance, "identity", choices=("eval", "dual")) == "eval" else dual_evaluate
     pulled = IndexedFamily(pm.dom.n, mode, {idx: pm.preimage(v) for idx, v in family.assignments.items()})
@@ -537,6 +546,9 @@ def _replay_diagonal_absorption(instance, kind):
     if not isinstance(docs, list) or not docs:
         raise InputError("instance.maps must be a nonempty array of maps")
     pms = [serialize.map_from_doc(doc, f"instance.maps[{i}]") for i, doc in enumerate(docs)]
+    for i, pm in enumerate(pms):
+        if pm.dom != pms[0].dom:
+            raise InputError(f"instance.maps[{i}].dom must equal instance.maps[0].dom")
     return not alg_contains(diagonal_product(pms), _mask(instance, "member", pms[0].dom.n))
 
 
@@ -561,7 +573,10 @@ def _run_zero_witness_certificate(bounds, rng, budget, col):
 
 def _replay_zero_witness_certificate(instance, kind):
     space = _field(instance, "space", serialize.space_from_doc)
-    zeros = _masks(instance, "zeros", space.n)
+    zeros, zero_bits = _masks(instance, "zeros", space.n), zero_sets(space).member_bits()
+    for i, z in enumerate(zeros):
+        if z.bits not in zero_bits:
+            raise InputError(f"instance.zeros[{i}] is not a zero set of instance.space")
     rep = zero_witness_map(space, zeros)
     if not rep.all_saturated:
         return True
@@ -604,7 +619,7 @@ def _image_commutes(pm, base, family):
 
 def _replay_image_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
-    base, family = serialize.base_family_from_doc(instance, "instance")
+    base, family = _map_family(instance, pm, "dom")
     if _field(instance, "check", choices=("decreasing-image", "replacement-value")) == "replacement-value":
         return evaluate(base, family) != evaluate(base, decreasing_replacement(family))
     return _image_commutes(pm, base, family)
@@ -639,7 +654,7 @@ def _replay_image_necessity(instance, kind):
     check = _field(instance, "check", choices=("missing-witness", "injective-image", "non-decreasing-image"))
     if check == "missing-witness":
         return _merge_witness(pm, _tables(pm)[0]) is None
-    return _image_commutes(pm, *serialize.base_family_from_doc(instance, "instance"))
+    return _image_commutes(pm, *_map_family(instance, pm, "dom"))
 
 
 def _run_intersection_image(bounds, rng, budget, col):
@@ -674,9 +689,13 @@ def _run_intersection_image(bounds, rng, budget, col):
 
 def _replay_intersection_image(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
-    rep = directed_image_check(
-        pm, _field(instance, "order", serialize.relation_from_doc), _masks(instance, "family", pm.dom.n)
-    )
+    order, family = _field(instance, "order", serialize.relation_from_doc), _masks(instance, "family", pm.dom.n)
+    if not family:
+        raise InputError("instance.family must be a nonempty array of point arrays")
+    for i, pair in enumerate(order):
+        if not all(0 <= x < len(family) for x in pair):
+            raise InputError(f"instance.order[{i}] = {list(pair)} is outside the family's indices 0..{len(family) - 1}")
+    rep = directed_image_check(pm, order, family)
     if kind == "witness":
         return not rep.equal
     if _field(instance, "check", choices=(None, "report")) == "report":
@@ -841,61 +860,30 @@ def _replay_transfer_identity(instance, kind):
 # ---------------------------------------------------------------------------
 # registry and entry points
 
-_Suite = namedtuple("_Suite", "run replay bounds budget expects description")
+_Suite = namedtuple("_Suite", "run replay bounds budget expects")
 
 _SUITES = {
-    "distributivity": _Suite(
-        _run_distributivity, _replay_distributivity, Bounds(max_points=3), 10, False,
-        "meet and join identities for eval and its dual over all small topologies",
-    ),
-    "restriction": _Suite(
-        _run_restriction, _replay_restriction, Bounds(max_points=3), 8, False,
-        "evaluation commutes with traces on every carrier",
-    ),
-    "preimage-commutes": _Suite(
-        _run_preimage_commutes, _replay_preimage_commutes, Bounds(max_points=3), 10, False,
-        "preimages pass through eval and dual for every table",
-    ),
-    "algebra-closure": _Suite(
-        _run_algebra_closure, _replay_algebra_closure, Bounds(max_points=4), 6, False,
-        "alg F is the fixed-point family, has size 2^fibers, and eval stays inside",
-    ),
+    "distributivity": _Suite(_run_distributivity, _replay_distributivity, Bounds(max_points=3), 10, False),
+    "restriction": _Suite(_run_restriction, _replay_restriction, Bounds(max_points=3), 8, False),
+    "preimage-commutes": _Suite(_run_preimage_commutes, _replay_preimage_commutes, Bounds(max_points=3), 10, False),
+    "algebra-closure": _Suite(_run_algebra_closure, _replay_algebra_closure, Bounds(max_points=4), 6, False),
     "diagonal-absorption": _Suite(
-        _run_diagonal_absorption, _replay_diagonal_absorption, Bounds(max_points=3), 0, False,
-        "factor algebras embed in the diagonal product's algebra",
+        _run_diagonal_absorption, _replay_diagonal_absorption, Bounds(max_points=3), 0, False
     ),
     "zero-witness-certificate": _Suite(
-        _run_zero_witness_certificate, _replay_zero_witness_certificate, Bounds(max_points=4), 0, False,
-        "indicator diagonals saturate every small selection of zero sets",
+        _run_zero_witness_certificate, _replay_zero_witness_certificate, Bounds(max_points=4), 0, False
     ),
-    "image-commutes": _Suite(
-        _run_image_commutes, _replay_image_commutes, Bounds(max_points=3), 8, False,
-        "images pass through prefix eval of decreasing families",
-    ),
-    "image-necessity": _Suite(
-        _run_image_necessity, _replay_image_necessity, Bounds(max_points=3), 6, True,
-        "every non-injective map breaks image commutation without decreasingness",
-    ),
-    "intersection-image": _Suite(
-        _run_intersection_image, _replay_intersection_image, Bounds(max_points=3), 0, False,
-        "directed decreasing families push intersections through images",
-    ),
+    "image-commutes": _Suite(_run_image_commutes, _replay_image_commutes, Bounds(max_points=3), 8, False),
+    "image-necessity": _Suite(_run_image_necessity, _replay_image_necessity, Bounds(max_points=3), 6, True),
+    "intersection-image": _Suite(_run_intersection_image, _replay_intersection_image, Bounds(max_points=3), 0, False),
     "intersection-image-necessity": _Suite(
-        _run_intersection_image_necessity, _replay_intersection_image, Bounds(max_points=2), 0, True,
-        "dropping directedness or decreasingness yields strict inclusions",
+        _run_intersection_image_necessity, _replay_intersection_image, Bounds(max_points=2), 0, True
     ),
     "reduction-dual-separation": _Suite(
-        _run_reduction_dual_separation, _replay_reduction_dual_separation, Bounds(max_points=4), 0, False,
-        "reduction for opens forces separation for closeds, constructively",
+        _run_reduction_dual_separation, _replay_reduction_dual_separation, Bounds(max_points=4), 0, False
     ),
-    "zero-trace-gap": _Suite(
-        _run_zero_trace_gap, _replay_zero_trace_gap, Bounds(max_points=4), 0, True,
-        "traces of zero sets are intrinsic; non-discrete spaces show gaps",
-    ),
-    "transfer-identity": _Suite(
-        _run_transfer_identity, _replay_transfer_identity, Bounds(max_points=3), 0, False,
-        "transfer along the identity matches the direct checkers",
-    ),
+    "zero-trace-gap": _Suite(_run_zero_trace_gap, _replay_zero_trace_gap, Bounds(max_points=4), 0, True),
+    "transfer-identity": _Suite(_run_transfer_identity, _replay_transfer_identity, Bounds(max_points=3), 0, False),
 }
 
 
@@ -907,10 +895,6 @@ def _suite(name):
 
 def suite_names():
     return tuple(sorted(_SUITES))
-
-
-def suite_description(name):
-    return _suite(name).description
 
 
 def suite_defaults(name):

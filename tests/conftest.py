@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from redsep import (
     MODES,
+    PREFIX,
     REDUCTION,
     FinSpace,
     IndexedFamily,
@@ -65,6 +66,29 @@ def mask(n, points):
 
 def sclass(n, sets):
     return SetClass(n, [SubsetMask.from_points(n, s) for s in sets])
+
+
+def power_set(n):
+    """Every subset of n points, as a class."""
+    return SetClass.from_bits(n, range(1 << n))
+
+
+def family_doc(family):
+    """An indexed family as instance documents spell it; a prefix key joins its symbols with commas."""
+    def key(idx):
+        return ",".join(map(str, idx)) if family.mode == PREFIX else str(idx)
+
+    return {
+        "universe": family.n,
+        "mode": family.mode,
+        "assignments": {key(idx): list(v.points()) for idx, v in family.assignments.items()},
+        "default": None if family.default is None else list(family.default.points()),
+    }
+
+
+def class_doc(sc):
+    """A class as instance documents spell it: its members' points in canonical order."""
+    return {"universe": sc.n, "members": [list(m.points()) for m in sc]}
 
 
 def _points(x):

@@ -193,7 +193,7 @@ def test_criterion_6_reduction_gives_dual_separation():
                 closeds = complement_class(opens)
                 for a in closeds:
                     for b in closeds:
-                        if a.isdisjoint(b):
+                        if not (a & b):
                             separator = reduction_to_separation(opens, a, b)
                             # contains a, misses b, and lies in the closeds with its complement
                             assert witness_holds(SEPARATION, a, b, (separator.bits,), closeds)

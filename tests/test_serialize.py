@@ -19,7 +19,7 @@ from redsep import (
     serialize,
 )
 
-from conftest import mask, sclass
+from conftest import class_doc, family_doc, mask, sclass
 
 
 def test_canonical_json_is_sorted_indented_and_newline_terminated():
@@ -60,7 +60,7 @@ def test_family_documents_round_trip_in_both_modes():
         PREFIX,
         {(): SubsetMask.full(2), (0,): mask(2, [0]), (0, 1): mask(2, [1])},
     )
-    doc = serialize.family_to_doc(prefix_family)
+    doc = family_doc(prefix_family)
     assert doc == {
         "universe": 2,
         "mode": "prefix",
@@ -78,7 +78,7 @@ def test_family_documents_round_trip_in_both_modes():
     range_family = IndexedFamily.from_list(
         2, [mask(2, [0]), mask(2, [1])], default=mask(2, [])
     )
-    doc = serialize.family_to_doc(range_family)
+    doc = family_doc(range_family)
     assert doc["assignments"] == {"0": [0], "1": [1]} and doc["default"] == []
     back = serialize.family_from_doc(doc)
     assert back.assignments == range_family.assignments
@@ -107,7 +107,7 @@ def test_map_documents_round_trip():
 
 def test_class_documents_round_trip():
     sc = sclass(3, [[0], [1, 2], []])
-    doc = serialize.class_to_doc(sc)
+    doc = class_doc(sc)
     assert doc == {"universe": 3, "members": [[], [0], [1, 2]]}
     assert serialize.class_from_doc(doc) == sc
     assert serialize.class_from_doc({"universe": 1, "members": [[0], [0]]}) == SetClass(
@@ -174,7 +174,7 @@ def test_prefix_index_keys_survive_a_json_round_trip():
         PREFIX,
         {(): mask(1, [0]), (0,): mask(1, []), (0, 0): mask(1, [0])},
     )
-    doc = json.loads(canonical_json(serialize.family_to_doc(family)))
+    doc = json.loads(canonical_json(family_doc(family)))
     back = serialize.family_from_doc(doc)
     assert set(back.assignments) == {(), (0,), (0, 0)}
     with pytest.raises(InputError):

@@ -1,5 +1,6 @@
 """Finite topologies: generation, enumeration, pieces, subspaces, products."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -26,6 +27,30 @@ from conftest import mask, masks, spaces
 
 # Every labeled space on up to 4 points: 1 + 1 + 4 + 29 + 355.
 LABELED = [space for n in range(5) for space in all_topologies(n)]
+# and on up to 5 points: 6,942 more.
+LABELED_5 = LABELED + all_topologies(5)
+
+
+def indiscrete(n):
+    return FinSpace(n, _nbhds=[(1 << n) - 1] * n)
+
+
+def transitive_relations(n):
+    """Every reflexive relation on n points that is transitive, as above-masks, by filtering all of them.
+
+    Pick bit idx relates the idx-th off-diagonal pair (i, j), row-major, so the
+    relations come in the order all_topologies lists the spaces in.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for pick in range(1 << len(pairs)):
+        above = [1 << i for i in range(n)]
+        for idx, (i, j) in enumerate(pairs):
+            if pick >> idx & 1:
+                above[i] |= 1 << j
+        if all(above[j] & ~above[i] == 0 for i in range(n) for j in range(n) if above[i] >> j & 1):
+            out.append(tuple(above))
+    return out
 
 
 @st.composite
@@ -61,11 +86,26 @@ def test_labeled_topology_counts_match_subbasis_closure_oracle():
 
 
 def test_four_point_count_is_355():
-    assert len(all_topologies(4, max_points=4)) == 355
+    assert len(all_topologies(4)) == 355
+
+
+def test_enumeration_lists_the_transitive_relations_in_order_up_to_4_points():
+    for n in range(5):
+        assert [space.min_neighborhoods() for space in all_topologies(n)] == transitive_relations(n)
+
+
+def test_five_point_enumeration_is_frozen():
+    # filtering the 2^20 relations on 5 points takes seconds, so the list is pinned by its count and digest
+    nbhds = [space.min_neighborhoods() for space in LABELED_5[390:]]
+    assert len(nbhds) == 6942
+    digest = hashlib.sha256(repr(nbhds).encode()).hexdigest()
+    assert digest == "4f6aaa5e409f725c5dbaca1b54947bcbfb0188c9578e2a9ffa4298d70995e978"
+    with pytest.raises(ResourceError, match="stops at 5 points, asked for 6"):
+        all_topologies(6)
 
 
 def test_minimal_neighborhoods_are_the_smallest_opens():
-    for space in LABELED:
+    for space in LABELED_5:
         opens = space.open_bits()
         nbhds = space.min_neighborhoods()
         assert len(nbhds) == space.n
@@ -101,15 +141,15 @@ def _clopen_atoms(space):
 
 
 def test_components_partition_and_zero_sets_are_their_unions():
-    for space in LABELED:
-        comps = components(space)
+    for space in LABELED_5:
+        comps, full = components(space), (1 << space.n) - 1
         assert isinstance(comps, tuple) and all(isinstance(c, SubsetMask) for c in comps)
         assert [c.bits for c in comps] == _clopen_atoms(space)
         seen = 0
         for c in comps:
             assert c.bits and not seen & c.bits
             seen |= c.bits
-            assert space.is_open(c) and space.is_closed(c)
+            assert c.bits in space.open_bits() and full ^ c.bits in space.open_bits()
         assert seen == (1 << space.n) - 1
         expected = set()
         for r in range(len(comps) + 1):
@@ -123,8 +163,8 @@ def test_components_partition_and_zero_sets_are_their_unions():
 
 def test_memoised_zero_sets_are_the_clopen_sets(monkeypatch):
     # On a finite space the unions of components are exactly the clopen sets.
-    labeled = LABELED
-    assert len(labeled) == 390
+    labeled = LABELED_5
+    assert len(labeled) == 390 + 6942
     for space in labeled:
         assert zero_sets(space).member_bits() == _clopens(space)
     twin = FinSpace(3, [mask(3, []), mask(3, [0]), mask(3, [0, 1, 2])])
@@ -141,7 +181,7 @@ def test_discrete_and_indiscrete_extremes():
     d = FinSpace.discrete(3)
     assert d.is_discrete() and len(d.open_bits()) == 8
     assert len(zero_sets(d)) == 8
-    i = FinSpace.indiscrete(3)
+    i = indiscrete(3)
     assert not i.is_discrete() and set(i.open_bits()) == {0, 0b111}
     assert zero_sets(i).member_bits() == {0, 0b111}
 
@@ -228,4 +268,4 @@ def test_a_family_is_a_space_exactly_when_closed_under_union_and_intersection():
         assert accepted == len(spaces_by_opens)
     # The public constructor checks the given opens; it never enumerates the 2^n subsets.
     big = FinSpace(30, [SubsetMask(30, 0), SubsetMask.full(30)])
-    assert big == FinSpace.indiscrete(30) and len(big.open_bits()) == 2
+    assert big == indiscrete(30) and len(big.open_bits()) == 2

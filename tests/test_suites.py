@@ -27,14 +27,13 @@ from redsep import (
     replay_finding,
     run_suite,
     suite_defaults,
-    suite_description,
     suite_names,
 )
 from redsep import FinSpace, PointMap, serialize, suites
 from redsep.hausdorff import eval_plan_bits
 from redsep.masks import lanes_of, pack_lanes, replicate
 
-from conftest import mask
+from conftest import family_doc, mask
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -59,7 +58,6 @@ def test_the_registered_suites():
         "zero-witness-certificate",
     )
     for name in suite_names():
-        assert suite_description(name)
         bounds, budget, expects = suite_defaults(name)
         assert isinstance(bounds, Bounds) and budget >= 0
     expecting = {name for name in suite_names() if suite_defaults(name)[2]}
@@ -75,8 +73,6 @@ def test_unknown_suite_names_are_rejected():
         run_suite("no-such-suite")
     with pytest.raises(InputError):
         suite_defaults("no-such-suite")
-    with pytest.raises(InputError):
-        suite_description("no-such-suite")
 
 
 @pytest.mark.parametrize(
@@ -102,7 +98,7 @@ def test_witness_documents_replay_through_the_public_api():
 
 def test_law_abiding_instances_do_not_replay_as_violations():
     base_doc = serialize.base_to_doc(canonical_base("union", 2))
-    family_doc = serialize.family_to_doc(
+    family = family_doc(
         IndexedFamily.from_list(2, [mask(2, [0]), mask(2, [1])])
     )
     for identity in ("intersection", "union"):
@@ -112,7 +108,7 @@ def test_law_abiding_instances_do_not_replay_as_violations():
             "instance": {
                 "base": base_doc,
                 "mode": "range",
-                "family": family_doc,
+                "family": family,
                 "mask": [0],
                 "identity": identity,
             },
@@ -173,7 +169,7 @@ def test_every_replayer_names_a_missing_field(name):
 def test_malformed_instance_fields_are_rejected():
     good = {
         "base": serialize.base_to_doc(canonical_base("union", 2)),
-        "family": serialize.family_to_doc(IndexedFamily.from_list(2, [mask(2, [0]), mask(2, [1])])),
+        "family": family_doc(IndexedFamily.from_list(2, [mask(2, [0]), mask(2, [1])])),
         "mode": "range",
         "mask": [0],
         "identity": "union",
