@@ -25,7 +25,6 @@ from .classes import (
     delta_class,
     generate_class,
     reduction_to_separation,
-    restrict_class,
 )
 from .errors import EngineError, InputError, ModeError, PreconditionError, ResourceError
 from .hausdorff import (
@@ -58,7 +57,6 @@ from .spaces import (
     generate_topology,
     open_sets,
     product,
-    subspace,
     zero_sets,
 )
 from .suites import (
@@ -140,9 +138,7 @@ __all__ = [
     "pull_back_witnesses",
     "reduction_to_separation",
     "replay_finding",
-    "restrict_class",
     "run_suite",
-    "subspace",
     "suite_defaults",
     "suite_names",
     "transfer_property",

@@ -16,6 +16,7 @@ from .spaces import FinSpace
 # No cap lifts this one: 6 points carry 209,527 topologies, whose FinSpaces take seconds and
 # over 200 MB to build, and zero-trace-gap alone would sweep about 13.4M cases over them.
 _ENUM_CEILING = 5
+MAX_BASES = 4096
 
 
 def _preorders(n):
@@ -50,7 +51,7 @@ def all_topologies(n):
     """Every topology on n labeled points, ordered by relation key; 1, 1, 4, 29, 355, 6942 for n = 0..5."""
     if n > _ENUM_CEILING:
         raise ResourceError(f"topology enumeration stops at {_ENUM_CEILING} points, asked for {n}")
-    return [FinSpace(n, _nbhds=above) for above in sorted(_preorders(n), key=_relation_key)]
+    return [FinSpace(n, above) for above in sorted(_preorders(n), key=_relation_key)]
 
 
 def all_tables(m, n):
@@ -66,16 +67,16 @@ def all_sequences(alphabet, depth):
     return out
 
 
-def all_bases(alphabet, depth, mode_hint=PREFIX, max_count=4096):
-    """Every base over the bounded branch pool (nonempty branch sets)."""
+def all_bases(alphabet, depth):
+    """Every base over the bounded branch pool (nonempty branch sets), in prefix mode."""
     pool = all_sequences(alphabet, depth)
-    if (1 << len(pool)) - 1 > max_count:
+    if (1 << len(pool)) - 1 > MAX_BASES:
         raise ResourceError(
             f"{(1 << len(pool)) - 1} bases over a pool of {len(pool)} branches, "
-            f"cap is {max_count}"
+            f"cap is {MAX_BASES}"
         )
     out = []
     for size in range(1, len(pool) + 1):
         for combo in combinations(pool, size):
-            out.append(Base(alphabet, combo, mode_hint))
+            out.append(Base(alphabet, combo, PREFIX))
     return out

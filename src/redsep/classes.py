@@ -22,7 +22,7 @@ from typing import Optional
 
 from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
-from .masks import SubsetMask, lanes_of, points_of, replicate, restrict_bits, sort_key, unions
+from .masks import SubsetMask, lanes_of, points_of, replicate, sort_key, unions
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
 MAX_LADDER_DEPTH = 64
@@ -97,15 +97,6 @@ def delta_class(sc):
     """Members whose complement is also a member."""
     full = (1 << sc.n) - 1
     return SetClass.from_bits(sc.n, (b for b in sc.member_bits() if full ^ b in sc.member_bits()))
-
-
-def restrict_class(sc, carrier):
-    """Traces of members on the carrier, re-indexed to 0..|carrier|-1."""
-    if not isinstance(carrier, SubsetMask) or carrier.n != sc.n:
-        raise InputError(f"carrier must be a SubsetMask over {sc.n} points")
-    return SetClass.from_bits(
-        carrier.card(), (restrict_bits(b, carrier.bits) for b in sc.member_bits())
-    )
 
 
 def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=False):
@@ -267,7 +258,7 @@ class Ladder:
     stabilized: bool
 
 
-def borel_ladder(generators, depth, max_depth=MAX_LADDER_DEPTH):
+def borel_ladder(generators, depth):
     """Alternate union closures and complements, accumulating the dual levels.
 
     Level 1 takes all unions of generators; each later sigma level takes all
@@ -279,8 +270,8 @@ def borel_ladder(generators, depth, max_depth=MAX_LADDER_DEPTH):
         raise InputError("generators must be a SetClass")
     if not isinstance(depth, int) or depth < 1:
         raise InputError(f"depth must be a positive int, got {depth!r}")
-    if depth > max_depth:
-        raise ResourceError(f"depth {depth} exceeds the cap {max_depth}")
+    if depth > MAX_LADDER_DEPTH:
+        raise ResourceError(f"depth {depth} exceeds the cap {MAX_LADDER_DEPTH}")
     levels, source, pool = [], generators.member_bits(), set()
     for _ in range(depth):
         # the unions of nonempty subfamilies: the empty union only if a source set is empty

@@ -242,13 +242,13 @@ def _cmd_zero_gap(args):
     report = {
         "universe": space.n,
         "carrier": serialize.points_doc(rep.carrier),
-        "subspace_points": list(rep.remap),
-        "traces": _class_doc(rep.traces),
-        "intrinsic": _class_doc(rep.intrinsic),
-        "gap": _class_doc(rep.gap),
-        "verdict": len(rep.gap) == 0,
+        "subspace_points": serialize.points_doc(rep.carrier),
+        "traces": rep.indexed(rep.traces),
+        "intrinsic": rep.indexed(rep.intrinsic),
+        "gap": rep.indexed(rep.gap),
+        "verdict": not rep.gap,
     }
-    return report, 0 if len(rep.gap) == 0 else 1
+    return report, 1 if rep.gap else 0
 
 
 def _cmd_space(args):
@@ -326,13 +326,16 @@ def _cmd_fuzz(args):
     written = []
     if args.corpus_dir is not None:
         corpus = Path(args.corpus_dir)
-        corpus.mkdir(parents=True, exist_ok=True)
-        for finding in (*res.violations, *res.witnesses):
-            payload = serialize.canonical_json(finding)
-            digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
-            name = f"{res.name}-{digest}.json"
-            (corpus / name).write_text(payload)
-            written.append(name)
+        try:
+            corpus.mkdir(parents=True, exist_ok=True)
+            for finding in (*res.violations, *res.witnesses):
+                payload = serialize.canonical_json(finding)
+                digest = hashlib.sha256(payload.encode()).hexdigest()[:12]
+                name = f"{res.name}-{digest}.json"
+                (corpus / name).write_text(payload)
+                written.append(name)
+        except OSError as exc:
+            raise InputError(f"cannot write findings to --corpus-dir {args.corpus_dir!r}: {exc}") from exc
     report = {
         "suite": res.name,
         "bounds": {

@@ -251,34 +251,28 @@ def decreasing_replacement(family):
     return IndexedFamily(family.n, PREFIX, out, None)
 
 
-def canonical_base(
-    kind,
-    *params,
-    max_alphabet=MAX_ALPHABET,
-    max_depth=MAX_DEPTH,
-    max_branches=MAX_BRANCHES,
-):
+def canonical_base(kind, *params):
     """Stock bases: union(m), intersection(m), a_operation(alphabet, depth)."""
     if kind == "union":
         (m,) = params
-        if m < 1 or m > max_alphabet:
-            raise ResourceError(f"union arity {m} outside 1..{max_alphabet}")
+        if m < 1 or m > MAX_ALPHABET:
+            raise ResourceError(f"union arity {m} outside 1..{MAX_ALPHABET}")
         return Base(m, [(i,) for i in range(m)], RANGE)
     if kind == "intersection":
         (m,) = params
-        if m < 1 or m > max_alphabet:
-            raise ResourceError(f"intersection arity {m} outside 1..{max_alphabet}")
+        if m < 1 or m > MAX_ALPHABET:
+            raise ResourceError(f"intersection arity {m} outside 1..{MAX_ALPHABET}")
         return Base(m, [tuple(range(m))], RANGE)
     if kind == "a_operation":
         alphabet, depth = params
-        if alphabet < 1 or alphabet > max_alphabet:
-            raise ResourceError(f"alphabet {alphabet} outside 1..{max_alphabet}")
-        if depth < 1 or depth > max_depth:
-            raise ResourceError(f"depth {depth} outside 1..{max_depth}")
-        if alphabet**depth > max_branches:
+        if alphabet < 1 or alphabet > MAX_ALPHABET:
+            raise ResourceError(f"alphabet {alphabet} outside 1..{MAX_ALPHABET}")
+        if depth < 1 or depth > MAX_DEPTH:
+            raise ResourceError(f"depth {depth} outside 1..{MAX_DEPTH}")
+        if alphabet**depth > MAX_BRANCHES:
             raise ResourceError(
                 f"a_operation({alphabet}, {depth}) has {alphabet**depth} branches, "
-                f"cap is {max_branches}"
+                f"cap is {MAX_BRANCHES}"
             )
         return Base(alphabet, iproduct(range(alphabet), repeat=depth), RANGE)
     raise InputError(f"unknown canonical base kind {kind!r}")

@@ -13,7 +13,7 @@ from typing import Optional
 from .classes import SetClass
 from .errors import InputError, ResourceError
 from .masks import SubsetMask, unions
-from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, product
+from .spaces import FinSpace, product
 
 MAX_ALG_FIBERS = 16
 # directedness is quadratic in the family length, which a finding document sets
@@ -103,15 +103,15 @@ def alg_contains(pm, mask):
     return pm.preimage_bits(pm.image_bits(mask.bits)) == mask.bits
 
 
-def alg_enumerate(pm, max_fibers=MAX_ALG_FIBERS):
+def alg_enumerate(pm):
     """All saturated sets; exactly 2^(#nonempty fibers) of them."""
     fibers = [f for f in pm.fiber_bits() if f]
-    if len(fibers) > max_fibers:
-        raise ResourceError(f"{len(fibers)} fibers exceed the cap {max_fibers}")
+    if len(fibers) > MAX_ALG_FIBERS:
+        raise ResourceError(f"{len(fibers)} fibers exceed the cap {MAX_ALG_FIBERS}")
     return SetClass.from_bits(pm.dom.n, unions(fibers))
 
 
-def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
+def diagonal_product(pms):
     """x |-> (F_1(x), ..., F_k(x)) into the product of the codomains."""
     pms = list(pms)
     if not pms:
@@ -120,7 +120,7 @@ def diagonal_product(pms, max_points=DEFAULT_MAX_PRODUCT_POINTS):
     for pm in pms[1:]:
         if pm.dom != dom:
             raise InputError("diagonal product factors must share a domain")
-    cod, codec = _product(tuple(pm.cod for pm in pms), max_points)
+    cod, codec = _product(tuple(pm.cod for pm in pms))
     table = [codec.encode([pm.table[x] for pm in pms]) for x in range(dom.n)]
     return PointMap(dom, cod, table)
 

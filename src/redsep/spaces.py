@@ -4,14 +4,15 @@ A topology on finitely many points is its specialization preorder
 (Alexandroff 1937).  The minimal neighbourhood U_x, the smallest open set
 around x, is the set of points above x, and a set is open exactly when it
 contains U_x for each of its points x.  A space stores its n minimal
-neighbourhoods and the bitmasks of its open sets; components, subspaces and
-products are derived from the neighbourhoods, and the open sets are wrapped
-as SubsetMasks only when asked for.
+neighbourhoods and the bitmasks of its open sets.  Components, of the whole
+space or of the subspace on a carrier, and products are derived from the
+neighbourhoods, and the open sets are wrapped as SubsetMasks only when asked
+for.
 """
 
 from .classes import SetClass, complement_class
 from .errors import InputError, ResourceError
-from .masks import SubsetMask, restrict_bits, sort_key, unions
+from .masks import SubsetMask, points_of, sort_key, unions
 
 DEFAULT_MAX_POINTS = 5
 DEFAULT_MAX_PRODUCT_POINTS = 12
@@ -34,47 +35,26 @@ def _meets(n, sets):
 class FinSpace:
     """A finite space: its minimal neighbourhoods and the bitmasks of its open sets.
 
-    ``FinSpace(n, opens)`` takes the full list of open sets as SubsetMasks and
-    checks that it holds the empty set and the universe and is closed under
-    pairwise union and intersection.  The other constructors pass the minimal
-    neighbourhoods of a space known to be valid, and its opens are their up-filter.
+    ``FinSpace(n, nbhds)`` takes the minimal neighbourhoods of a preorder on n
+    points, which callers build valid (generate_topology for a subbasis), and
+    its opens are their up-filter.
     """
 
     __slots__ = ("n", "_nbhds", "_open_bits")
 
-    def __init__(self, n, opens=(), *, _nbhds=None):
-        if not isinstance(n, int) or n < 0:
-            raise InputError(f"universe size must be a nonnegative int, got {n!r}")
-        if _nbhds is None:
-            bits = set()
-            for o in opens:
-                if not isinstance(o, SubsetMask) or o.n != n:
-                    raise InputError(f"open set {o!r} is not a SubsetMask over {n} points")
-                bits.add(o.bits)
-            if 0 not in bits or (1 << n) - 1 not in bits:
-                raise InputError("opens must contain the empty set and the whole universe")
-            ordered = sorted(bits)
-            for i, x in enumerate(ordered):
-                for y in ordered[i + 1 :]:
-                    if x | y not in bits:
-                        raise InputError(f"opens not closed under union: {x:b} | {y:b}")
-                    if x & y not in bits:
-                        raise InputError(f"opens not closed under intersection: {x:b} & {y:b}")
-            _nbhds = _meets(n, bits)
-        else:
-            # the opens are the unions of minimal neighbourhoods: the cost follows
-            # the number of open sets rather than the 2^n subsets
-            bits = unions(_nbhds)
+    def __init__(self, n, nbhds):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_nbhds", tuple(_nbhds))
-        object.__setattr__(self, "_open_bits", frozenset(bits))
+        object.__setattr__(self, "_nbhds", tuple(nbhds))
+        # the opens are the unions of minimal neighbourhoods: the cost follows
+        # the number of open sets rather than the 2^n subsets
+        object.__setattr__(self, "_open_bits", frozenset(unions(self._nbhds)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FinSpace is immutable")
 
     @classmethod
     def discrete(cls, n):
-        return cls(n, _nbhds=[1 << x for x in range(n)])
+        return cls(n, [1 << x for x in range(n)])
 
     @property
     def opens(self):
@@ -118,7 +98,7 @@ def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
         if s.n != n:
             raise InputError(f"subbasis entry {s!r} has universe {s.n}, expected {n}")
         sub_bits.append(s.bits)
-    return FinSpace(n, _nbhds=_meets(n, sub_bits))
+    return FinSpace(n, _meets(n, sub_bits))
 
 
 def open_sets(space):
@@ -131,25 +111,32 @@ def closed_sets(space):
     return complement_class(open_sets(space))
 
 
-def components(space):
-    """Connected components as SubsetMask blocks, ordered by least point.
+def component_bits(nbhds, carrier):
+    """The components of the preorder cut to the carrier bits, as bits ordered by least point.
 
-    Points are connected exactly when a chain of comparable points joins
-    them, so a block grows by every minimal neighbourhood that meets it.
+    Carrier points are connected exactly when a chain of comparable carrier
+    points joins them, so a block grows by every cut minimal neighbourhood
+    that meets it.  The cut neighbourhoods are those of the subspace on the
+    carrier, so these blocks are its components, in ambient indexing.
     """
-    nbhds = space.min_neighborhoods()
+    cut = [nbhds[x] & carrier for x in points_of(carrier)]
     blocks = []
-    left = (1 << space.n) - 1
+    left = carrier
     while left:
         block, grown = left & -left, 0
         while block != grown:
             grown = block
-            for u in nbhds:
+            for u in cut:
                 if u & grown:
                     block |= u
-        blocks.append(SubsetMask(space.n, block))
+        blocks.append(block)
         left &= ~block
-    return tuple(blocks)
+    return blocks
+
+
+def components(space):
+    """Connected components as SubsetMask blocks, ordered by least point."""
+    return tuple(SubsetMask(space.n, b) for b in component_bits(space.min_neighborhoods(), (1 << space.n) - 1))
 
 
 _ZERO_SETS = {}  # space -> its zero sets; the sweeps ask again for the same few hundred spaces
@@ -166,22 +153,9 @@ def zero_sets(space):
         return _ZERO_SETS[space]
     if len(_ZERO_SETS) >= _ZERO_SETS_LIMIT:
         _ZERO_SETS.clear()
-    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, unions(block.bits for block in components(space)))
+    blocks = component_bits(space.min_neighborhoods(), (1 << space.n) - 1)
+    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, unions(blocks))
     return zeros
-
-
-def subspace(space, carrier):
-    """Trace topology on the carrier, re-indexed to 0..|carrier|-1.
-
-    The minimal neighbourhood of a carrier point x is U_x restricted to the
-    carrier.  Returns (space, remap) where remap[i] is the original point of
-    new index i.
-    """
-    if not isinstance(carrier, SubsetMask) or carrier.n != space.n:
-        raise InputError(f"carrier must be a SubsetMask over {space.n} points")
-    remap = carrier.points()
-    nbhds = space.min_neighborhoods()
-    return FinSpace(len(remap), _nbhds=[restrict_bits(nbhds[x], carrier.bits) for x in remap]), remap
 
 
 class ProductCodec:
@@ -249,4 +223,4 @@ def product(spaces, max_points=DEFAULT_MAX_PRODUCT_POINTS):
                 if nb >> y & 1:
                     stack.append((depth + 1, prefix * size + y))
         min_nbhd.append(acc)
-    return FinSpace(total, _nbhds=min_nbhd), codec
+    return FinSpace(total, min_nbhd), codec

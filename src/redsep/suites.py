@@ -777,22 +777,23 @@ def _replay_reduction_dual_separation(instance, kind):
 def _run_zero_trace_gap(bounds, rng, budget, col):
     """Traces of ambient zero sets are intrinsic; the converse can fail."""
     for space in _spaces(bounds.max_points):
-        discrete = space.is_discrete()
+        discrete, full = space.is_discrete(), (1 << space.n) - 1
         for carrier_bits in range(1 << space.n):
             col.cases += 1
             carrier = SubsetMask(space.n, carrier_bits)
             rep = zero_trace_gap(space, carrier)
-            intrinsic = rep.intrinsic.member_bits()
-            escaped = [t for t in rep.traces.members if t.bits not in intrinsic]
+            escaped = rep.traces - rep.intrinsic
+            if not (escaped or rep.gap):
+                continue
             carrier_doc = serialize.points_doc(carrier)
             if escaped:
                 col.violation(
                     _doc(space, carrier=carrier_doc, check="trace-not-intrinsic"),
-                    {"escaped": [serialize.points_doc(t) for t in escaped]},
+                    {"escaped": rep.indexed(escaped)},
                 )
-            if len(rep.gap):
-                gap = {"gap": [serialize.points_doc(g) for g in rep.gap.members]}
-                if discrete or carrier_bits == (1 << space.n) - 1:
+            if rep.gap:
+                gap = {"gap": rep.indexed(rep.gap)}
+                if discrete or carrier_bits == full:
                     col.violation(_doc(space, carrier=carrier_doc, check="unexpected-gap"), gap)
                 else:
                     col.witness(_doc(space, carrier=carrier_doc), gap)
@@ -804,11 +805,10 @@ def _replay_zero_trace_gap(instance, kind):
     check = _field(instance, "check", choices=(None, "trace-not-intrinsic", "unexpected-gap"))
     rep = zero_trace_gap(space, carrier)
     if kind == "witness":
-        return len(rep.gap) > 0
+        return bool(rep.gap)
     if check == "trace-not-intrinsic":
-        intrinsic = rep.intrinsic.member_bits()
-        return any(t.bits not in intrinsic for t in rep.traces.members)
-    return len(rep.gap) > 0 and (space.is_discrete() or carrier.bits == (1 << space.n) - 1)
+        return bool(rep.traces - rep.intrinsic)
+    return bool(rep.gap) and (space.is_discrete() or carrier.bits == (1 << space.n) - 1)
 
 
 _IDENTITY_BASES = (

@@ -20,12 +20,11 @@ from .classes import (
     check_reduction,
     check_separation,
     generate_class,
-    restrict_class,
 )
 from .errors import InputError, PreconditionError, ResourceError
 from .maps import PointMap, alg_contains
-from .masks import SubsetMask
-from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, subspace, zero_sets
+from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
+from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
 
 
 def pull_back_witnesses(pm, a, b, witness, which):
@@ -177,7 +176,7 @@ class ZeroWitnessReport:
 _indicator_cod = cache(lambda k: FinSpace.discrete(1 << k))
 
 
-def zero_witness_map(space, zeros, max_points=DEFAULT_MAX_PRODUCT_POINTS):
+def zero_witness_map(space, zeros):
     """Diagonal of the 0/1 indicator maps of the listed zero sets.
 
     Each indicator sends points inside the set to 0 and the rest to 1; it is
@@ -193,8 +192,8 @@ def zero_witness_map(space, zeros, max_points=DEFAULT_MAX_PRODUCT_POINTS):
         if z not in zs:
             raise PreconditionError(f"{z!r} is not a zero set of the space")
     k = len(zeros)
-    if 1 << k > max_points:
-        raise ResourceError(f"{k} indicator factors exceed the product cap {max_points}")
+    if 1 << k > DEFAULT_MAX_PRODUCT_POINTS:
+        raise ResourceError(f"{k} indicator factors exceed the product cap {DEFAULT_MAX_PRODUCT_POINTS}")
     # diagonal of k two-point discrete factors, row-major: bit i of the code
     # is the indicator of zeros[k-1-i]; equals the generic product codec
     table = []
@@ -210,24 +209,32 @@ def zero_witness_map(space, zeros, max_points=DEFAULT_MAX_PRODUCT_POINTS):
 
 @dataclass(frozen=True)
 class GapReport:
+    """Zero sets of the subspace on the carrier, as bits of carrier subsets in ambient indexing."""
+
     carrier: SubsetMask
-    remap: tuple       # new index -> original point
-    traces: SetClass   # restrictions of ambient zero sets, subspace indexing
-    intrinsic: SetClass
-    gap: SetClass      # intrinsic members that are not traces
+    traces: frozenset     # ambient zero sets cut to the carrier
+    intrinsic: frozenset  # the subspace's own zero sets
+    gap: frozenset        # intrinsic sets that are not traces
+
+    def indexed(self, sets):
+        """The given carrier subsets re-indexed to 0..|carrier|-1, as point lists
+        in canonical order (restriction keeps cardinality and numeric order)."""
+        return [list(points_of(restrict_bits(b, self.carrier.bits))) for b in sorted(sets, key=sort_key)]
 
 
 def zero_trace_gap(space, carrier):
     """Compare restricted ambient zero sets with the subspace's own zero sets.
 
-    Traces are always intrinsic (restrictions of component-constant indicator
-    maps stay continuous); the converse can fail off discrete spaces, and the
-    gap lists the intrinsic zero sets with no ambient representative.
+    Zero sets are the unions of components, so both sides are read off two
+    partitions of the carrier: the ambient components cut to it, and the
+    components of the subspace on it.  Traces are always intrinsic (each cut
+    ambient component is a union of subspace components); the converse can
+    fail off discrete spaces, and the gap lists the intrinsic zero sets with no
+    ambient representative.
     """
-    traces = restrict_class(zero_sets(space), carrier)
-    sub, remap = subspace(space, carrier)
-    intrinsic = zero_sets(sub)
-    gap = SetClass.from_bits(
-        sub.n, intrinsic.member_bits() - traces.member_bits()
-    )
-    return GapReport(carrier, remap, traces, intrinsic, gap)
+    if not isinstance(carrier, SubsetMask) or carrier.n != space.n:
+        raise InputError(f"carrier must be a SubsetMask over {space.n} points")
+    nbhds, c = space.min_neighborhoods(), carrier.bits
+    traces = frozenset(unions(b & c for b in component_bits(nbhds, (1 << space.n) - 1)))
+    intrinsic = frozenset(unions(component_bits(nbhds, c)))
+    return GapReport(carrier, traces, intrinsic, intrinsic - traces)

@@ -20,8 +20,10 @@ from redsep import (
     all_tables,
     all_topologies,
     generate_topology,
+    zero_sets,
 )
 from redsep.classes import _reduction_witness, _separation_witness
+from redsep.masks import restrict_bits
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -119,6 +121,27 @@ def canonical_witness(sc, which, a, b):
     """The property's per-pair search on masks or bits (a, b) in sc: the witness bits, or None."""
     a, b = (x.bits if isinstance(x, SubsetMask) else x for x in (a, b))
     return (_reduction_witness if which == REDUCTION else _separation_witness)(sc, a, b)
+
+
+def subspace(space, carrier):
+    """Trace topology on the carrier mask, re-indexed to 0..|carrier|-1: (space, remap),
+    remap[i] being the original point of new index i."""
+    remap = carrier.points()
+    nbhds = space.min_neighborhoods()
+    return FinSpace(len(remap), [restrict_bits(nbhds[x], carrier.bits) for x in remap]), remap
+
+
+def restrict_class(sc, carrier):
+    """Traces of members on the carrier mask, re-indexed to 0..|carrier|-1."""
+    return SetClass.from_bits(carrier.card(), (restrict_bits(b, carrier.bits) for b in sc.member_bits()))
+
+
+def gap_oracle(space, carrier):
+    """(traces, intrinsic, gap) as classes over the re-indexed carrier, by building the
+    subspace: the ambient zero sets restricted, and the subspace's own zero sets."""
+    traces = restrict_class(zero_sets(space), carrier)
+    intrinsic = zero_sets(subspace(space, carrier)[0])
+    return traces, intrinsic, SetClass.from_bits(intrinsic.n, intrinsic.member_bits() - traces.member_bits())
 
 
 spaces = st.sampled_from(SPACE_POOL)

@@ -32,14 +32,12 @@ from redsep import (
     generate_class,
     generate_topology,
     reduction_to_separation,
-    restrict_class,
     transfer_property,
 )
 from redsep import classes
 from redsep.classes import _reduction_witness, _separation_witness, reduces, separates
-from redsep.masks import restrict_bits
 
-from conftest import bases, canonical_witness, mask, modes, power_set, sclass, set_classes, witness_holds
+from conftest import bases, canonical_witness, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
 
 
 def opens_class(space):
@@ -91,8 +89,9 @@ def test_restrict_class_traces_every_member(sc, carrier_bits):
     carrier = SubsetMask(3, carrier_bits)
     traced = restrict_class(sc, carrier)
     assert traced.n == carrier.card()
-    assert traced.member_bits() == {
-        restrict_bits(m.bits & carrier.bits, carrier.bits) for m in sc
+    index = {p: i for i, p in enumerate(carrier.points())}
+    assert {m.points() for m in traced} == {
+        tuple(index[p] for p in m.points() if p in index) for m in sc
     }
 
 

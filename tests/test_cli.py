@@ -236,6 +236,25 @@ def test_zero_gap_flags_the_connected_carrier(tmp_path):
     assert code == 0 and report["gap"] == []
 
 
+ZERO_GAP_REPORTS_SHA = "a3989e22714efdf9c9d25d636af9fba33aa70e02db960c6a52c8341d8644cd68"
+
+
+def test_zero_gap_reports_up_to_3_points_are_pinned(tmp_path):
+    """Every space on up to 3 points with every carrier: 251 reports, 6 of them with a gap."""
+    digest, exits = hashlib.sha256(), []
+    path = tmp_path / "instance.json"
+    for n in range(4):
+        for i, space in enumerate(catalog.all_topologies(n)):
+            for carrier in range(1 << n):
+                doc = {"space": serialize.space_to_doc(space), "carrier": [x for x in range(n) if carrier >> x & 1]}
+                path.write_text(json.dumps(doc))
+                code, out = run_cli(["zero-gap", str(path)])
+                exits.append(code)
+                digest.update(f"{n}-{i}-{carrier}".encode() + b"\0" + str(code).encode() + b"\0" + out.encode())
+    assert sorted(exits) == [0] * 245 + [1] * 6
+    assert digest.hexdigest() == ZERO_GAP_REPORTS_SHA
+
+
 def test_space_respects_the_point_cap(tmp_path):
     inst = write_instance(tmp_path, {"product": [CONNECTED3, CONNECTED3]})
     code, out = run_cli(["space", "--max-points", "4", inst])
@@ -295,6 +314,16 @@ def test_fuzz_exit_reflects_the_suite_verdict(tmp_path):
     code, out = run_cli(["fuzz", "diagonal-absorption", "--max-points", "1"])
     report = json.loads(out)
     assert code == 0 and report["verdict"] is True and report["budget"] == 0
+
+
+def test_fuzz_refuses_a_corpus_dir_it_cannot_write(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for corpus in (blocker, blocker / "under"):
+        code = main(["fuzz", "image-necessity", "--max-points", "2", "--corpus-dir", str(corpus)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write findings to --corpus-dir ") and err.count("\n") == 1
 
 
 def test_malformed_input_exits_2_with_a_diagnostic(tmp_path, capsys):

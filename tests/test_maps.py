@@ -19,6 +19,7 @@ from redsep import (
     generate_topology,
     product,
 )
+from redsep import maps
 
 from conftest import mask, masks, sclass, spaces, tables
 
@@ -107,10 +108,11 @@ def test_enumerated_algebra_is_a_complement_closed_union_closed_family(nmt):
             assert a | b in alg and a & b in alg
 
 
-def test_algebra_enumeration_cap():
+def test_algebra_enumeration_cap(monkeypatch):
     pm = table_map(3, 3, [0, 1, 2])
-    with pytest.raises(ResourceError):
-        alg_enumerate(pm, max_fibers=2)
+    monkeypatch.setattr(maps, "MAX_ALG_FIBERS", 2)
+    with pytest.raises(ResourceError, match="3 fibers exceed the cap 2"):
+        alg_enumerate(pm)
 
 
 def test_diagonal_product_refines_every_factor_algebra():

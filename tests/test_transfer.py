@@ -16,21 +16,24 @@ from redsep import (
     SetClass,
     SubsetMask,
     alg_enumerate,
+    all_topologies,
     canonical_base,
     check_reduction,
     check_separation,
+    components,
     generate_class,
     pull_back_witnesses,
+    run_suite,
     transfer_property,
     zero_sets,
     zero_trace_gap,
     zero_witness_map,
 )
 
-from redsep import transfer
+from redsep import suites, transfer
 from redsep.classes import _reduction_witness, reduces
 
-from conftest import canonical_witness, mask, power_set, sclass, spaces, tables, witness_holds
+from conftest import canonical_witness, gap_oracle, mask, power_set, sclass, spaces, subspace, tables, witness_holds
 
 
 def merge32():
@@ -258,31 +261,65 @@ def test_zero_witness_map_guards(connected3):
 
 def test_connected_space_leaves_a_trace_gap(connected3):
     rep = zero_trace_gap(connected3, mask(3, [1, 2]))
-    assert rep.remap == (1, 2)
-    assert {m.points() for m in rep.traces} == {(), (0, 1)}
-    assert rep.intrinsic == power_set(2)
-    assert {m.points() for m in rep.gap} == {(0,), (1,)}
+    assert rep.carrier == mask(3, [1, 2])
+    assert rep.traces == {0, 0b110} and rep.gap == {0b010, 0b100}
+    assert rep.indexed(rep.traces) == [[], [0, 1]]
+    assert rep.indexed(rep.intrinsic) == [list(m.points()) for m in power_set(2)]
+    assert rep.indexed(rep.gap) == [[0], [1]]
 
 
 @given(spaces, st.integers(0, 7))
 def test_traces_are_always_intrinsic_zero_sets(space, carrier_bits):
     carrier = SubsetMask(space.n, carrier_bits & ((1 << space.n) - 1))
     rep = zero_trace_gap(space, carrier)
-    assert rep.traces.member_bits() <= rep.intrinsic.member_bits()
-    assert rep.gap.member_bits() == (
-        rep.intrinsic.member_bits() - rep.traces.member_bits()
-    )
+    assert rep.traces <= rep.intrinsic
+    assert rep.gap == rep.intrinsic - rep.traces
+    assert all(not b & ~carrier.bits for b in rep.intrinsic)
 
 
 @given(st.integers(0, 15))
 def test_discrete_spaces_have_no_trace_gap(carrier_bits):
     space = FinSpace.discrete(4)
     rep = zero_trace_gap(space, SubsetMask(4, carrier_bits))
-    assert len(rep.gap) == 0
+    assert not rep.gap
 
 
 @given(spaces)
 def test_the_full_carrier_has_no_trace_gap(space):
     rep = zero_trace_gap(space, SubsetMask.full(space.n))
-    assert len(rep.gap) == 0
+    assert not rep.gap
     assert rep.traces == rep.intrinsic
+
+
+def test_the_gap_matches_the_subspace_oracle_up_to_4_points():
+    """All 5,931 (space, carrier) cases against the subspace route, and the closed form
+    |gap| = 2^(components of the subspace) - 2^(ambient components that meet the carrier)."""
+    cases = 0
+    for n in range(5):
+        for space in all_topologies(n):
+            ambient = [b.bits for b in components(space)]
+            for carrier_bits in range(1 << n):
+                cases += 1
+                carrier = SubsetMask(n, carrier_bits)
+                rep = zero_trace_gap(space, carrier)
+                oracle = gap_oracle(space, carrier)
+                for got, want in zip((rep.traces, rep.intrinsic, rep.gap), oracle):
+                    assert rep.indexed(got) == [list(m.points()) for m in want]
+                blocks = len(components(subspace(space, carrier)[0]))
+                meeting = sum(1 for b in ambient if b & carrier_bits)
+                assert len(rep.gap) == (1 << blocks) - (1 << meeting)
+    assert cases == 5931
+
+
+def test_the_gap_sweep_builds_no_space_and_no_class(monkeypatch):
+    suites._spaces(4)
+    built = []
+    for cls in (FinSpace, SetClass):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    res = run_suite("zero-trace-gap")
+    assert res.cases == 5931 and res.witness_count == 482
+    assert built == []
