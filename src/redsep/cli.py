@@ -242,7 +242,6 @@ def _cmd_zero_gap(args):
     report = {
         "universe": space.n,
         "carrier": serialize.points_doc(rep.carrier),
-        "subspace_points": serialize.points_doc(rep.carrier),
         "traces": rep.indexed(rep.traces),
         "intrinsic": rep.indexed(rep.intrinsic),
         "gap": rep.indexed(rep.gap),

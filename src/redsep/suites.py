@@ -10,8 +10,8 @@ The sweeping suites share one layer: a structural pool (spaces or table
 maps), the compiled plan of every (base, mode) pair, built once per
 (alphabet, depth), and per plan the assignments of every pool entry with the
 same universe size, which one kernel call evaluates as the lanes of packed
-ints (see ``masks``).  Each pool entry lays out pool^k once per k and draws
-all its samples in one pass, as it would alone.
+ints (see ``masks``).  Equal pools share one layout of pool^k per k, and each
+pool entry draws all its samples in one pass, as it would alone.
 
 Findings are plain JSON-ready documents.  A violation is a broken law and
 fails the suite; a witness is an expected counterexample (the suites that
@@ -24,7 +24,6 @@ import random
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, reduce
-from io import BytesIO
 from itertools import accumulate, chain, combinations, groupby, islice
 from itertools import product as iproduct
 
@@ -209,13 +208,13 @@ def _sample(pool, count, rng):
 
 def _draws(pool, counts, rng):
     """The samples of every nonzero count back to back; consecutive counts share draws of at most MAX_BUDGET values."""
-    groups = []
+    totals = []
     for count in filter(None, counts):
-        if groups and sum(groups[-1]) + count <= MAX_BUDGET:
-            groups[-1].append(count)
+        if totals and totals[-1] + count <= MAX_BUDGET:
+            totals[-1] += count
         else:
-            groups.append([count])
-    return b"".join(_sample(pool, sum(group), rng) for group in groups)
+            totals.append(count)
+    return b"".join(_sample(pool, total, rng) for total in totals)
 
 
 def _columns(raw, k):
@@ -228,35 +227,50 @@ def _case(plan, raw, i):
     return tuple(raw[i * len(plan.order) : (i + 1) * len(plan.order)])
 
 
-# A plan's index and assignments from a run of pools: lanes per pool, total lanes, case-major bytes, columns.
-_Batch = namedtuple("_Batch", "index plan sizes lanes raw columns")
+# A plan's index and assignments from a run of pools: lanes per pool, total lanes, case-major bytes, columns,
+# and the packed int with 1 in every lane.
+_Batch = namedtuple("_Batch", "index plan sizes lanes raw columns ones")
+
+# Per plan, a pool's lanes, its enumerated or corner cases, its sample count, and where the samples lie in its draws.
+_Layout = namedtuple("_Layout", "lanes fixed counts cuts")
+
+
+def _layout(pool, ks, budget, exhaust):
+    """The layout of a pool (bytes) for plans of ks indices: pool^k while small, else corners and samples."""
+    corners, by_k = pool[:3] if exhaust else b"", {}
+    for k in set(ks):
+        if exhaust and len(pool) ** k <= max(64, budget):
+            by_k[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
+        else:
+            by_k[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
+    lanes, fixed, counts = zip(*map(by_k.__getitem__, ks))
+    return _Layout(lanes, fixed, counts, list(map(slice, accumulate(counts, initial=0), accumulate(counts))))
 
 
 def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
     """Per plan of the bounds, the assignments from every pool back to back: one batch of lanes.
 
-    A plan gets all of pool^k while that stays small, laid out once per k, and otherwise the constant
-    corners plus `budget` samples; without `exhaust` it gets only the samples.  Pool by pool, before
-    the first batch, the samples of all sampled plans are drawn together, in plan order.
+    A plan gets all of pool^k while that stays small, and otherwise the constant corners plus `budget`
+    samples; without `exhaust` it gets only the samples.  Equal pools share one layout.  Pool by pool,
+    before the first batch, the samples of all sampled plans are drawn together, in plan order.  No pools
+    give no batches.
     """
-    plans, layouts = _plans(bounds, modes), []
+    plans = _plans(bounds, modes)
+    ks = [len(plan.order) for plan in plans]
+    layouts, lanes, parts, ones = {}, [], [], {}
     for pool in pools:
         pool = pack_lanes(pool).to_bytes(len(pool), "little")  # raises ResourceError on values over 8 points
-        corners, cases = pool[:3] if exhaust else b"", {}  # k -> lanes, enumerated or corner cases, samples
-        for k in {len(plan.order) for plan in plans}:
-            if exhaust and len(pool) ** k <= max(64, budget):
-                cases[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
-            else:
-                cases[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
-        layouts.append((cases, BytesIO(_draws(pool, [cases[len(plan.order)][2] for plan in plans], rng))))
-    for index, plan in enumerate(plans):
-        k, sizes, parts = len(plan.order), [], []
-        for cases, drawn in layouts:
-            lanes, raw, count = cases[k]
-            sizes.append(lanes)
-            parts += raw, drawn.read(count)
-        raw = b"".join(parts)
-        yield _Batch(index, plan, sizes, sum(sizes), raw, _columns(raw, k))
+        if pool not in layouts:
+            layouts[pool] = _layout(pool, ks, budget, exhaust)
+        layout = layouts[pool]
+        drawn = _draws(pool, layout.counts, rng)
+        lanes.append(layout.lanes)
+        parts.append(map(bytes.__add__, layout.fixed, map(drawn.__getitem__, layout.cuts)))
+    for index, (plan, k, sizes, row) in enumerate(zip(plans, ks, zip(*lanes), zip(*parts))):
+        raw, count = b"".join(row), sum(sizes)
+        if k not in ones:  # a plan's lanes depend on its k only
+            ones[k] = replicate(1, count)
+        yield _Batch(index, plan, list(sizes), count, raw, _columns(raw, k), ones[k])
 
 
 def _entry(batch, lane):
@@ -279,9 +293,8 @@ def _groups(col, entries, key):
                 col.add(kind, instance, detail)
 
 
-def _ev(positions, values, n, lanes, dual=False):
-    """eval, or its dual, on packed values, each of the lanes cut to n points."""
-    full = replicate((1 << n) - 1, lanes)
+def _ev(positions, values, full, dual=False):
+    """eval, or its dual, on packed values, each lane cut to the universe that full holds in it."""
     if dual:
         return full ^ (eval_plan_bits(positions, [full ^ v for v in values]) & full)
     return eval_plan_bits(positions, values) & full
@@ -295,10 +308,10 @@ def _differing(lanes, *pairs):
     return [(i, j, a[i], b[i]) for i in range(lanes) for j, (a, b) in enumerate(pairs) if a[i] != b[i]]
 
 
-def _image_pair(n, m, sizes, imgs, positions, values):
+def _image_pair(n, m, sizes, ones, imgs, positions, values):
     """F(eval(values)) and eval(F(values)) on packed values over n points; F maps run i of sizes[i] lanes by imgs[i]."""
-    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], m, sum(sizes))
-    return map_runs(_ev(positions, values, n, sum(sizes)), sizes, imgs), rhs
+    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], ones * ((1 << m) - 1))
+    return map_runs(_ev(positions, values, ones * ((1 << n) - 1)), sizes, imgs), rhs
 
 
 def _meet_image(pm, img, fam):
@@ -316,7 +329,8 @@ def _merge_witness(pm, img):
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
     columns = _columns(bytes(chain.from_iterable(cases)), 3)
-    found = _differing(len(cases), _image_pair(n, pm.cod.n, [len(cases)], [img], _PROBE.positions, columns))
+    ones = replicate(1, len(cases))
+    found = _differing(len(cases), _image_pair(n, pm.cod.n, [len(cases)], ones, [img], _PROBE.positions, columns))
     return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
@@ -394,11 +408,11 @@ def _run_distributivity(bounds, rng, budget, col):
             count, plan = batch.lanes, batch.plan
             col.cases += count
             # lane mask * count + c holds case c under that mask: the columns repeat once per mask
-            lanes, pos = count << n, plan.positions
-            values = [v * replicate(1, 1 << n, count) for v in batch.columns]
+            lanes, pos, full = count << n, plan.positions, replicate((1 << n) - 1, count << n)
+            values = [replicate(v, 1 << n, count) for v in batch.columns]
             masks = pack_lanes(b"".join(bytes([mask]) * count for mask in range(1 << n)))
-            meet = _ev(pos, [v & masks for v in values], n, lanes), _ev(pos, values, n, lanes) & masks
-            join = _ev(pos, [v | masks for v in values], n, lanes, True), _ev(pos, values, n, lanes, True) | masks
+            meet = _ev(pos, [v & masks for v in values], full), _ev(pos, values, full) & masks
+            join = _ev(pos, [v | masks for v in values], full, True), _ev(pos, values, full, True) | masks
             for lane, j, left, right in _differing(lanes, meet, join):
                 (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
@@ -424,9 +438,10 @@ def _run_restriction(bounds, rng, budget, col):
         for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
             lanes, plan, pos = batch.lanes, batch.plan, batch.plan.positions
             col.cases += lanes
-            ev = _ev(pos, batch.columns, n, lanes)
+            fulls = [batch.ones * ((1 << size) - 1) for size in range(n + 1)]
+            ev = _ev(pos, batch.columns, fulls[n])
             for carrier, trace in zip(carriers, traces):
-                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], carrier.bit_count(), lanes)
+                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], fulls[carrier.bit_count()])
                 for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
                     e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
                     instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
@@ -454,8 +469,9 @@ def _run_preimage_commutes(bounds, rng, budget, col):
             lanes, plan, pos, columns, sizes = batch.lanes, batch.plan, batch.plan.positions, batch.columns, batch.sizes
             col.cases += lanes
             pulled = [map_runs(v, sizes, pres) for v in columns]
+            full_n, full_m = batch.ones * ((1 << n) - 1), batch.ones * ((1 << m) - 1)
             checks = [
-                (map_runs(_ev(pos, columns, m, lanes, dual), sizes, pres), _ev(pos, pulled, n, lanes, dual))
+                (map_runs(_ev(pos, columns, full_m, dual), sizes, pres), _ev(pos, pulled, full_n, dual))
                 for dual in (False, True)
             ]
             for i, j, left, right in _differing(lanes, *checks):
@@ -498,8 +514,8 @@ def _run_algebra_closure(bounds, rng, budget, col):
             members.append(lane_table([bits in alg_bits for bits in range(1 << n)]))
         for batch in _sweep(bounds, pools, rng, budget):
             lanes, plan = batch.lanes, batch.plan
-            out = _ev(plan.positions, batch.columns, n, lanes)
-            for i, _, _, _ in _differing(lanes, (map_runs(out, batch.sizes, members), replicate(1, lanes))):
+            out = _ev(plan.positions, batch.columns, batch.ones * ((1 << n) - 1))
+            for i, _, _, _ in _differing(lanes, (map_runs(out, batch.sizes, members), batch.ones)):
                 e = _entry(batch, i)
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
                 found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(n, out >> 8 * i & 0xFF)}))
@@ -521,21 +537,22 @@ def _run_diagonal_absorption(bounds, rng, budget, col):
     """Membership in a factor's algebra survives the diagonal product."""
     sizes = range(1, min(bounds.max_points, 3) + 1)
     for n in range(sizes.stop):
+        # every map from n points with its algebra's members in canonical order, per codomain size
+        algs = {m: [(pm, alg_enumerate(pm)._order) for pm in _maps([n], [m])] for m in sizes}
         for m1 in sizes:
             for m2 in sizes:
-                for pm1 in _maps([n], [m1]):
-                    alg1 = alg_enumerate(pm1)
-                    for pm2 in _maps([n], [m2]):
+                for pm1, alg1 in algs[m1]:
+                    for pm2, alg2 in algs[m2]:
                         col.cases += 1
                         alg_diag = alg_enumerate(diagonal_product([pm1, pm2])).member_bits()
-                        for which, alg in (("left", alg1), ("right", alg_enumerate(pm2))):
-                            for mem in alg.members:
-                                if mem.bits not in alg_diag:
+                        for which, alg in (("left", alg1), ("right", alg2)):
+                            for bits in alg:
+                                if bits not in alg_diag:
                                     col.violation(
                                         {
                                             "maps": [serialize.map_to_doc(pm1), serialize.map_to_doc(pm2)],
                                             "factor": which,
-                                            "member": _pts(n, mem.bits),
+                                            "member": _pts(n, bits),
                                         },
                                         {"algebra_size": len(alg_diag)},
                                     )
@@ -594,13 +611,14 @@ def _run_image_commutes(bounds, rng, budget, col):
         for batch in _sweep(bounds, [range(1 << n)] * len(pms), rng, budget, [PREFIX], exhaust=False):
             lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
             col.cases += lanes
-            ev_raw = _ev(pos, dec, n, lanes)
+            full = batch.ones * ((1 << n) - 1)
+            ev_raw = _ev(pos, dec, full)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
             for i, idx in enumerate(plan.order):
                 if idx:
                     dec[i] &= dec[plan.order.index(idx[:-1])]
-            lhs, rhs = _image_pair(n, m, batch.sizes, imgs, pos, dec)
-            ev_dec = _ev(pos, dec, n, lanes)
+            lhs, rhs = _image_pair(n, m, batch.sizes, batch.ones, imgs, pos, dec)
+            ev_dec = _ev(pos, dec, full)
             checks = (("decreasing-image", m), ("replacement-value", n))
             for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
                 (check, size), e = checks[j], _entry(batch, i)
@@ -641,8 +659,9 @@ def _run_image_necessity(bounds, rng, budget, col):
             else:
                 instance = _doc(pm, _PROBE, n, witness[0], check="non-decreasing-image")
                 found.append(((e,), "witness", instance, _lr(m, *witness[1:])))
+        imgs_run = [imgs[e] for e in injective]
         for batch in _sweep(bounds, [range(1 << n)] * len(injective), rng, min(budget, 4), [PREFIX]):
-            pair = _image_pair(n, m, batch.sizes, [imgs[e] for e in injective], batch.plan.positions, batch.columns)
+            pair = _image_pair(n, m, batch.sizes, batch.ones, imgs_run, batch.plan.positions, batch.columns)
             for i, _, lhs, rhs in _differing(batch.lanes, pair):
                 e = injective[_entry(batch, i)]
                 instance = _doc(pms[e], batch.plan, n, _case(batch.plan, batch.raw, i), check="injective-image")
@@ -661,14 +680,14 @@ def _run_intersection_image(bounds, rng, budget, col):
     """Directed decreasing families push intersections through images."""
     sizes = range(1, min(bounds.max_points, 3) + 1)
     for n in sizes:
+        images = [(pm, _tables(pm)[0]) for pm in _maps([n], sizes)]
         for k in sizes:
             for above in _posets(k):
                 if not _directed(above):
                     continue
                 relation = _order_pairs(above)
                 decreasing = [fam for fam in iproduct(range(1 << n), repeat=k) if _decreasing(above, fam)]
-                for pm in _maps([n], sizes):
-                    img, _ = _tables(pm)
+                for pm, img in images:
                     for fi, fam in enumerate(decreasing):
                         col.cases += 1
                         lhs, rhs = _meet_image(pm, img, fam)

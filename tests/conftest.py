@@ -4,6 +4,10 @@ Structural pools (spaces, bases, tables) are precomputed once and sampled;
 that keeps the property tests fast and their shrunk counterexamples readable.
 """
 
+from io import BytesIO
+from itertools import chain
+from itertools import product as iproduct
+
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -22,8 +26,9 @@ from redsep import (
     generate_topology,
     zero_sets,
 )
+from redsep import suites
 from redsep.classes import _reduction_witness, _separation_witness
-from redsep.masks import restrict_bits
+from redsep.masks import pack_lanes, restrict_bits
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -142,6 +147,37 @@ def gap_oracle(space, carrier):
     traces = restrict_class(zero_sets(space), carrier)
     intrinsic = zero_sets(subspace(space, carrier)[0])
     return traces, intrinsic, SetClass.from_bits(intrinsic.n, intrinsic.member_bits() - traces.member_bits())
+
+
+def sweep_oracle(bounds, pools, rng, budget, modes=MODES, exhaust=True):
+    """The sweep assembled one (plan, pool entry) at a time: every entry lays out pool^k per k and draws
+    its samples through the sampler into a stream that each plan reads its part of.  Yields
+    (index, plan, sizes, lanes, raw, columns) per plan."""
+    plans, layouts = suites._plans(bounds, modes), []
+    for pool in pools:
+        pool = pack_lanes(pool).to_bytes(len(pool), "little")
+        corners, cases = pool[:3] if exhaust else b"", {}
+        for k in {len(plan.order) for plan in plans}:
+            if exhaust and len(pool) ** k <= max(64, budget):
+                cases[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
+            else:
+                cases[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
+        groups = []
+        for count in filter(None, [cases[len(plan.order)][2] for plan in plans]):
+            if groups and sum(groups[-1]) + count <= suites.MAX_BUDGET:
+                groups[-1].append(count)
+            else:
+                groups.append([count])
+        drawn = b"".join(suites._sample(pool, sum(group), rng) for group in groups)
+        layouts.append((cases, BytesIO(drawn)))
+    for index, plan in enumerate(plans):
+        k, sizes, parts = len(plan.order), [], []
+        for cases, drawn in layouts:
+            lanes, raw, count = cases[k]
+            sizes.append(lanes)
+            parts += raw, drawn.read(count)
+        raw = b"".join(parts)
+        yield index, plan, sizes, sum(sizes), raw, [int.from_bytes(raw[j::k], "little") for j in range(k)]
 
 
 spaces = st.sampled_from(SPACE_POOL)

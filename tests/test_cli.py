@@ -228,7 +228,7 @@ def test_zero_gap_flags_the_connected_carrier(tmp_path):
     report = json.loads(out)
     assert code == 1 and report["verdict"] is False
     assert report["gap"] == [[0], [1]]
-    assert report["subspace_points"] == [1, 2]
+    assert report["carrier"] == [1, 2] and "subspace_points" not in report
 
     inst = write_instance(tmp_path, {"space": CONNECTED3}, name="full.json")
     code, out = run_cli(["zero-gap", inst])
@@ -236,7 +236,7 @@ def test_zero_gap_flags_the_connected_carrier(tmp_path):
     assert code == 0 and report["gap"] == []
 
 
-ZERO_GAP_REPORTS_SHA = "a3989e22714efdf9c9d25d636af9fba33aa70e02db960c6a52c8341d8644cd68"
+ZERO_GAP_REPORTS_SHA = "f1dfa49445c0583383c2296942e47833f1e5f667499053390c6389ecf19bb81a"
 
 
 def test_zero_gap_reports_up_to_3_points_are_pinned(tmp_path):

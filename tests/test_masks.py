@@ -106,6 +106,14 @@ def test_wide_lanes_round_trip():
     assert lanes_of(wide ^ (1 << 16), 3, width=2) == [0x1FF, 0x1FE, 0x1FF]
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("lanes", [0, 1, 5])
+def test_replicating_a_value_is_multiplying_it_by_the_lane_ones(width, lanes):
+    # repeating v's bytes equals the product for every v that fits its lane
+    ones = replicate(1, lanes, width)
+    assert all(replicate(v, lanes, width) == v * ones for v in range(256**width))
+
+
 def test_one_byte_lanes_refuse_subsets_of_more_than_8_points():
     with pytest.raises(ResourceError, match="8 points"):
         pack_lanes([3, 256])

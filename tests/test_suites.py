@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from redsep import (
+    MODES,
+    PREFIX,
     RANGE,
     Base,
     Bounds,
@@ -33,7 +35,7 @@ from redsep import FinSpace, PointMap, serialize, suites
 from redsep.hausdorff import eval_plan_bits
 from redsep.masks import lanes_of, pack_lanes, replicate
 
-from conftest import family_doc, mask
+from conftest import family_doc, mask, sweep_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -198,7 +200,7 @@ def test_malformed_instance_fields_are_rejected():
 # order in which assignments are drawn.  The suites evaluate many cases at
 # once, one per lane, and cut every lane to its universe afterwards, so the
 # fault flips bit 0 of every lane only while no kernel call packs more than
-# EVERY_LANE's lanes; the runs below check that they do not.
+# EVERY_LANE's lanes; the runs below check that no lane mask reaches past them.
 BROKEN_KERNEL_FINDINGS = {
     "distributivity": (31376, "ba0deedfb135636cf323842a24e141f0f2028f5ae8c32eeb9a8c613a23b8e118"),
     "restriction": (6740, "8d26493e4670aced622d3166b25faf330e898f52fd636b7fefbb930aefb5b38f"),
@@ -221,9 +223,9 @@ def _broken_kernel(monkeypatch):
         kernel_calls.append(None)
         return honest_kernel(plans, values) ^ EVERY_LANE
 
-    def ev(positions, values, n, count, dual=False):
-        lanes.append(count)
-        return honest_ev(positions, values, n, count, dual)
+    def ev(positions, values, full, dual=False):
+        lanes.append(-(-full.bit_length() // 8))  # the lanes up to the last nonempty universe
+        return honest_ev(positions, values, full, dual)
 
     with monkeypatch.context() as patch:
         patch.setattr(suites, "eval_plan_bits", kernel)
@@ -310,7 +312,7 @@ def test_packed_evaluation_matches_every_lane(lanes):
         assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
             eval_plan_bits(pos, case) & full for case in cases
         ]
-        assert list(lanes_of(suites._ev(pos, packed, 8, lanes, dual=True), lanes)) == [
+        assert list(lanes_of(suites._ev(pos, packed, fulls, dual=True), lanes)) == [
             full ^ (eval_plan_bits(pos, [full ^ v for v in case]) & full) for case in cases
         ]
 
@@ -380,6 +382,47 @@ def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, 
         assert [suites._entry(batch, i) for i in range(batch.lanes)] == owners
     assert ours.random() == theirs.random()
     assert calls == draws
+
+
+@pytest.mark.parametrize(
+    "sizes, alphabet, depth, budget, modes, exhaust",
+    [
+        ((5, 3, 5, 5, 2, 3), 2, 2, 10, MODES, True),  # repeated pools of unequal length
+        ((255, 7, 255), 1, 2, 30000, MODES, True),  # draws of one pool split across 65,536-value groups
+        ((255, 9), 1, 2, 8192, MODES, True),  # draws of one pool that fill one group exactly
+        ((4, 4, 9, 4), 2, 2, 10, MODES, False),  # samples only
+        ((6, 2, 6), 2, 2, 4, [PREFIX], True),  # one mode
+        ((1, 1, 17), 3, 1, 12, MODES, True),  # one-value pools: every plan enumerated
+    ],
+)
+def test_batches_equal_the_per_entry_assembly(sizes, alphabet, depth, budget, modes, exhaust, monkeypatch):
+    calls, honest = [], suites._sample
+
+    def sample(pool, count, rng):
+        calls[-1].append(count)
+        return honest(pool, count, rng)
+
+    monkeypatch.setattr(suites, "_sample", sample)
+    pools, bounds = [_pool(size) for size in sizes], Bounds(alphabet=alphabet, depth=depth)
+    ours, theirs = random.Random(sum(sizes)), random.Random(sum(sizes))
+    calls.append([])
+    batches = list(suites._sweep(bounds, pools, ours, budget, modes, exhaust))
+    calls.append([])
+    expected = list(sweep_oracle(bounds, pools, theirs, budget, modes, exhaust))
+    assert calls[0] == calls[1]
+    assert len(batches) == len(expected) == len(suites._plans(bounds, modes))
+    for batch, (index, plan, sizes, lanes, raw, columns) in zip(batches, expected):
+        assert (batch.index, batch.plan, batch.sizes, batch.lanes) == (index, plan, sizes, lanes)
+        assert batch.raw == raw and batch.columns == columns
+        assert batch.ones == replicate(1, lanes)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_a_sweep_over_no_pools_yields_no_batch_and_draws_nothing():
+    rng = random.Random(0)
+    state = rng.getstate()
+    assert list(suites._sweep(Bounds(), [], rng, 10)) == []
+    assert rng.getstate() == state
 
 
 def test_lanes_refuse_universes_over_8_points():
