@@ -392,7 +392,7 @@ def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, 
         ((255, 9), 1, 2, 8192, MODES, True),  # draws of one pool that fill one group exactly
         ((4, 4, 9, 4), 2, 2, 10, MODES, False),  # samples only
         ((6, 2, 6), 2, 2, 4, [PREFIX], True),  # one mode
-        ((1, 1, 17), 3, 1, 12, MODES, True),  # one-value pools: every plan enumerated
+        ((1, 1, 17), 3, 1, 12, MODES, True),  # one-value pools enumerate every plan; 17 values sample from k = 2
     ],
 )
 def test_batches_equal_the_per_entry_assembly(sizes, alphabet, depth, budget, modes, exhaust, monkeypatch):
