@@ -243,7 +243,7 @@ def _layout(pool, ks, budget, exhaust):
             by_k[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
         else:
             by_k[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
-    lanes, fixed, counts = zip(*map(by_k.__getitem__, ks))
+    lanes, fixed, counts = (tuple(by_k[k][i] for k in ks) for i in range(3))  # empty when there are no plans
     return _Layout(lanes, fixed, counts, list(map(slice, accumulate(counts, initial=0), accumulate(counts))))
 
 
@@ -293,8 +293,9 @@ def _groups(col, entries, key):
                 col.add(kind, instance, detail)
 
 
-def _ev(positions, values, full, dual=False):
-    """eval, or its dual, on packed values, each lane cut to the universe that full holds in it."""
+def _ev(positions, values, ones, n, dual=False):
+    """eval, or its dual, on packed values, each lane of ones (1 per lane) cut to n points."""
+    full = ones * ((1 << n) - 1)
     if dual:
         return full ^ (eval_plan_bits(positions, [full ^ v for v in values]) & full)
     return eval_plan_bits(positions, values) & full
@@ -310,8 +311,8 @@ def _differing(lanes, *pairs):
 
 def _image_pair(n, m, sizes, ones, imgs, positions, values):
     """F(eval(values)) and eval(F(values)) on packed values over n points; F maps run i of sizes[i] lanes by imgs[i]."""
-    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], ones * ((1 << m) - 1))
-    return map_runs(_ev(positions, values, ones * ((1 << n) - 1)), sizes, imgs), rhs
+    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], ones, m)
+    return map_runs(_ev(positions, values, ones, n), sizes, imgs), rhs
 
 
 def _meet_image(pm, img, fam):
@@ -408,11 +409,11 @@ def _run_distributivity(bounds, rng, budget, col):
             count, plan = batch.lanes, batch.plan
             col.cases += count
             # lane mask * count + c holds case c under that mask: the columns repeat once per mask
-            lanes, pos, full = count << n, plan.positions, replicate((1 << n) - 1, count << n)
+            lanes, pos, ones = count << n, plan.positions, replicate(1, count << n)
             values = [replicate(v, 1 << n, count) for v in batch.columns]
             masks = pack_lanes(b"".join(bytes([mask]) * count for mask in range(1 << n)))
-            meet = _ev(pos, [v & masks for v in values], full), _ev(pos, values, full) & masks
-            join = _ev(pos, [v | masks for v in values], full, True), _ev(pos, values, full, True) | masks
+            meet = _ev(pos, [v & masks for v in values], ones, n), _ev(pos, values, ones, n) & masks
+            join = _ev(pos, [v | masks for v in values], ones, n, True), _ev(pos, values, ones, n, True) | masks
             for lane, j, left, right in _differing(lanes, meet, join):
                 (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
@@ -436,12 +437,11 @@ def _run_restriction(bounds, rng, budget, col):
         n, carriers = spaces[0].n, range(1 << spaces[0].n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
         for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
-            lanes, plan, pos = batch.lanes, batch.plan, batch.plan.positions
+            lanes, plan, pos, ones = batch.lanes, batch.plan, batch.plan.positions, batch.ones
             col.cases += lanes
-            fulls = [batch.ones * ((1 << size) - 1) for size in range(n + 1)]
-            ev = _ev(pos, batch.columns, fulls[n])
+            ev = _ev(pos, batch.columns, ones, n)
             for carrier, trace in zip(carriers, traces):
-                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], fulls[carrier.bit_count()])
+                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], ones, carrier.bit_count())
                 for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
                     e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
                     instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
@@ -469,9 +469,8 @@ def _run_preimage_commutes(bounds, rng, budget, col):
             lanes, plan, pos, columns, sizes = batch.lanes, batch.plan, batch.plan.positions, batch.columns, batch.sizes
             col.cases += lanes
             pulled = [map_runs(v, sizes, pres) for v in columns]
-            full_n, full_m = batch.ones * ((1 << n) - 1), batch.ones * ((1 << m) - 1)
             checks = [
-                (map_runs(_ev(pos, columns, full_m, dual), sizes, pres), _ev(pos, pulled, full_n, dual))
+                (map_runs(_ev(pos, columns, batch.ones, m, dual), sizes, pres), _ev(pos, pulled, batch.ones, n, dual))
                 for dual in (False, True)
             ]
             for i, j, left, right in _differing(lanes, *checks):
@@ -514,7 +513,7 @@ def _run_algebra_closure(bounds, rng, budget, col):
             members.append(lane_table([bits in alg_bits for bits in range(1 << n)]))
         for batch in _sweep(bounds, pools, rng, budget):
             lanes, plan = batch.lanes, batch.plan
-            out = _ev(plan.positions, batch.columns, batch.ones * ((1 << n) - 1))
+            out = _ev(plan.positions, batch.columns, batch.ones, n)
             for i, _, _, _ in _differing(lanes, (map_runs(out, batch.sizes, members), batch.ones)):
                 e = _entry(batch, i)
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
@@ -611,14 +610,13 @@ def _run_image_commutes(bounds, rng, budget, col):
         for batch in _sweep(bounds, [range(1 << n)] * len(pms), rng, budget, [PREFIX], exhaust=False):
             lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
             col.cases += lanes
-            full = batch.ones * ((1 << n) - 1)
-            ev_raw = _ev(pos, dec, full)
+            ev_raw = _ev(pos, dec, batch.ones, n)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
             for i, idx in enumerate(plan.order):
                 if idx:
                     dec[i] &= dec[plan.order.index(idx[:-1])]
             lhs, rhs = _image_pair(n, m, batch.sizes, batch.ones, imgs, pos, dec)
-            ev_dec = _ev(pos, dec, full)
+            ev_dec = _ev(pos, dec, batch.ones, n)
             checks = (("decreasing-image", m), ("replacement-value", n))
             for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
                 (check, size), e = checks[j], _entry(batch, i)

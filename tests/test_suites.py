@@ -200,7 +200,7 @@ def test_malformed_instance_fields_are_rejected():
 # order in which assignments are drawn.  The suites evaluate many cases at
 # once, one per lane, and cut every lane to its universe afterwards, so the
 # fault flips bit 0 of every lane only while no kernel call packs more than
-# EVERY_LANE's lanes; the runs below check that no lane mask reaches past them.
+# EVERY_LANE's lanes; the runs below check that they do not.
 BROKEN_KERNEL_FINDINGS = {
     "distributivity": (31376, "ba0deedfb135636cf323842a24e141f0f2028f5ae8c32eeb9a8c613a23b8e118"),
     "restriction": (6740, "8d26493e4670aced622d3166b25faf330e898f52fd636b7fefbb930aefb5b38f"),
@@ -223,9 +223,9 @@ def _broken_kernel(monkeypatch):
         kernel_calls.append(None)
         return honest_kernel(plans, values) ^ EVERY_LANE
 
-    def ev(positions, values, full, dual=False):
-        lanes.append(-(-full.bit_length() // 8))  # the lanes up to the last nonempty universe
-        return honest_ev(positions, values, full, dual)
+    def ev(positions, values, ones, n, dual=False):
+        lanes.append(-(-ones.bit_length() // 8))  # ones holds bit 0 of every lane
+        return honest_ev(positions, values, ones, n, dual)
 
     with monkeypatch.context() as patch:
         patch.setattr(suites, "eval_plan_bits", kernel)
@@ -312,7 +312,7 @@ def test_packed_evaluation_matches_every_lane(lanes):
         assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
             eval_plan_bits(pos, case) & full for case in cases
         ]
-        assert list(lanes_of(suites._ev(pos, packed, fulls, dual=True), lanes)) == [
+        assert list(lanes_of(suites._ev(pos, packed, replicate(1, lanes), 8, dual=True), lanes)) == [
             full ^ (eval_plan_bits(pos, [full ^ v for v in case]) & full) for case in cases
         ]
 
@@ -393,6 +393,7 @@ def test_batches_draw_the_randrange_stream_in_plan_order(size, alphabet, depth, 
         ((4, 4, 9, 4), 2, 2, 10, MODES, False),  # samples only
         ((6, 2, 6), 2, 2, 4, [PREFIX], True),  # one mode
         ((1, 1, 17), 3, 1, 12, MODES, True),  # one-value pools enumerate every plan; 17 values sample from k = 2
+        ((3, 5, 3), 0, 2, 10, MODES, True),  # no plans
     ],
 )
 def test_batches_equal_the_per_entry_assembly(sizes, alphabet, depth, budget, modes, exhaust, monkeypatch):
@@ -423,6 +424,12 @@ def test_a_sweep_over_no_pools_yields_no_batch_and_draws_nothing():
     state = rng.getstate()
     assert list(suites._sweep(Bounds(), [], rng, 10)) == []
     assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("bounds", [Bounds(alphabet=0), Bounds(depth=0)], ids=["alphabet-0", "depth-0"])
+@pytest.mark.parametrize("name", suite_names())
+def test_bounds_with_no_plans_run_every_suite(name, bounds):
+    assert run_suite(name, bounds=bounds).violation_count == 0
 
 
 def test_lanes_refuse_universes_over_8_points():
