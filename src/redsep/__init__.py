@@ -7,10 +7,10 @@ duals, fibers and algebras of point maps, diagonal products, reduction and
 separation of classes, and constructive transfer of those properties along
 maps.  The suites module quantifies the laws over a bounded catalog and
 stores replayable counterexamples where a hypothesis is deliberately
-dropped.
+dropped.  The catalog and suites names load on first access, so importing
+the package, or running an instance subcommand, does not load them.
 """
 
-from .catalog import all_bases, all_sequences, all_tables, all_topologies
 from .classes import (
     REDUCTION,
     SEPARATION,
@@ -59,14 +59,6 @@ from .spaces import (
     product,
     zero_sets,
 )
-from .suites import (
-    Bounds,
-    SuiteResult,
-    replay_finding,
-    run_suite,
-    suite_defaults,
-    suite_names,
-)
 from .transfer import (
     GapReport,
     HypothesisReport,
@@ -80,6 +72,23 @@ from .transfer import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported on first access (PEP 562)
+_LAZY = {
+    **dict.fromkeys(("all_bases", "all_sequences", "all_tables", "all_topologies"), "catalog"),
+    **dict.fromkeys(
+        ("Bounds", "SuiteResult", "replay_finding", "run_suite", "suite_defaults", "suite_names"), "suites"
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "Base",

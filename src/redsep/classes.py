@@ -15,10 +15,9 @@ of a pair; the checkers keep no witnesses, so callers that want them search
 again.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from itertools import product as iproduct
-from typing import Optional
 
 from .errors import InputError, PreconditionError, ResourceError
 from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
@@ -146,11 +145,7 @@ def separates(a, b, s, sc=None):
     return sc is None or (s in sc._bits and ((1 << sc.n) - 1) ^ s in sc._bits)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    holds: bool
-    pairs_checked: int
-    failing_pair: Optional[tuple]
+CheckResult = namedtuple("CheckResult", "holds pairs_checked failing_pair")
 
 
 def _reduction_witness(sc, a, b):
@@ -245,17 +240,8 @@ def reduction_to_separation(sc, a, b):
     return SubsetMask(sc.n, found[1])
 
 
-@dataclass(frozen=True)
-class LadderLevel:
-    sigma: SetClass
-    pi: SetClass
-    delta: SetClass
-
-
-@dataclass(frozen=True)
-class Ladder:
-    levels: tuple
-    stabilized: bool
+LadderLevel = namedtuple("LadderLevel", "sigma pi delta")
+Ladder = namedtuple("Ladder", "levels stabilized")
 
 
 def borel_ladder(generators, depth):

@@ -10,14 +10,15 @@ Exit codes: 0 when the verdict is true or a value was produced, 1 when the
 verdict is false (the report carries the counterexample), 2 on malformed
 input, with a field-level diagnostic on stderr, and 3 on an internal error,
 with a one-line ``internal error: ...`` on stderr.
+
+Only ``fuzz`` and ``replay`` load the suites (and with them the catalog),
+on first use, so the instance subcommands start without them.
 """
 
 import argparse
-import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -35,7 +36,6 @@ from .errors import EngineError, InputError
 from .hausdorff import MODES, dual_evaluate, evaluate
 from .masks import SubsetMask, points_of
 from .spaces import closed_sets, components, open_sets, product, zero_sets
-from .suites import replay_finding, run_suite, suite_defaults, suite_names
 from .transfer import transfer_property, zero_trace_gap
 
 _TRACE_CAP = 64
@@ -279,6 +279,8 @@ def _cmd_space(args):
 
 
 def _cmd_replay(args):
+    from .suites import replay_finding
+
     paths = [Path(p) for p in args.paths]
     if args.corpus_dir is not None:
         paths.extend(sorted(Path(args.corpus_dir).glob("*.json")))
@@ -313,17 +315,19 @@ def _cmd_replay(args):
 
 
 def _cmd_fuzz(args):
+    from dataclasses import replace
+
+    from .suites import run_suite, suite_defaults
+
     bounds, default_budget, expects = suite_defaults(args.suite)
-    if args.max_points is not None:
-        bounds = replace(bounds, max_points=args.max_points)
-    if args.alphabet is not None:
-        bounds = replace(bounds, alphabet=args.alphabet)
-    if args.depth is not None:
-        bounds = replace(bounds, depth=args.depth)
+    overrides = {"max_points": args.max_points, "alphabet": args.alphabet, "depth": args.depth}
+    bounds = replace(bounds, **{k: v for k, v in overrides.items() if v is not None})
     budget = args.budget if args.budget is not None else default_budget
     res = run_suite(args.suite, bounds=bounds, seed=args.seed, budget=args.budget)
     written = []
     if args.corpus_dir is not None:
+        import hashlib
+
         corpus = Path(args.corpus_dir)
         try:
             corpus.mkdir(parents=True, exist_ok=True)
@@ -413,7 +417,7 @@ def build_parser():
     fuzz = sub.add_parser(
         "fuzz", parents=[common], help="run a property suite and persist its findings"
     )
-    fuzz.add_argument("suite", help=f"one of: {', '.join(suite_names())}")
+    fuzz.add_argument("suite", help="suite name (an unknown name lists the known ones)")
     fuzz.add_argument("--alphabet", type=int, default=None, help="override the alphabet bound")
     fuzz.add_argument("--depth", type=int, default=None, help="override the depth bound")
     fuzz.add_argument(

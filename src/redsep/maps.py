@@ -6,9 +6,8 @@ under unions, intersections, complements and hence under every branch-based
 set operation with values drawn from it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
 
 from .classes import SetClass
 from .errors import InputError, ResourceError
@@ -125,14 +124,11 @@ def diagonal_product(pms):
     return PointMap(dom, cod, table)
 
 
-@dataclass(frozen=True)
-class DirectedImageReport:
-    equal: bool
-    directed: bool
-    decreasing: bool
-    intersection_image: SubsetMask  # F(n A_i)
-    image_intersection: SubsetMask  # n F(A_i)
-    missing: Optional[SubsetMask]   # points of the latter not in the former
+# intersection_image is F(n A_i), image_intersection is n F(A_i), and missing
+# holds the points of the latter not in the former (None when there are none)
+DirectedImageReport = namedtuple(
+    "DirectedImageReport", "equal directed decreasing intersection_image image_intersection missing"
+)
 
 
 def _order_closure(k, relation):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations, groupby, islice
 from itertools import product as iproduct
+from operator import or_
 
 from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
@@ -501,7 +502,8 @@ def _run_algebra_closure(bounds, rng, budget, col):
         for e, pm in enumerate(pms):
             col.cases += 1
             brute = _saturated(pm)
-            alg_bits = sorted(alg_enumerate(pm).member_bits())
+            alg = alg_enumerate(pm).member_bits()
+            alg_bits = sorted(alg)
             if alg_bits != brute:
                 detail = {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]}
                 found.append(((e,), "violation", _doc(pm, check="extension"), detail))
@@ -510,7 +512,7 @@ def _run_algebra_closure(bounds, rng, budget, col):
                 detail = {"size": len(alg_bits), "fibers": fibers}
                 found.append(((e,), "violation", _doc(pm, check="cardinality"), detail))
             pools.append(alg_bits)
-            members.append(lane_table([bits in alg_bits for bits in range(1 << n)]))
+            members.append(lane_table([bits in alg for bits in range(1 << n)]))
         for batch in _sweep(bounds, pools, rng, budget):
             lanes, plan = batch.lanes, batch.plan
             out = _ev(plan.positions, batch.columns, batch.ones, n)
@@ -576,15 +578,16 @@ def _run_zero_witness_certificate(bounds, rng, budget, col):
             for combo in combinations(zs, r):
                 col.cases += 1
                 rep = zero_witness_map(space, list(combo))
-                bad = [serialize.points_doc(z) for (z, ok) in rep.certificate if not ok]
-                zeros = [serialize.points_doc(z) for z in combo]
-                if bad or not rep.all_saturated:
-                    col.violation(_doc(space, zeros=zeros), {"unsaturated": bad})
+                pm, joined = rep.map, reduce(or_, (z.bits for z in combo), 0)
+                if rep.all_saturated and pm.preimage_bits(pm.image_bits(joined)) == joined:
                     continue
-                if r:
-                    joined = reduce(SubsetMask.__or__, combo)
-                    if not alg_contains(rep.map, joined):
-                        col.violation(_doc(space, zeros=zeros), {"escaping_union": serialize.points_doc(joined)})
+                # a violation: only now build its documents
+                instance = _doc(space, zeros=[serialize.points_doc(z) for z in combo])
+                if not rep.all_saturated:
+                    bad = [serialize.points_doc(z) for z, ok in rep.certificate if not ok]
+                    col.violation(instance, {"unsaturated": bad})
+                else:
+                    col.violation(instance, {"escaping_union": _pts(space.n, joined)})
 
 
 def _replay_zero_witness_certificate(instance, kind):

@@ -7,14 +7,12 @@ back, and re-verifies it in the source class; any failure is reported with
 the offending hypothesis or pair.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
-from typing import Optional
 
 from .classes import (
     DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
-    SetClass,
     _pairs,
     _property,
     check_reduction,
@@ -22,7 +20,7 @@ from .classes import (
     generate_class,
 )
 from .errors import InputError, PreconditionError, ResourceError
-from .maps import PointMap, alg_contains
+from .maps import PointMap
 from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
 
@@ -58,36 +56,14 @@ def pull_back_witnesses(pm, a, b, witness, which):
     return pulled
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    name: str
-    holds: bool
-    offending: tuple
+HypothesisReport = namedtuple("HypothesisReport", "name holds offending")
 
+# One checked pair as bits: the domain pair, its images, and the witness bits
+# found in the codomain and pulled back to the domain (None if none).
+PairTrace = namedtuple("PairTrace", "a b fa fb witness_cod witness_dom valid")
 
-@dataclass(frozen=True)
-class PairTrace:
-    """One checked pair as bits: the domain pair, its images, and the witness
-    bits found in the codomain and pulled back to the domain (None if none)."""
-
-    a: int
-    b: int
-    fa: int
-    fb: int
-    witness_cod: Optional[tuple]
-    witness_dom: Optional[tuple]
-    valid: bool
-
-
-@dataclass(frozen=True)
-class TransferReport:
-    which: str
-    hypotheses: tuple
-    verdict: bool
-    failure: Optional[str]
-    class_dom: Optional[SetClass]
-    class_cod: Optional[SetClass]
-    pairs: tuple
+# failure is None when the verdict holds; class_dom is None when a hypothesis failed
+TransferReport = namedtuple("TransferReport", "which hypotheses verdict failure class_dom class_cod pairs")
 
 
 def transfer_property(
@@ -165,11 +141,8 @@ def transfer_property(
     return TransferReport(which, hypotheses, True, None, class_dom, class_cod, tuple(traces))
 
 
-@dataclass(frozen=True)
-class ZeroWitnessReport:
-    map: PointMap
-    certificate: tuple  # (set, saturated) per listed zero set
-    all_saturated: bool
+# certificate holds (set, saturated) per listed zero set
+ZeroWitnessReport = namedtuple("ZeroWitnessReport", "map certificate all_saturated")
 
 
 # the indicator codomain depends only on the number of listed sets
@@ -184,12 +157,12 @@ def zero_witness_map(space, zeros):
     components.  Every listed set is a preimage under the diagonal, so the
     certificate of saturation always verifies.
     """
-    zs = zero_sets(space)
+    zero_bits = zero_sets(space).member_bits()
     zeros = list(zeros)
     for z in zeros:
         if not isinstance(z, SubsetMask) or z.n != space.n:
             raise InputError(f"{z!r} is not a SubsetMask over the space")
-        if z not in zs:
+        if z.bits not in zero_bits:
             raise PreconditionError(f"{z!r} is not a zero set of the space")
     k = len(zeros)
     if 1 << k > DEFAULT_MAX_PRODUCT_POINTS:
@@ -200,21 +173,20 @@ def zero_witness_map(space, zeros):
     for x in range(space.n):
         code = 0
         for z in zeros:
-            code = code * 2 + (0 if x in z else 1)
+            code = code * 2 + (z.bits >> x & 1 ^ 1)
         table.append(code)
     pm = PointMap(space, _indicator_cod(k), table)
-    certificate = tuple((z, alg_contains(pm, z)) for z in zeros)
+    certificate = tuple((z, pm.preimage_bits(pm.image_bits(z.bits)) == z.bits) for z in zeros)
     return ZeroWitnessReport(pm, certificate, all(ok for _, ok in certificate))
 
 
-@dataclass(frozen=True)
-class GapReport:
-    """Zero sets of the subspace on the carrier, as bits of carrier subsets in ambient indexing."""
+class GapReport(namedtuple("GapReport", "carrier traces intrinsic gap")):
+    """Zero sets of the subspace on the carrier, as bits of carrier subsets in
+    ambient indexing: traces are the ambient zero sets cut to the carrier,
+    intrinsic the subspace's own zero sets, and gap the intrinsic sets that
+    are not traces."""
 
-    carrier: SubsetMask
-    traces: frozenset     # ambient zero sets cut to the carrier
-    intrinsic: frozenset  # the subspace's own zero sets
-    gap: frozenset        # intrinsic sets that are not traces
+    __slots__ = ()
 
     def indexed(self, sets):
         """The given carrier subsets re-indexed to 0..|carrier|-1, as point lists
@@ -225,16 +197,17 @@ class GapReport:
 def zero_trace_gap(space, carrier):
     """Compare restricted ambient zero sets with the subspace's own zero sets.
 
-    Zero sets are the unions of components, so both sides are read off two
-    partitions of the carrier: the ambient components cut to it, and the
-    components of the subspace on it.  Traces are always intrinsic (each cut
-    ambient component is a union of subspace components); the converse can
-    fail off discrete spaces, and the gap lists the intrinsic zero sets with no
+    Zero sets are the unions of components.  The traces are cut from the
+    space's memoised zero sets (the trace of a union is the union of the
+    traces), and the intrinsic sets are the unions of the components of the
+    subspace on the carrier.  Traces are always intrinsic (each cut ambient
+    component is a union of subspace components); the converse can fail off
+    discrete spaces, and the gap lists the intrinsic zero sets with no
     ambient representative.
     """
     if not isinstance(carrier, SubsetMask) or carrier.n != space.n:
         raise InputError(f"carrier must be a SubsetMask over {space.n} points")
-    nbhds, c = space.min_neighborhoods(), carrier.bits
-    traces = frozenset(unions(b & c for b in component_bits(nbhds, (1 << space.n) - 1)))
-    intrinsic = frozenset(unions(component_bits(nbhds, c)))
+    c = carrier.bits
+    traces = frozenset(z & c for z in zero_sets(space).member_bits())
+    intrinsic = frozenset(unions(component_bits(space.min_neighborhoods(), c)))
     return GapReport(carrier, traces, intrinsic, intrinsic - traces)

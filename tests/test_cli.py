@@ -2,8 +2,10 @@
 
 import copy
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import redsep
 from redsep import Bounds, FinSpace, PointMap, ResourceError, __version__, canonical_json, run_suite
 from redsep import catalog, cli, maps, serialize, spaces, suites
 from redsep.cli import main
@@ -746,3 +749,55 @@ def test_module_entry_point_reports_the_version():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"redsep {__version__}"
+
+
+# Prints, as JSON, the modules loaded since start-up after `import redsep.cli`
+# and after each cli.main call whose argv lists argv[1] holds.
+_LOAD_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+before = set(sys.modules)
+import redsep.cli
+
+loaded = [sorted(set(sys.modules) - before)]
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        redsep.cli.main(argv)
+    loaded.append(sorted(set(sys.modules) - before))
+print(json.dumps(loaded))
+"""
+
+
+def test_instance_subcommands_start_without_the_suites():
+    calls = [["check-reduction", str(GOLDEN / "reduction-five-opens-instance.json")], ["fuzz", "image-necessity"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD_PROBE, json.dumps(calls)],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+    )
+    assert proc.returncode == 0, proc.stderr
+    after_import, after_check, after_fuzz = (set(mods) for mods in json.loads(proc.stdout))
+    unused = {"redsep.suites", "redsep.catalog", "dataclasses", "hashlib"}
+    assert "redsep.cli" in after_import and not unused & after_import
+    assert not unused & after_check
+    assert "redsep.suites" in after_fuzz
+
+
+def test_every_exported_name_resolves_to_its_definition():
+    modules = [
+        importlib.import_module(f"redsep.{info.name}")
+        for info in pkgutil.iter_modules(redsep.__path__)
+        if info.name != "__main__"
+    ]
+    for name in redsep.__all__:
+        obj = getattr(redsep, name)
+        home = getattr(obj, "__module__", None)
+        if home is not None and home.startswith("redsep."):
+            assert obj is vars(sys.modules[home])[name], name
+        else:  # a constant: every module that binds the name binds this object
+            bound = [vars(mod)[name] for mod in modules if name in vars(mod)]
+            assert bound and all(val is obj for val in bound), name
+    with pytest.raises(AttributeError):
+        getattr(redsep, "no_such_name")
