@@ -751,8 +751,8 @@ def test_module_entry_point_reports_the_version():
     assert proc.stdout.strip() == f"redsep {__version__}"
 
 
-# Prints, as JSON, the modules loaded since start-up after `import redsep.cli`
-# and after each cli.main call whose argv lists argv[1] holds.
+# Prints as JSON the modules loaded since start-up: after `import redsep.cli`,
+# then after each cli.main call, one per argv list in the JSON of argv[1].
 _LOAD_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
