@@ -65,9 +65,9 @@ class PointMap:
 
     def preimage_bits(self, bits):
         out = 0
-        for y, fib in enumerate(self._fibers):
-            if bits >> y & 1:
-                out |= fib
+        while bits:
+            out |= self._fibers[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
         return out
 
     def image(self, mask):

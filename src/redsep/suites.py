@@ -494,16 +494,44 @@ def _saturated(pm):
     return [a for a in range(1 << pm.dom.n) if pm.preimage_bits(pm.image_bits(a)) == a]
 
 
+def _steps(pm):
+    """Per distance d, the points x whose nearest earlier point of their fiber is x - d.
+
+    A set is a union of fibers exactly when every such x agrees with x - d.
+    """
+    last, steps = {}, [0] * pm.dom.n
+    for x, y in enumerate(pm.table):
+        if y in last:
+            steps[x - last[y]] |= 1 << x
+        last[y] = x
+    return steps
+
+
+def _fiber_masks(steps, sizes):
+    """Per distance d with a step, (d, the packed int holding steps[e][d] in each of the sizes[e] lanes of entry e)."""
+    n = len(steps[0])
+    rows = b"".join(bytes(s) * size for s, size in zip(steps, sizes))  # per lane, its entry's steps
+    masks = ((d, int.from_bytes(rows[d::n], "little")) for d in range(1, n))
+    return [(d, mask) for d, mask in masks if mask]
+
+
+def _unsaturated(packed, masks):
+    """Nonzero in the lanes of packed that are not unions of fibers (masks from _fiber_masks).
+
+    A bit shifted across a lane boundary lands below d, where the mask is clear.
+    """
+    return reduce(or_, ((packed ^ packed << d) & mask for d, mask in masks), 0)
+
+
 def _run_algebra_closure(bounds, rng, budget, col):
     """alg F is the brute-force fixed-point family and is closed under eval."""
     maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
     for pms, found in _groups(col, maps, lambda pm: pm.dom.n):
-        n, pools, members = pms[0].dom.n, [], []
+        n, pools, steps, masks = pms[0].dom.n, [], [], {}
         for e, pm in enumerate(pms):
             col.cases += 1
             brute = _saturated(pm)
-            alg = alg_enumerate(pm).member_bits()
-            alg_bits = sorted(alg)
+            alg_bits = sorted(alg_enumerate(pm).member_bits())
             if alg_bits != brute:
                 detail = {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]}
                 found.append(((e,), "violation", _doc(pm, check="extension"), detail))
@@ -512,11 +540,13 @@ def _run_algebra_closure(bounds, rng, budget, col):
                 detail = {"size": len(alg_bits), "fibers": fibers}
                 found.append(((e,), "violation", _doc(pm, check="cardinality"), detail))
             pools.append(alg_bits)
-            members.append(lane_table([bits in alg for bits in range(1 << n)]))
+            steps.append(_steps(pm))
         for batch in _sweep(bounds, pools, rng, budget):
             lanes, plan = batch.lanes, batch.plan
+            if (k := len(plan.order)) not in masks:  # an entry's lanes depend on its pool and k only
+                masks[k] = _fiber_masks(steps, batch.sizes)
             out = _ev(plan.positions, batch.columns, batch.ones, n)
-            for i, _, _, _ in _differing(lanes, (map_runs(out, batch.sizes, members), batch.ones)):
+            for i, _, _, _ in _differing(lanes, (_unsaturated(out, masks[k]), 0)):
                 e = _entry(batch, i)
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
                 found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(n, out >> 8 * i & 0xFF)}))

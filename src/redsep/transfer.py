@@ -25,6 +25,21 @@ from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
 
 
+def _pull_back(pm, which, holds, a, b, fa, fb, witness):
+    """The preimages of the codomain witness bits for the images (fa, fb) of the bits (a, b), checked: a and b
+    saturated, the witness holding on (fa, fb), and its preimages holding on (a, b)."""
+    for name, bits, image in (("a", a, fa), ("b", b, fb)):
+        if pm.preimage_bits(image) != bits:
+            raise PreconditionError(f"{name} = {SubsetMask(pm.dom.n, bits)!r} is not saturated for the map")
+    if not holds(fa, fb, *witness):
+        fa, fb = (SubsetMask(pm.cod.n, x) for x in (fa, fb))
+        raise PreconditionError(f"not a {which} witness for ({fa!r}, {fb!r})")
+    pulled = tuple(pm.preimage_bits(x) for x in witness)
+    if not holds(a, b, *pulled):
+        raise PreconditionError(f"pulled-back {which} witness failed validation")
+    return pulled
+
+
 def pull_back_witnesses(pm, a, b, witness, which):
     """Pull the bits of a codomain witness for (F(a), F(b)) back to one for the
     bits (a, b): (c, d) for reduction, (s,) for separation.
@@ -33,13 +48,9 @@ def pull_back_witnesses(pm, a, b, witness, which):
     them exactly, and the pulled-back sets inherit every witness condition.
     """
     holds, _ = _property(which)
-    images = []
     for name, bits in (("a", a), ("b", b)):
         if not isinstance(bits, int) or bits < 0 or bits >> pm.dom.n:
             raise InputError(f"{name} must be the bits of a subset of the domain")
-        images.append(pm.image_bits(bits))
-        if pm.preimage_bits(images[-1]) != bits:
-            raise PreconditionError(f"{name} = {SubsetMask(pm.dom.n, bits)!r} is not saturated for the map")
     arity = 2 if which == REDUCTION else 1
     if not (
         isinstance(witness, tuple)
@@ -47,13 +58,7 @@ def pull_back_witnesses(pm, a, b, witness, which):
         and all(isinstance(x, int) and x >= 0 and not x >> pm.cod.n for x in witness)
     ):
         raise InputError(f"a {which} witness is a tuple of {arity} subsets of the codomain, as bits")
-    if not holds(*images, *witness):
-        fa, fb = (SubsetMask(pm.cod.n, x) for x in images)
-        raise PreconditionError(f"not a {which} witness for ({fa!r}, {fb!r})")
-    pulled = tuple(pm.preimage_bits(x) for x in witness)
-    if not holds(a, b, *pulled):
-        raise PreconditionError(f"pulled-back {which} witness failed validation")
-    return pulled
+    return _pull_back(pm, which, holds, a, b, pm.image_bits(a), pm.image_bits(b), witness)
 
 
 HypothesisReport = namedtuple("HypothesisReport", "name holds offending")
@@ -66,15 +71,7 @@ PairTrace = namedtuple("PairTrace", "a b fa fb witness_cod witness_dom valid")
 TransferReport = namedtuple("TransferReport", "which hypotheses verdict failure class_dom class_cod pairs")
 
 
-def transfer_property(
-    pm,
-    base,
-    generators_dom,
-    generators_cod,
-    mode,
-    which,
-    cap=DEFAULT_ASSIGNMENT_CAP,
-):
+def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap=DEFAULT_ASSIGNMENT_CAP):
     """Carry reduction or separation from the codomain class to the domain class.
 
     Hypotheses checked up front: images of domain generators land among the
@@ -116,8 +113,8 @@ def transfer_property(
         )
 
     # the hypotheses make class_dom the preimages of class_cod, so the class-size
-    # cap that the codomain check enforces bounds this pair loop too
-    class_dom = generate_class(base, generators_dom, mode, cap=cap)
+    # cap that the codomain check enforces bounds this pair loop too; equal generators generate equal classes
+    class_dom = class_cod if generators_dom == generators_cod else generate_class(base, generators_dom, mode, cap=cap)
     traces = []
     for a, b in _pairs(class_dom, which):
         fa, fb = pm.image_bits(a), pm.image_bits(b)
@@ -129,7 +126,7 @@ def transfer_property(
                 which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
                 class_dom, class_cod, tuple(traces),
             )
-        pulled = pull_back_witnesses(pm, a, b, found, which)
+        pulled = _pull_back(pm, which, holds, a, b, fa, fb, found)
         valid = holds(a, b, *pulled, class_dom)
         traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
         if not valid:

@@ -20,6 +20,7 @@ from redsep import (
     IndexedFamily,
     SetClass,
     SubsetMask,
+    alg_enumerate,
     all_bases,
     all_tables,
     all_topologies,
@@ -28,7 +29,7 @@ from redsep import (
 )
 from redsep import suites
 from redsep.classes import _reduction_witness, _separation_witness
-from redsep.masks import pack_lanes, restrict_bits
+from redsep.masks import lane_table, map_runs, pack_lanes, restrict_bits
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -178,6 +179,16 @@ def sweep_oracle(bounds, pools, rng, budget, modes=MODES, exhaust=True):
             parts += raw, drawn.read(count)
         raw = b"".join(parts)
         yield index, plan, sizes, sum(sizes), raw, [int.from_bytes(raw[j::k], "little") for j in range(k)]
+
+
+def closure_oracle(pms, sizes, packed):
+    """algebra-closure's membership check by tables: run e of sizes[e] lanes of packed looked up, lane by lane,
+    in a table of the enumerated algebra of pms[e].  The result holds 1 in each lane whose set lies in it."""
+    tables = []
+    for pm in pms:
+        alg = alg_enumerate(pm).member_bits()
+        tables.append(lane_table([bits in alg for bits in range(1 << pm.dom.n)]))
+    return map_runs(packed, sizes, tables)
 
 
 spaces = st.sampled_from(SPACE_POOL)

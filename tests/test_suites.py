@@ -22,6 +22,8 @@ from redsep import (
     InputError,
     ResourceError,
     SetClass,
+    alg_enumerate,
+    all_tables,
     all_topologies,
     canonical_base,
     canonical_json,
@@ -35,7 +37,7 @@ from redsep import FinSpace, PointMap, serialize, suites
 from redsep.hausdorff import eval_plan_bits
 from redsep.masks import lanes_of, pack_lanes, replicate
 
-from conftest import family_doc, mask, sweep_oracle
+from conftest import closure_oracle, family_doc, mask, sweep_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -317,6 +319,54 @@ def test_packed_evaluation_matches_every_lane(lanes):
         ]
 
 
+def _unsaturated_lanes(pms, sizes, packed):
+    """The lanes that algebra-closure's fiber masks find outside their entry's algebra, and those the membership
+    tables find there; run e of sizes[e] lanes belongs to pms[e]."""
+    lanes = sum(sizes)
+    ours = suites._unsaturated(packed, suites._fiber_masks([suites._steps(pm) for pm in pms], sizes))
+    theirs = closure_oracle(pms, sizes, packed)
+    ours, theirs = lanes_of(ours, lanes), lanes_of(theirs, lanes)
+    return [i for i in range(lanes) if ours[i]], [i for i in range(lanes) if not theirs[i]]
+
+
+def _table_maps(n, codomains):
+    return [PointMap(FinSpace.discrete(n), FinSpace.discrete(m), t) for m in codomains for t in all_tables(n, m)]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_fiber_masks_find_the_algebra_of_every_small_map_in_every_lane(n):
+    pms = _table_maps(n, range(1, 5))
+    packed = pack_lanes(list(range(1 << n)) * len(pms))
+    ours, theirs = _unsaturated_lanes(pms, [1 << n] * len(pms), packed)
+    assert ours == theirs
+    assert len(ours) == sum((1 << n) - (1 << len(set(pm.table))) for pm in pms)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_fiber_masks_follow_runs_of_unequal_sizes(k):
+    rng = random.Random(k)
+    for n in range(1, 5):
+        pms = _table_maps(n, range(1, 5))
+        pools = [bytes(sorted(alg_enumerate(pm).member_bits())) for pm in pms]
+        sizes = [suites._layout(pool, [k], 6, True).lanes[0] for pool in pools]
+        assert len(set(sizes)) > 1 or n == 1  # every map from one point has the algebra {0, 1}
+        packed = pack_lanes([rng.randrange(1 << n) for _ in range(sum(sizes))])
+        ours, theirs = _unsaturated_lanes(pms, sizes, packed)
+        assert ours == theirs
+
+
+def test_fiber_masks_hold_at_full_lane_width():
+    # on 8 points a lane's top bit shifts into the next lane, where it lands below every step the masks keep
+    rng = random.Random(8)
+    tables = [[rng.randrange(m) for _ in range(8)] for m in range(1, 9)] + [[x % 2 for x in range(8)]]
+    pms = [PointMap(FinSpace.discrete(8), FinSpace.discrete(max(t) + 1), t) for t in tables]
+    sizes = [256] * len(pms) + [rng.randrange(1, 40) for _ in pms]
+    packed = pack_lanes(list(range(256)) * len(pms) + [rng.randrange(256) for _ in range(sum(sizes[len(pms):]))])
+    ours, theirs = _unsaturated_lanes(pms * 2, sizes, packed)
+    assert ours == theirs
+    assert 0 < len(ours) < sum(sizes)
+
+
 def _randrange_assignments(pool, k, rng, budget):
     """The reference sampler: one rng.randrange call per coordinate."""
     if k == 0:
@@ -453,3 +503,10 @@ def test_sweep_digest_prints_one_line_per_suite():
     assert ("image-necessity", str(res.cases), "0", str(res.witness_count), "true") in rows
     # pinned: a refactor that changes any finding at 2 points changes this line
     assert digest == "digest=1bf3905f842936a914dc8a5028a5a82601222f66295321d8456cd49f042cc199"
+
+
+def test_sweep_digest_at_default_bounds_is_pinned():
+    # a refactor that changes any finding of any suite at its default bounds changes this line
+    tool = [sys.executable, str(ROOT / "tools" / "sweep_digest.py")]
+    proc = subprocess.run(tool, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "digest=007363f4bbee1c286588e0b2a6f8fa263931c93e50dc5c1f14eee48462974b18"

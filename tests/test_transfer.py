@@ -1,10 +1,14 @@
 """Transfer of reduction/separation along maps, zero witnesses, trace gaps."""
 
+import hashlib
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from redsep import (
+    MODES,
     REDUCTION,
     SEPARATION,
     FinSpace,
@@ -16,6 +20,7 @@ from redsep import (
     SetClass,
     SubsetMask,
     alg_enumerate,
+    all_tables,
     all_topologies,
     canonical_base,
     check_reduction,
@@ -87,6 +92,18 @@ def test_pull_back_preconditions():
         pull_back_witnesses(pm, mask(3, [0, 1]), bits(3, [2]), ok, REDUCTION)
 
 
+def test_each_pull_back_check_names_its_failure(monkeypatch):
+    pm, ok = merge32(), (bits(2, [0]), bits(2, [1]))
+    with pytest.raises(PreconditionError, match=r"^b = SubsetMask\(3, \{1, 2\}\) is not saturated"):
+        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [1, 2]), ok, REDUCTION)
+    with pytest.raises(PreconditionError, match=r"^not a reduction witness for \(SubsetMask\(2, \{0\}\), "):
+        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), ok[::-1], REDUCTION)
+    # a condition that holds on the images (fb = {1}) but not on the domain pair (b = {2})
+    monkeypatch.setattr(transfer, "_property", lambda which: (lambda a, b, *w, sc=None: b != bits(3, [2]), None))
+    with pytest.raises(PreconditionError, match="^pulled-back reduction witness failed validation$"):
+        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), ok, REDUCTION)
+
+
 @given(tables, st.data())
 def test_pulled_back_canonical_witnesses_always_validate(nmt, data):
     n, m, table = nmt
@@ -148,6 +165,59 @@ def test_pair_failures_name_the_pair_as_masks(monkeypatch):
     rep = transfer_property(*args)
     assert rep.failure == "pulled-back witness left the domain class for (SubsetMask(3, {}), SubsetMask(3, {}))"
     assert rep.pairs == (PairTrace(0, 0, 0, 0, (0, 0), (0, 0), False),)
+
+
+TRANSFER_BASES = [canonical_base(name, *params) for name, params in suites._IDENTITY_BASES]
+
+
+def _identity_cases():
+    """The identity on every space up to 3 points, its opens on both sides (as two equal classes)."""
+    for k in range(4):
+        for space in all_topologies(k):
+            opens = [SetClass.from_bits(k, space.open_bits()) for _ in range(2)]
+            for base, mode, which in product(TRANSFER_BASES, MODES, (REDUCTION, SEPARATION)):
+                yield (PointMap.identity(space), base, *opens, mode, which)
+
+
+def _merge_cases():
+    """Every map from 3 points onto 1 or 2, from its algebra and from an unsaturated class to the power set."""
+    for m in (1, 2):
+        for table in all_tables(3, m):
+            pm = PointMap(FinSpace.discrete(3), FinSpace.discrete(m), table)
+            for dom in (alg_enumerate(pm), SetClass.from_bits(3, [0, 1, 3, 4, 7])):
+                for base, mode, which in product(TRANSFER_BASES, MODES, (REDUCTION, SEPARATION)):
+                    yield pm, base, dom, power_set(m), mode, which
+
+
+# (cases, sha256 of every report's which, verdict, failure, hypotheses, classes and pair traces)
+REPORT_FIELDS = {
+    "identity": (_identity_cases, 420, "e24de07ca781cd7fee0c18529d1b3a8f5e8e2778bc463a83ff7e3214d080b348"),
+    "merge": (_merge_cases, 216, "63d46e61790d562a5b753c71220095b57baa8c337dd4efc41ab08457d67bb8dd"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_FIELDS))
+def test_transfer_reports_are_pinned(name):
+    cases, count, digest = REPORT_FIELDS[name]
+    lines = []
+    for args in cases():
+        rep = transfer_property(*args)
+        classes = [None if c is None else sorted(c.member_bits()) for c in (rep.class_dom, rep.class_cod)]
+        lines.append(repr((rep.which, rep.verdict, rep.failure, rep.hypotheses, classes, rep.pairs)))
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)
+
+
+def test_equal_generator_classes_generate_one_class(monkeypatch):
+    calls, honest = [], transfer.generate_class
+    monkeypatch.setattr(transfer, "generate_class", lambda *args, **kw: calls.append(args) or honest(*args, **kw))
+    union = canonical_base("union", 2)
+    for args in _identity_cases():
+        del calls[:]
+        rep = transfer_property(*args)
+        assert len(calls) == 1 and (rep.class_dom is None or rep.class_dom is rep.class_cod)
+    del calls[:]
+    rep = transfer_property(merge32(), union, sclass(3, MERGE_GENS), power_set(2), "range", REDUCTION)
+    assert rep.verdict and len(calls) == 2 and rep.class_dom != rep.class_cod
 
 
 def test_unsaturated_generators_fail_the_saturation_hypothesis():
