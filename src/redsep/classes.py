@@ -11,8 +11,9 @@ B n C = 0; separators are drawn from the ambiguous part (members whose
 complement is also a member).  A witness is its bits: (c, d) for reduction,
 (s,) for separation.  Each condition is written once (reduces, separates),
 and each property has one search on bitmasks for the canonical-first witness
-of a pair; the checkers keep no witnesses, so callers that want them search
-again.
+of a pair.  A check is one scan over the pairs, and it records the witness
+of every pair it checked, so callers that want witnesses read the record
+instead of searching again.
 """
 
 from collections import namedtuple
@@ -196,25 +197,30 @@ def _checked_pairs(sc, which):
     return ((a, b, search(sc, a, b)) for a, b in _pairs(sc, which))
 
 
-def _check(sc, which):
+def _check(sc, which, record):
+    """The CheckResult of a property, filling record (a dict) with the witness
+    bits of each checked pair of member bits (a, b), in scan order, through the
+    first pair without a witness (mapped to None)."""
     if len(sc) > MAX_CLASS_MEMBERS:
         raise ResourceError(f"class of {len(sc)} members exceeds the cap {MAX_CLASS_MEMBERS}")
     _, search = _property(which)
-    checked = 0
-    for checked, (a, b) in enumerate(_pairs(sc, which), 1):
-        if search(sc, a, b) is None:
-            return CheckResult(False, checked, (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
-    return CheckResult(True, checked, None)
+    for a, b in _pairs(sc, which):  # the scan of _checked_pairs, without its generator
+        found = record[a, b] = search(sc, a, b)
+        if found is None:
+            return CheckResult(False, len(record), (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
+    return CheckResult(True, len(record), None)
 
 
-def check_reduction(sc):
-    """Does every ordered pair of members admit a reduction witness in the class?"""
-    return _check(sc, REDUCTION)
+def check_reduction(sc, record=None):
+    """Does every ordered pair of members admit a reduction witness in the class?
+    A given empty dict receives the record of the scan (see _check)."""
+    return _check(sc, REDUCTION, {} if record is None else record)
 
 
-def check_separation(sc):
-    """Does every disjoint ordered pair admit a separator from the ambiguous part?"""
-    return _check(sc, SEPARATION)
+def check_separation(sc, record=None):
+    """Does every disjoint ordered pair admit a separator from the ambiguous part?
+    A given empty dict receives the record of the scan (see _check)."""
+    return _check(sc, SEPARATION, {} if record is None else record)
 
 
 def reduction_to_separation(sc, a, b):

@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -26,7 +27,6 @@ from . import __version__, serialize
 from .classes import (
     REDUCTION,
     SEPARATION,
-    _checked_pairs,
     check_reduction,
     check_separation,
     complement_class,
@@ -93,8 +93,9 @@ def _class_doc(sc):
 _WITNESS_FIELDS = {REDUCTION: ("c", "d"), SEPARATION: ("separator",)}
 
 
-def _bits_doc(names, bits):
-    return {name: list(points_of(x)) for name, x in zip(names, bits)}
+def _bits_doc(points, names, bits):
+    """Named point lists of bits; points is a memo of points_of shared by one report."""
+    return {name: points(x) for name, x in zip(names, bits)}
 
 
 def _offending_doc(item):
@@ -159,7 +160,8 @@ def _cmd_generate(args):
 def _cmd_check(args):
     sc = _class_from_instance(_load_instance(args.instance), args)
     which = args.command.removeprefix("check-")
-    res = check_reduction(sc) if which == REDUCTION else check_separation(sc)
+    record = {}
+    res = (check_reduction if which == REDUCTION else check_separation)(sc, record)
     # a class with the property has a witness for every checked pair
     witness_count = res.pairs_checked if res.holds else 0
     report = {
@@ -174,9 +176,9 @@ def _cmd_check(args):
     if res.failing_pair is not None:
         report["failing_pair"] = [serialize.points_doc(m) for m in res.failing_pair]
     if witness_count:
-        names = ("a", "b", *_WITNESS_FIELDS[which])
+        names, points = ("a", "b", *_WITNESS_FIELDS[which]), cache(points_of)
         report["witnesses"] = [
-            _bits_doc(names, (a, b, *found)) for a, b, found in islice(_checked_pairs(sc, which), _TRACE_CAP)
+            _bits_doc(points, names, (a, b, *found)) for (a, b), found in islice(record.items(), _TRACE_CAP)
         ]
     return report, 0 if res.holds else 1
 
@@ -199,12 +201,12 @@ def _cmd_transfer(args):
     gens_dom = _generators_from(doc, "dom_generators", pm.dom, args)
     gens_cod = _generators_from(doc, "cod_generators", pm.cod, args)
     rep = transfer_property(pm, base, gens_dom, gens_cod, mode, which)
-    fields = _WITNESS_FIELDS[which]
+    fields, points = _WITNESS_FIELDS[which], cache(points_of)
     traces = [
         {
-            **_bits_doc(("a", "b", "fa", "fb"), (t.a, t.b, t.fa, t.fb)),
-            "witness_cod": None if t.witness_cod is None else _bits_doc(fields, t.witness_cod),
-            "witness_dom": None if t.witness_dom is None else _bits_doc(fields, t.witness_dom),
+            **_bits_doc(points, ("a", "b", "fa", "fb"), (t.a, t.b, t.fa, t.fb)),
+            "witness_cod": None if t.witness_cod is None else _bits_doc(points, fields, t.witness_cod),
+            "witness_dom": None if t.witness_dom is None else _bits_doc(points, fields, t.witness_dom),
             "valid": t.valid,
         }
         for t in rep.pairs[:_TRACE_CAP]

@@ -6,7 +6,7 @@ indent, one trailing newline.  Parsers raise InputError naming the offending
 field, so the batch front-end can surface field-level diagnostics.
 """
 
-import json
+from json.encoder import encode_basestring_ascii as _string
 
 from .classes import SetClass
 from .errors import InputError, ResourceError
@@ -17,8 +17,72 @@ from .spaces import DEFAULT_MAX_POINTS, POINT_CEILING, generate_topology
 
 
 def canonical_json(doc):
-    """The one serialized form used everywhere: byte-stable for equal docs."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The one serialized form used everywhere: byte-stable for equal docs.
+
+    The bytes are those of json.dumps(doc, sort_keys=True, indent=2) plus a
+    newline, written in one recursive pass instead of one generator per
+    node.  Documents must be acyclic.
+    """
+    return _encode(doc, "\n") + "\n"
+
+
+_INF = float("inf")
+_INTS = {int}
+
+
+def _float(x):
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(k):
+    """A dict key as json writes it: sorted first, then turned into a string."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True or k is False or k is None:
+        return _encode(k, "")
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+def _encode(o, newline):
+    """The JSON text of o at the depth whose line break and indent is newline."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, o)) == _INTS:  # the common leaf: points of a set
+            body = ("," + inner).join(map(int.__repr__, o))
+        else:
+            body = ("," + inner).join([_encode(x, inner) for x in o])
+        return "[" + inner + body + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [_string(_key(k)) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, str):
+        return _string(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _field(doc, name, path, optional=False, default=None, choices=()):

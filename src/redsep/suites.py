@@ -38,7 +38,6 @@ from .classes import (
     check_reduction,
     check_separation,
     complement_class,
-    generate_class,
     reduction_to_separation,
     separates,
 )
@@ -879,10 +878,12 @@ def _run_transfer_identity(bounds, rng, budget, col):
                 enum = len([i for i in base.relevant_indices(mode) if i != ()])
                 if len(opens) ** enum > bounds.cap:
                     continue
-                phi = generate_class(base, opens, mode, cap=bounds.cap)
+                phi = None
                 for which in (REDUCTION, SEPARATION):
                     col.cases += 1
                     rep = transfer_property(ident, base, opens, opens, mode, which, cap=bounds.cap)
+                    if phi is None:  # the class the first transfer generated serves both properties
+                        phi = rep.class_cod
                     direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
@@ -901,8 +902,8 @@ def _replay_transfer_identity(instance, kind):
     mode = _field(instance, "mode", choices=MODES)
     which = _field(instance, "which", choices=(REDUCTION, SEPARATION))
     opens = open_sets(space)
-    phi = generate_class(base, opens, mode)
     rep = transfer_property(PointMap.identity(space), base, opens, opens, mode, which)
+    phi = rep.class_cod
     direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
     return rep.verdict != direct.holds
 

@@ -25,16 +25,17 @@ from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
 
 
-def _pull_back(pm, which, holds, a, b, fa, fb, witness):
+def _pull_back(pm, which, holds, a, b, fa, fb, witness, preimage):
     """The preimages of the codomain witness bits for the images (fa, fb) of the bits (a, b), checked: a and b
-    saturated, the witness holding on (fa, fb), and its preimages holding on (a, b)."""
+    saturated, the witness holding on (fa, fb), and its preimages holding on (a, b).  preimage is
+    pm.preimage_bits or a memo of it."""
     for name, bits, image in (("a", a, fa), ("b", b, fb)):
-        if pm.preimage_bits(image) != bits:
+        if preimage(image) != bits:
             raise PreconditionError(f"{name} = {SubsetMask(pm.dom.n, bits)!r} is not saturated for the map")
     if not holds(fa, fb, *witness):
         fa, fb = (SubsetMask(pm.cod.n, x) for x in (fa, fb))
         raise PreconditionError(f"not a {which} witness for ({fa!r}, {fb!r})")
-    pulled = tuple(pm.preimage_bits(x) for x in witness)
+    pulled = tuple(map(preimage, witness))
     if not holds(a, b, *pulled):
         raise PreconditionError(f"pulled-back {which} witness failed validation")
     return pulled
@@ -58,7 +59,7 @@ def pull_back_witnesses(pm, a, b, witness, which):
         and all(isinstance(x, int) and x >= 0 and not x >> pm.cod.n for x in witness)
     ):
         raise InputError(f"a {which} witness is a tuple of {arity} subsets of the codomain, as bits")
-    return _pull_back(pm, which, holds, a, b, pm.image_bits(a), pm.image_bits(b), witness)
+    return _pull_back(pm, which, holds, a, b, pm.image_bits(a), pm.image_bits(b), witness, pm.preimage_bits)
 
 
 HypothesisReport = namedtuple("HypothesisReport", "name holds offending")
@@ -78,8 +79,10 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
     codomain generators, preimages of codomain generators land among the
     domain generators, every domain generator is saturated, and the generated
     codomain class has the property.  When they hold, every pair from the
-    generated domain class is handled by image, canonical witness search,
-    pullback, and re-validation in the domain class.
+    generated domain class is handled by image, canonical witness (read from
+    the codomain check's record), pullback, and re-validation in the domain
+    class.  Images and preimages are memoised for the call, so each set is
+    mapped once.
     """
     holds, search = _property(which)
     if generators_dom.n != pm.dom.n:
@@ -90,11 +93,13 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
     def offending(gens, bad):
         return tuple(SubsetMask(gens.n, g) for g in gens._order if bad(g))
 
-    bad_images = offending(generators_dom, lambda g: pm.image_bits(g) not in generators_cod._bits)
-    bad_preimages = offending(generators_cod, lambda h: pm.preimage_bits(h) not in generators_dom._bits)
-    bad_saturation = offending(generators_dom, lambda g: pm.preimage_bits(pm.image_bits(g)) != g)
+    image, preimage = cache(pm.image_bits), cache(pm.preimage_bits)
+    bad_images = offending(generators_dom, lambda g: image(g) not in generators_cod._bits)
+    bad_preimages = offending(generators_cod, lambda h: preimage(h) not in generators_dom._bits)
+    bad_saturation = offending(generators_dom, lambda g: preimage(image(g)) != g)
     class_cod = generate_class(base, generators_cod, mode, cap=cap)
-    target_check = check_reduction(class_cod) if which == REDUCTION else check_separation(class_cod)
+    record = {}
+    target_check = (check_reduction if which == REDUCTION else check_separation)(class_cod, record)
     hypotheses = (
         HypothesisReport("images-stay-in-codomain-generators", not bad_images, bad_images),
         HypothesisReport("preimages-stay-in-domain-generators", not bad_preimages, bad_preimages),
@@ -117,8 +122,11 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
     class_dom = class_cod if generators_dom == generators_cod else generate_class(base, generators_dom, mode, cap=cap)
     traces = []
     for a, b in _pairs(class_dom, which):
-        fa, fb = pm.image_bits(a), pm.image_bits(b)
-        found = search(class_cod, fa, fb)
+        fa, fb = image(a), image(b)
+        # under the hypotheses each image pair is a checked pair of codomain members (images
+        # commute with unions, and with intersections of saturated sets), so the record
+        # holds its witness; a pair missing from it is searched
+        found = record.get((fa, fb)) or search(class_cod, fa, fb)
         if found is None:
             traces.append(PairTrace(a, b, fa, fb, None, None, False))
             pair = ", ".join(repr(SubsetMask(pm.cod.n, x)) for x in (fa, fb))
@@ -126,7 +134,7 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
                 which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
                 class_dom, class_cod, tuple(traces),
             )
-        pulled = _pull_back(pm, which, holds, a, b, fa, fb, found)
+        pulled = _pull_back(pm, which, holds, a, b, fa, fb, found, preimage)
         valid = holds(a, b, *pulled, class_dom)
         traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
         if not valid:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,3 +70,14 @@ def test_a_clean_record_is_written_at_the_root(tmp_path, monkeypatch):
 def test_fewer_than_three_seeds_are_refused():
     with pytest.raises(SystemExit):
         bench_record.main(["--number", "9", "--seed", "1", "--seed", "1", "--seed", "2"])
+
+
+def test_the_bytecode_setting_is_recorded_next_to_the_python_version():
+    off, on = SimpleNamespace(dont_write_bytecode=0), SimpleNamespace(dont_write_bytecode=1)
+    assert bench_record.bytecode_cache_off(off, {}) is False
+    assert bench_record.bytecode_cache_off(off, {"PYTHONDONTWRITEBYTECODE": ""}) is False
+    assert bench_record.bytecode_cache_off(off, {"PYTHONDONTWRITEBYTECODE": "1"}) is True
+    assert bench_record.bytecode_cache_off(on, {}) is True
+    env = bench_record.environment()
+    assert env["dont_write_bytecode"] is bench_record.bytecode_cache_off()
+    assert list(env)[:2] == ["python", "dont_write_bytecode"]

@@ -31,13 +31,15 @@ from redsep import (
     evaluate,
     generate_class,
     generate_topology,
+    open_sets,
     reduction_to_separation,
     transfer_property,
+    zero_sets,
 )
 from redsep import classes
 from redsep.classes import _reduction_witness, _separation_witness, reduces, separates
 
-from conftest import bases, canonical_witness, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
+from conftest import SPACE_POOL, bases, canonical_witness, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
 
 
 def opens_class(space):
@@ -316,6 +318,27 @@ def test_checkers_and_searches_match_a_brute_force_oracle_on_small_classes():
                 d = reductions[(full ^ a, full ^ b)][1]
                 assert separator == SubsetMask(n, d)
                 assert a | d == d and b & d == 0 and d in comp and full ^ d in comp
+
+
+def test_the_check_record_is_the_checked_pairs_through_the_first_failure():
+    """The record of a check holds what _checked_pairs yields, in scan order, through the
+    first pair without a witness; the CheckResult beside it is the checker's."""
+    pool = [SetClass.from_bits(n, bits) for n, bits in differential_classes()]
+    pool += [derive(space) for space in SPACE_POOL for derive in (open_sets, closed_sets, zero_sets)]
+    verdicts = []
+    for sc in pool:
+        for which, check in ((REDUCTION, check_reduction), (SEPARATION, check_separation)):
+            record = {}
+            res = check(sc, record)
+            rows = []
+            for row in classes._checked_pairs(sc, which):
+                rows.append(row)
+                if row[2] is None:
+                    break
+            assert [(a, b, w) for (a, b), w in record.items()] == rows
+            assert res == check(sc) and res.pairs_checked == len(record)
+            verdicts.append(res.holds)
+    assert True in verdicts and False in verdicts
 
 
 def test_the_witness_conditions_match_the_point_set_reference():

@@ -258,6 +258,29 @@ def test_zero_gap_reports_up_to_3_points_are_pinned(tmp_path):
     assert digest.hexdigest() == ZERO_GAP_REPORTS_SHA
 
 
+# sha256 over the label, exit code and report bytes of each check, per command
+CHECK_REPORTS_SHA = {
+    "check-reduction": "f8e414ef194ecbd6578eda456a2c20ba3a72ec2486512949452492b439707778",
+    "check-separation": "83c8fdeae742445e63a0a9ebf7449980e28dbd000d6246d93a7d47fd603d184b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_REPORTS_SHA))
+def test_check_reports_up_to_3_points_are_pinned(command, tmp_path):
+    """The opens, closeds and zeros of every space on up to 3 points: 105 reports per command, 6 of them failing."""
+    digest, exits = hashlib.sha256(), []
+    path = tmp_path / "instance.json"
+    for n in range(4):
+        for i, space in enumerate(catalog.all_topologies(n)):
+            for derived in ("opens", "closeds", "zeros"):
+                path.write_text(json.dumps({"space": serialize.space_to_doc(space), "class_from": derived}))
+                code, out = run_cli([command, str(path)])
+                exits.append(code)
+                digest.update(f"{n}-{i}-{derived}".encode() + b"\0" + str(code).encode() + b"\0" + out.encode())
+    assert sorted(exits) == [0] * 99 + [1] * 6
+    assert digest.hexdigest() == CHECK_REPORTS_SHA[command]
+
+
 def test_space_respects_the_point_cap(tmp_path):
     inst = write_instance(tmp_path, {"product": [CONNECTED3, CONNECTED3]})
     code, out = run_cli(["space", "--max-points", "4", inst])

@@ -1,8 +1,11 @@
 """Document round-trips, canonical JSON bytes, and field-path diagnostics."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redsep import (
     PREFIX,
@@ -15,6 +18,7 @@ from redsep import (
     SubsetMask,
     canonical_base,
     canonical_json,
+    cli,
     generate_topology,
     serialize,
 )
@@ -37,6 +41,100 @@ def test_canonical_json_is_sorted_indented_and_newline_terminated():
         '}\n'
     )
     assert canonical_json(doc) == canonical_json(json.loads(canonical_json(doc)))
+
+
+def oracle_json(doc):
+    """The stdlib encoding that canonical_json reproduces byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def same_as_oracle(doc):
+    """canonical_json and the oracle give the same bytes, or both raise TypeError."""
+    try:
+        expected = oracle_json(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+        return
+    assert canonical_json(doc) == expected
+
+
+# every code point, lone surrogates included, so escapes and non-ASCII are written
+texts = st.text(st.characters(exclude_categories=()), max_size=8)
+scalars = st.none() | st.booleans() | st.integers() | st.floats() | texts
+json_docs = st.recursive(
+    scalars,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(texts, children, max_size=5),
+    max_leaves=40,
+)
+# json sorts the items and then writes int, float, bool and None keys as strings;
+# keys of one type sort, mixed ones may not, and then both writers raise TypeError
+key_sets = st.one_of(
+    st.sets(st.integers()),
+    st.sets(st.floats()),
+    st.sets(st.booleans() | st.none()),
+    st.sets(st.integers() | st.floats(allow_nan=False)),
+    st.sets(st.integers() | texts, max_size=3),
+)
+
+
+@given(json_docs)
+def test_canonical_json_matches_the_stdlib_encoding(doc):
+    same_as_oracle(doc)
+
+
+@given(key_sets, st.lists(scalars, min_size=8, max_size=8))
+@settings(max_examples=100)
+def test_non_str_keys_are_sorted_then_written_as_json_writes_them(keys, values):
+    same_as_oracle(dict(zip(keys, values)))
+    same_as_oracle([{"outer": dict(zip(keys, values))}])
+
+
+@given(st.integers(0, 200), st.sampled_from(["list", "tuple", "dict"]), st.sampled_from([[], {}, (), 0, "x"]))
+def test_deep_nesting_and_empty_containers_match_the_stdlib_encoding(depth, kind, leaf):
+    doc = leaf
+    for level in range(depth):
+        doc = {"k": doc, "": []} if kind == "dict" else [doc, {}] if kind == "list" else (doc,)
+    same_as_oracle(doc)
+
+
+def test_values_and_keys_json_cannot_write_raise_type_error():
+    for doc in ({1, 2}, {"a": object()}, {(1, 2): 0}, {None: 0, "a": 1}, [b"bytes"]):
+        same_as_oracle(doc)
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+    assert canonical_json({True: 1, False: 0}) == '{\n  "false": 0,\n  "true": 1\n}\n'
+    assert canonical_json({None: [float("nan")]}) == '{\n  "null": [\n    NaN\n  ]\n}\n'
+    assert canonical_json({2: "b", 0.5: "a"}) == '{\n  "0.5": "a",\n  "2": "b"\n}\n'
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "tests" / "golden").glob("*.json"))
+    + sorted((ROOT / "corpus").glob("*.json"))
+    + sorted((ROOT / "instances" / "transfer").glob("*.json")),
+    ids=lambda p: p.name,
+)
+def test_shipped_documents_are_rewritten_to_their_own_bytes(path):
+    text = path.read_text()
+    assert canonical_json(json.loads(text)) == oracle_json(json.loads(text)) == text
+
+
+def test_reports_of_the_shipped_instances_match_the_stdlib_encoding():
+    """The report objects themselves, tuples and all, before they are written."""
+    parser, golden = cli.build_parser(), ROOT / "tests" / "golden"
+    instances = [("transfer", p) for p in sorted((ROOT / "instances" / "transfer").glob("*.json"))]
+    instances += [(command, golden / "reduction-five-opens-instance.json") for command in ("check-reduction", "check-separation")]
+    instances += [("space", golden / f"{name}-instance.json") for name in ("sierpinski-zeros", "sierpinski-square")]
+    for command, path in instances:
+        args = parser.parse_args([command, str(path)])
+        report, _ = args.handler(args)
+        assert canonical_json(report) == oracle_json(report), (command, path.name)
 
 
 def test_base_documents_round_trip():

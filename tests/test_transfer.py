@@ -154,7 +154,9 @@ def test_merge_map_transfers_separation_too():
 def test_pair_failures_name_the_pair_as_masks(monkeypatch):
     args = (merge32(), canonical_base("union", 2), sclass(3, MERGE_GENS), power_set(2), "range", REDUCTION)
     with monkeypatch.context() as patch:
-        # a search that finds nothing
+        # a check that records no witness, then a search that finds nothing
+        honest = transfer.check_reduction
+        patch.setattr(transfer, "check_reduction", lambda sc, record: honest(sc))
         patch.setattr(transfer, "_property", lambda which: (reduces, lambda sc, a, b: None))
         rep = transfer_property(*args)
     assert rep.failure == "no codomain witness for the image pair (SubsetMask(2, {}), SubsetMask(2, {}))"
@@ -205,6 +207,18 @@ def test_transfer_reports_are_pinned(name):
         classes = [None if c is None else sorted(c.member_bits()) for c in (rep.class_dom, rep.class_cod)]
         lines.append(repr((rep.which, rep.verdict, rep.failure, rep.hypotheses, classes, rep.pairs)))
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)
+
+
+def test_image_pairs_missing_from_the_record_are_searched(monkeypatch):
+    """With the codomain check's record left empty, the pair loop searches every image
+    pair and gives the report that reading the record gives."""
+    cases = [args for args in _merge_cases() if args[2] == alg_enumerate(args[0])][::7]
+    expected = [transfer_property(*args) for args in cases]
+    for name in ("check_reduction", "check_separation"):
+        honest = getattr(transfer, name)
+        monkeypatch.setattr(transfer, name, lambda sc, record, honest=honest: honest(sc))
+    assert [transfer_property(*args) for args in cases] == expected
+    assert sum(rep.verdict for rep in expected) > 0
 
 
 def test_equal_generator_classes_generate_one_class(monkeypatch):

@@ -10,7 +10,9 @@ For each workload (sweep-default, then cli-batch) and each seed it runs
 from the repository root, one run at a time.  The file written at the root
 holds, per workload, every run's seed, metrics, correct/attempted/failed and
 note lines (repetitions, case counts, failed ratio), and the median of each
-metric over the runs.  It also holds the Python version, the commit
+metric over the runs.  It also holds the Python version, whether bytecode
+caching was off (``-B`` or ``PYTHONDONTWRITEBYTECODE``; the runs then compile
+every source they import, which shows in ``setup_s``), the commit
 (``git rev-parse HEAD``), whether src/ and bench/ match that commit, and the
 line count of src/redsep/*.py.  If any run is not correct or has a failed
 operation, nothing is written and the exit status is 1.
@@ -18,6 +20,7 @@ operation, nothing is written and the exit status is 1.
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -95,10 +98,16 @@ def _git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
 
+def bytecode_cache_off(flags=sys.flags, environ=os.environ):
+    """Whether this interpreter, or the runs it starts with its environment, write no bytecode."""
+    return bool(flags.dont_write_bytecode or environ.get("PYTHONDONTWRITEBYTECODE"))
+
+
 def environment():
     lines = sum(path.read_text().count("\n") for path in sorted((ROOT / "src" / "redsep").glob("*.py")))
     return {
         "python": platform.python_version(),
+        "dont_write_bytecode": bytecode_cache_off(),
         "commit": _git("rev-parse", "HEAD").stdout.strip() or None,
         "src_matches_commit": _git("diff", "--quiet", "HEAD", "--", "src", "bench").returncode == 0,
         "src_lines": lines,
