@@ -41,15 +41,11 @@ def _float(x):
 
 
 def _key(k):
-    """A dict key as json writes it: sorted first, then turned into a string."""
+    """A dict key as json writes it: sorted first, then a scalar's JSON text as the string."""
     if isinstance(k, str):
         return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True or k is False or k is None:
+    if isinstance(k, (int, float)) or k is None:
         return _encode(k, "")
-    if isinstance(k, int):
-        return int.__repr__(k)
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
