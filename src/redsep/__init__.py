@@ -65,7 +65,6 @@ from .transfer import (
     PairTrace,
     TransferReport,
     ZeroWitnessReport,
-    pull_back_witnesses,
     transfer_property,
     zero_trace_gap,
     zero_witness_map,
@@ -144,7 +143,6 @@ __all__ = [
     "generate_topology",
     "open_sets",
     "product",
-    "pull_back_witnesses",
     "reduction_to_separation",
     "replay_finding",
     "run_suite",

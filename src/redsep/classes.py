@@ -11,9 +11,9 @@ B n C = 0; separators are drawn from the ambiguous part (members whose
 complement is also a member).  A witness is its bits: (c, d) for reduction,
 (s,) for separation.  Each condition is written once (reduces, separates),
 and each property has one search on bitmasks for the canonical-first witness
-of a pair.  A check is one scan over the pairs, and it records the witness
-of every pair it checked, so callers that want witnesses read the record
-instead of searching again.
+of a pair.  A check is one scan over the pairs; given a dict, it records the
+witness of every pair it checked, so callers that want witnesses read the
+record instead of searching again.
 """
 
 from collections import namedtuple
@@ -197,30 +197,34 @@ def _checked_pairs(sc, which):
     return ((a, b, search(sc, a, b)) for a, b in _pairs(sc, which))
 
 
-def _check(sc, which, record):
-    """The CheckResult of a property, filling record (a dict) with the witness
-    bits of each checked pair of member bits (a, b), in scan order, through the
-    first pair without a witness (mapped to None)."""
+def _check(sc, which, record=None):
+    """The CheckResult of a property.  A given dict receives the witness bits of
+    each checked pair of member bits (a, b), in scan order, through the first
+    pair without a witness (mapped to None); without one nothing is kept."""
     if len(sc) > MAX_CLASS_MEMBERS:
         raise ResourceError(f"class of {len(sc)} members exceeds the cap {MAX_CLASS_MEMBERS}")
     _, search = _property(which)
+    checked = 0
     for a, b in _pairs(sc, which):  # the scan of _checked_pairs, without its generator
-        found = record[a, b] = search(sc, a, b)
+        checked += 1
+        found = search(sc, a, b)
+        if record is not None:
+            record[a, b] = found
         if found is None:
-            return CheckResult(False, len(record), (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
-    return CheckResult(True, len(record), None)
+            return CheckResult(False, checked, (SubsetMask(sc.n, a), SubsetMask(sc.n, b)))
+    return CheckResult(True, checked, None)
 
 
 def check_reduction(sc, record=None):
     """Does every ordered pair of members admit a reduction witness in the class?
-    A given empty dict receives the record of the scan (see _check)."""
-    return _check(sc, REDUCTION, {} if record is None else record)
+    A given dict receives the record of the scan (see _check)."""
+    return _check(sc, REDUCTION, record)
 
 
 def check_separation(sc, record=None):
     """Does every disjoint ordered pair admit a separator from the ambiguous part?
-    A given empty dict receives the record of the scan (see _check)."""
-    return _check(sc, SEPARATION, {} if record is None else record)
+    A given dict receives the record of the scan (see _check)."""
+    return _check(sc, SEPARATION, record)
 
 
 def reduction_to_separation(sc, a, b):

@@ -205,8 +205,8 @@ def _cmd_transfer(args):
     traces = [
         {
             **_bits_doc(points, ("a", "b", "fa", "fb"), (t.a, t.b, t.fa, t.fb)),
-            "witness_cod": None if t.witness_cod is None else _bits_doc(points, fields, t.witness_cod),
-            "witness_dom": None if t.witness_dom is None else _bits_doc(points, fields, t.witness_dom),
+            "witness_cod": _bits_doc(points, fields, t.witness_cod),
+            "witness_dom": _bits_doc(points, fields, t.witness_dom),
             "valid": t.valid,
         }
         for t in rep.pairs[:_TRACE_CAP]
@@ -220,7 +220,7 @@ def _cmd_transfer(args):
             {
                 "name": h.name,
                 "holds": h.holds,
-                "offending": [_offending_doc(m) for m in h.offending if m is not None],
+                "offending": [_offending_doc(m) for m in h.offending],
             }
             for h in rep.hypotheses
         ],

@@ -31,6 +31,7 @@ from operator import or_
 from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
 from .classes import (
+    DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
     SEPARATION,
     _checked_pairs,
@@ -881,7 +882,7 @@ def _run_transfer_identity(bounds, rng, budget, col):
                 phi = None
                 for which in (REDUCTION, SEPARATION):
                     col.cases += 1
-                    rep = transfer_property(ident, base, opens, opens, mode, which, cap=bounds.cap)
+                    rep = transfer_property(ident, base, opens, opens, mode, which)
                     if phi is None:  # the class the first transfer generated serves both properties
                         phi = rep.class_cod
                     direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
@@ -965,6 +966,8 @@ def run_suite(name, bounds=None, seed=0, budget=None, keep=32):
         raise InputError("--budget must be positive")
     if budget is not None and budget > MAX_BUDGET:
         raise ResourceError(f"budget {budget} exceeds the cap {MAX_BUDGET}")
+    if bounds.cap > DEFAULT_ASSIGNMENT_CAP:
+        raise ResourceError(f"bounds.cap {bounds.cap} exceeds the cap {DEFAULT_ASSIGNMENT_CAP}")
     col = _Collector(name, keep)
     suite.run(bounds, random.Random(f"{name}:{seed}"), suite.budget if budget is None else budget, col)
     return SuiteResult(

@@ -2,77 +2,32 @@
 
 Witnesses for a pair of saturated sets pull back through preimages.  The
 full pipeline checks the hypotheses, generates the source and target
-classes, finds a witness for every image pair in the target class, pulls it
-back, and re-verifies it in the source class; any failure is reported with
-the offending hypothesis or pair.
+classes, reads the witness of every image pair from the target class's
+check, pulls it back, and validates it in the source class; any failure is
+reported with the offending hypothesis or pair.
 """
 
 from collections import namedtuple
 from functools import cache
 
-from .classes import (
-    DEFAULT_ASSIGNMENT_CAP,
-    REDUCTION,
-    _pairs,
-    _property,
-    check_reduction,
-    check_separation,
-    generate_class,
-)
+from .classes import REDUCTION, _pairs, _property, check_reduction, check_separation, generate_class
 from .errors import InputError, PreconditionError, ResourceError
 from .maps import PointMap
 from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
 from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
 
 
-def _pull_back(pm, which, holds, a, b, fa, fb, witness, preimage):
-    """The preimages of the codomain witness bits for the images (fa, fb) of the bits (a, b), checked: a and b
-    saturated, the witness holding on (fa, fb), and its preimages holding on (a, b).  preimage is
-    pm.preimage_bits or a memo of it."""
-    for name, bits, image in (("a", a, fa), ("b", b, fb)):
-        if preimage(image) != bits:
-            raise PreconditionError(f"{name} = {SubsetMask(pm.dom.n, bits)!r} is not saturated for the map")
-    if not holds(fa, fb, *witness):
-        fa, fb = (SubsetMask(pm.cod.n, x) for x in (fa, fb))
-        raise PreconditionError(f"not a {which} witness for ({fa!r}, {fb!r})")
-    pulled = tuple(map(preimage, witness))
-    if not holds(a, b, *pulled):
-        raise PreconditionError(f"pulled-back {which} witness failed validation")
-    return pulled
-
-
-def pull_back_witnesses(pm, a, b, witness, which):
-    """Pull the bits of a codomain witness for (F(a), F(b)) back to one for the
-    bits (a, b): (c, d) for reduction, (s,) for separation.
-
-    Both a and b must be saturated (unions of fibers); preimages then restore
-    them exactly, and the pulled-back sets inherit every witness condition.
-    """
-    holds, _ = _property(which)
-    for name, bits in (("a", a), ("b", b)):
-        if not isinstance(bits, int) or bits < 0 or bits >> pm.dom.n:
-            raise InputError(f"{name} must be the bits of a subset of the domain")
-    arity = 2 if which == REDUCTION else 1
-    if not (
-        isinstance(witness, tuple)
-        and len(witness) == arity
-        and all(isinstance(x, int) and x >= 0 and not x >> pm.cod.n for x in witness)
-    ):
-        raise InputError(f"a {which} witness is a tuple of {arity} subsets of the codomain, as bits")
-    return _pull_back(pm, which, holds, a, b, pm.image_bits(a), pm.image_bits(b), witness, pm.preimage_bits)
-
-
 HypothesisReport = namedtuple("HypothesisReport", "name holds offending")
 
 # One checked pair as bits: the domain pair, its images, and the witness bits
-# found in the codomain and pulled back to the domain (None if none).
+# read from the codomain check and pulled back to the domain.
 PairTrace = namedtuple("PairTrace", "a b fa fb witness_cod witness_dom valid")
 
 # failure is None when the verdict holds; class_dom is None when a hypothesis failed
 TransferReport = namedtuple("TransferReport", "which hypotheses verdict failure class_dom class_cod pairs")
 
 
-def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap=DEFAULT_ASSIGNMENT_CAP):
+def transfer_property(pm, base, generators_dom, generators_cod, mode, which):
     """Carry reduction or separation from the codomain class to the domain class.
 
     Hypotheses checked up front: images of domain generators land among the
@@ -80,11 +35,11 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
     domain generators, every domain generator is saturated, and the generated
     codomain class has the property.  When they hold, every pair from the
     generated domain class is handled by image, canonical witness (read from
-    the codomain check's record), pullback, and re-validation in the domain
+    the codomain check's record), pullback, and one validation in the domain
     class.  Images and preimages are memoised for the call, so each set is
     mapped once.
     """
-    holds, search = _property(which)
+    holds, _ = _property(which)
     if generators_dom.n != pm.dom.n:
         raise InputError("domain generators live on the wrong universe")
     if generators_cod.n != pm.cod.n:
@@ -97,7 +52,7 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
     bad_images = offending(generators_dom, lambda g: image(g) not in generators_cod._bits)
     bad_preimages = offending(generators_cod, lambda h: preimage(h) not in generators_dom._bits)
     bad_saturation = offending(generators_dom, lambda g: preimage(image(g)) != g)
-    class_cod = generate_class(base, generators_cod, mode, cap=cap)
+    class_cod = generate_class(base, generators_cod, mode)
     record = {}
     target_check = (check_reduction if which == REDUCTION else check_separation)(class_cod, record)
     hypotheses = (
@@ -119,22 +74,15 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which, cap
 
     # the hypotheses make class_dom the preimages of class_cod, so the class-size
     # cap that the codomain check enforces bounds this pair loop too; equal generators generate equal classes
-    class_dom = class_cod if generators_dom == generators_cod else generate_class(base, generators_dom, mode, cap=cap)
+    class_dom = class_cod if generators_dom == generators_cod else generate_class(base, generators_dom, mode)
     traces = []
     for a, b in _pairs(class_dom, which):
         fa, fb = image(a), image(b)
-        # under the hypotheses each image pair is a checked pair of codomain members (images
-        # commute with unions, and with intersections of saturated sets), so the record
-        # holds its witness; a pair missing from it is searched
-        found = record.get((fa, fb)) or search(class_cod, fa, fb)
-        if found is None:
-            traces.append(PairTrace(a, b, fa, fb, None, None, False))
-            pair = ", ".join(repr(SubsetMask(pm.cod.n, x)) for x in (fa, fb))
-            return TransferReport(
-                which, hypotheses, False, f"no codomain witness for the image pair ({pair})",
-                class_dom, class_cod, tuple(traces),
-            )
-        pulled = _pull_back(pm, which, holds, a, b, fa, fb, found, preimage)
+        # each image pair is a checked pair of codomain members (images commute with unions, and
+        # with intersections of saturated sets), so the record holds its witness; a missing key
+        # is an engine fault, not a verdict
+        found = record[fa, fb]
+        pulled = tuple(map(preimage, found))
         valid = holds(a, b, *pulled, class_dom)
         traces.append(PairTrace(a, b, fa, fb, found, pulled, valid))
         if not valid:

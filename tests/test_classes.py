@@ -1,6 +1,7 @@
 """Set classes: generation, duality, reduction, separation, ladders."""
 
 import random
+import tracemalloc
 from itertools import product as iproduct
 
 import pytest
@@ -339,6 +340,21 @@ def test_the_check_record_is_the_checked_pairs_through_the_first_failure():
             assert res == check(sc) and res.pairs_checked == len(record)
             verdicts.append(res.holds)
     assert True in verdicts and False in verdicts
+
+
+def test_a_check_without_a_record_keeps_nothing_per_pair():
+    """The 16,384 pairs of the power set of 7 points are checked in a bounded amount of
+    memory when no dict is given; a record of them takes about 2 MiB."""
+    sc = power_set(7)
+    tracemalloc.start()
+    try:
+        res = check_reduction(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == (True, 128**2, None) and peak < 64 * 1024
+    record = {}
+    assert check_reduction(sc, record) == res and len(record) == 128**2
 
 
 def test_the_witness_conditions_match_the_point_set_reference():

@@ -487,6 +487,18 @@ def test_lanes_refuse_universes_over_8_points():
         run_suite("preimage-commutes", bounds=Bounds(max_points=9), budget=1)
 
 
+def test_a_cap_over_the_assignment_cap_is_refused_before_any_sweep_starts(monkeypatch):
+    def sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setitem(suites._SUITES, "transfer-identity", suites._SUITES["transfer-identity"]._replace(run=sweep))
+    with pytest.raises(ResourceError) as err:
+        run_suite("transfer-identity", bounds=Bounds(cap=(1 << 18) + 1))
+    assert str(err.value) == "bounds.cap 262145 exceeds the cap 262144"
+    with pytest.raises(AssertionError, match="the sweep started"):  # the engine's own cap is accepted
+        run_suite("transfer-identity", bounds=Bounds(cap=1 << 18))
+
+
 def test_sweep_digest_prints_one_line_per_suite():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "sweep_digest.py"), "--max-points", "2"],

@@ -27,7 +27,6 @@ from redsep import (
     check_separation,
     components,
     generate_class,
-    pull_back_witnesses,
     run_suite,
     transfer_property,
     zero_sets,
@@ -36,7 +35,7 @@ from redsep import (
 )
 
 from redsep import suites, transfer
-from redsep.classes import _reduction_witness, reduces
+from redsep.classes import _reduction_witness
 
 from conftest import canonical_witness, gap_oracle, mask, power_set, sclass, spaces, subspace, tables, witness_holds
 
@@ -48,64 +47,10 @@ def merge32():
 MERGE_GENS = [[], [0, 1], [2], [0, 1, 2]]
 
 
-def bits(n, points):
-    return mask(n, points).bits
-
-
-def test_pull_back_restores_reduction_witnesses():
-    pm = merge32()
-    a, b = bits(3, [0, 1]), bits(3, [2])
-    pulled = pull_back_witnesses(pm, a, b, (bits(2, [0]), bits(2, [1])), REDUCTION)
-    assert pulled == (bits(3, [0, 1]), bits(3, [2]))
-    assert witness_holds(REDUCTION, a, b, pulled)
-
-
-def test_pull_back_restores_separation_witnesses():
-    pm = merge32()
-    a, b = bits(3, [0, 1]), bits(3, [2])
-    pulled = pull_back_witnesses(pm, a, b, (bits(2, [0]),), SEPARATION)
-    assert pulled == (bits(3, [0, 1]),)
-    assert witness_holds(SEPARATION, a, b, pulled)
-
-
-def test_pull_back_preconditions():
-    pm = merge32()
-    ok = (bits(2, [0]), bits(2, [1]))
-    # an unsaturated domain set
-    with pytest.raises(PreconditionError):
-        pull_back_witnesses(pm, bits(3, [0]), bits(3, [2]), ok, REDUCTION)
-    # a witness for another image pair
-    stale = (bits(2, [1]), bits(2, [0]))
-    with pytest.raises(PreconditionError):
-        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), stale, REDUCTION)
-    with pytest.raises(PreconditionError):
-        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), (bits(2, [1]),), SEPARATION)
-    # a witness of the wrong shape, of an unknown property, or off the codomain
-    malformed = (((1, 2), SEPARATION), ((1,), REDUCTION), (ok, "both"), ((4, 0), REDUCTION), ((mask(2, [0]),), SEPARATION))
-    for witness, which in malformed:
-        with pytest.raises(InputError):
-            pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), witness, which)
-    # a domain set off the domain, or not given as bits
-    with pytest.raises(InputError):
-        pull_back_witnesses(pm, 0b1000, bits(3, [2]), ok, REDUCTION)
-    with pytest.raises(InputError):
-        pull_back_witnesses(pm, mask(3, [0, 1]), bits(3, [2]), ok, REDUCTION)
-
-
-def test_each_pull_back_check_names_its_failure(monkeypatch):
-    pm, ok = merge32(), (bits(2, [0]), bits(2, [1]))
-    with pytest.raises(PreconditionError, match=r"^b = SubsetMask\(3, \{1, 2\}\) is not saturated"):
-        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [1, 2]), ok, REDUCTION)
-    with pytest.raises(PreconditionError, match=r"^not a reduction witness for \(SubsetMask\(2, \{0\}\), "):
-        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), ok[::-1], REDUCTION)
-    # a condition that holds on the images (fb = {1}) but not on the domain pair (b = {2})
-    monkeypatch.setattr(transfer, "_property", lambda which: (lambda a, b, *w, sc=None: b != bits(3, [2]), None))
-    with pytest.raises(PreconditionError, match="^pulled-back reduction witness failed validation$"):
-        pull_back_witnesses(pm, bits(3, [0, 1]), bits(3, [2]), ok, REDUCTION)
-
-
 @given(tables, st.data())
 def test_pulled_back_canonical_witnesses_always_validate(nmt, data):
+    """The preimages of a canonical codomain witness for the images of a saturated pair
+    are a witness for the pair: the law transfer's pair loop relies on."""
     n, m, table = nmt
     pm = PointMap(FinSpace.discrete(n), FinSpace.discrete(m), table)
     saturated = list(alg_enumerate(pm))
@@ -113,11 +58,13 @@ def test_pulled_back_canonical_witnesses_always_validate(nmt, data):
     b = data.draw(st.sampled_from(saturated), label="b")
     target = power_set(m)
     assert check_reduction(target).holds and check_separation(target).holds
-    w = canonical_witness(target, REDUCTION, pm.image(a), pm.image(b))
-    assert witness_holds(REDUCTION, a, b, pull_back_witnesses(pm, a.bits, b.bits, w, REDUCTION))
-    if not (a & b) and not (pm.image(a) & pm.image(b)):
-        ws = canonical_witness(target, SEPARATION, pm.image(a), pm.image(b))
-        assert witness_holds(SEPARATION, a, b, pull_back_witnesses(pm, a.bits, b.bits, ws, SEPARATION))
+    fa, fb = pm.image_bits(a.bits), pm.image_bits(b.bits)
+    for which in (REDUCTION, SEPARATION):
+        if which == SEPARATION and a.bits & b.bits:
+            continue
+        w = canonical_witness(target, which, fa, fb)
+        assert w is not None and witness_holds(which, fa, fb, w, target)
+        assert witness_holds(which, a, b, tuple(map(pm.preimage_bits, w)))
 
 
 def test_merge_map_transfers_reduction_to_its_saturated_class():
@@ -153,14 +100,6 @@ def test_merge_map_transfers_separation_too():
 
 def test_pair_failures_name_the_pair_as_masks(monkeypatch):
     args = (merge32(), canonical_base("union", 2), sclass(3, MERGE_GENS), power_set(2), "range", REDUCTION)
-    with monkeypatch.context() as patch:
-        # a check that records no witness, then a search that finds nothing
-        honest = transfer.check_reduction
-        patch.setattr(transfer, "check_reduction", lambda sc, record: honest(sc))
-        patch.setattr(transfer, "_property", lambda which: (reduces, lambda sc, a, b: None))
-        rep = transfer_property(*args)
-    assert rep.failure == "no codomain witness for the image pair (SubsetMask(2, {}), SubsetMask(2, {}))"
-    assert rep.pairs == (PairTrace(0, 0, 0, 0, None, None, False),)
     # a condition that accepts every witness but none inside a class
     outside_every_class = lambda a, b, c, d, sc=None: sc is None
     monkeypatch.setattr(transfer, "_property", lambda which: (outside_every_class, _reduction_witness))
@@ -191,10 +130,23 @@ def _merge_cases():
                     yield pm, base, dom, power_set(m), mode, which
 
 
+def _discrete_cases():
+    """Every map between discrete spaces of 1 to 3 points, onto or not, from the preimages of the
+    power set or of {∅, {0}, full} to that class: every image pair is a checked codomain pair."""
+    for n, m in product(range(1, 4), repeat=2):
+        for table in all_tables(n, m):
+            pm = PointMap(FinSpace.discrete(n), FinSpace.discrete(m), table)
+            for cod in (power_set(m), SetClass.from_bits(m, [0, 1, (1 << m) - 1])):
+                dom = SetClass.from_bits(n, map(pm.preimage_bits, cod.member_bits()))
+                for base, mode, which in product(TRANSFER_BASES, MODES, (REDUCTION, SEPARATION)):
+                    yield pm, base, dom, cod, mode, which
+
+
 # (cases, sha256 of every report's which, verdict, failure, hypotheses, classes and pair traces)
 REPORT_FIELDS = {
     "identity": (_identity_cases, 420, "e24de07ca781cd7fee0c18529d1b3a8f5e8e2778bc463a83ff7e3214d080b348"),
     "merge": (_merge_cases, 216, "63d46e61790d562a5b753c71220095b57baa8c337dd4efc41ab08457d67bb8dd"),
+    "discrete": (_discrete_cases, 1344, "4ce25ee42afab75788e03356e72a3826706f2b5ef75dcecc31552a23faa26be7"),
 }
 
 
@@ -207,18 +159,6 @@ def test_transfer_reports_are_pinned(name):
         classes = [None if c is None else sorted(c.member_bits()) for c in (rep.class_dom, rep.class_cod)]
         lines.append(repr((rep.which, rep.verdict, rep.failure, rep.hypotheses, classes, rep.pairs)))
     assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == (count, digest)
-
-
-def test_image_pairs_missing_from_the_record_are_searched(monkeypatch):
-    """With the codomain check's record left empty, the pair loop searches every image
-    pair and gives the report that reading the record gives."""
-    cases = [args for args in _merge_cases() if args[2] == alg_enumerate(args[0])][::7]
-    expected = [transfer_property(*args) for args in cases]
-    for name in ("check_reduction", "check_separation"):
-        honest = getattr(transfer, name)
-        monkeypatch.setattr(transfer, name, lambda sc, record, honest=honest: honest(sc))
-    assert [transfer_property(*args) for args in cases] == expected
-    assert sum(rep.verdict for rep in expected) > 0
 
 
 def test_equal_generator_classes_generate_one_class(monkeypatch):
