@@ -184,38 +184,23 @@ def _order_pairs(above):
     return [[i, j] for i in range(len(above)) for j in range(len(above)) if i != j and above[i] >> j & 1]
 
 
-# The largest sampling budget (a plan draws budget * k values), and the most values that consecutive
-# sampled plans of a pool entry share in one draw.
+# The largest sampling budget (a plan draws budget * k values), and the most random bytes the sampler draws at once.
 MAX_BUDGET = 1 << 16
 
 
 def _sample(pool, count, rng):
-    """`count` values of the byte pool, drawn as one rng.randrange(len(pool)) per value would draw them."""
-    size, bits = len(pool), len(pool).bit_length()
-    if bits > 8:  # all 256 subsets of 8 points: 9-bit draws, one at a time
-        return bytes(pool[rng.randrange(size)] for _ in range(count))
-    # getrandbits(bits) is the top byte of one 32-bit word shifted right by 8 - bits; getrandbits(32 * w)
-    # returns w words, the first in the lowest bytes.  Rejected top bytes are deleted, and the shortfall
-    # redrawn, so no word is consumed that per-value draws would not consume.
-    shift = 8 - bits
-    table = b"".join(bytes([v]) * (1 << shift) for v in pool).ljust(256, b"\0")
-    rejected = bytes(range(size << shift, 256))
+    """`count` values of the byte pool, one random byte per value: byte b gives pool[b % len(pool)], and bytes
+    at or above 256 - 256 % len(pool) are deleted and the shortfall redrawn, so each pool value is equally
+    likely.  Random bytes are drawn at most MAX_BUDGET at a time."""
+    if not count:
+        return b""
+    if not pool:
+        raise ValueError(f"cannot draw {count} values from an empty pool")
+    table, rejected = (pool * (256 // len(pool) + 1))[:256], bytes(range(256 - 256 % len(pool), 256))
     out = bytearray()
     while len(out) < count:
-        words = min(count - len(out), MAX_BUDGET // 4)
-        out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, rejected)
+        out += rng.randbytes(min(count - len(out), MAX_BUDGET)).translate(table, rejected)
     return bytes(out)
-
-
-def _draws(pool, counts, rng):
-    """The samples of every nonzero count back to back; consecutive counts share draws of at most MAX_BUDGET values."""
-    totals = []
-    for count in filter(None, counts):
-        if totals and totals[-1] + count <= MAX_BUDGET:
-            totals[-1] += count
-        else:
-            totals.append(count)
-    return b"".join(_sample(pool, total, rng) for total in totals)
 
 
 def _columns(raw, k):
@@ -264,7 +249,7 @@ def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
         if pool not in layouts:
             layouts[pool] = _layout(pool, ks, budget, exhaust)
         layout = layouts[pool]
-        drawn = _draws(pool, layout.counts, rng)
+        drawn = _sample(pool, sum(layout.counts), rng)
         lanes.append(layout.lanes)
         parts.append(map(bytes.__add__, layout.fixed, map(drawn.__getitem__, layout.cuts)))
     for index, (plan, k, sizes, row) in enumerate(zip(plans, ks, zip(*lanes), zip(*parts))):

@@ -163,13 +163,7 @@ def sweep_oracle(bounds, pools, rng, budget, modes=MODES, exhaust=True):
                 cases[k] = len(pool) ** k, bytes(chain.from_iterable(iproduct(pool, repeat=k))), 0
             else:
                 cases[k] = len(corners) + budget, b"".join(bytes([v]) * k for v in corners), budget * k
-        groups = []
-        for count in filter(None, [cases[len(plan.order)][2] for plan in plans]):
-            if groups and sum(groups[-1]) + count <= suites.MAX_BUDGET:
-                groups[-1].append(count)
-            else:
-                groups.append([count])
-        drawn = b"".join(suites._sample(pool, sum(group), rng) for group in groups)
+        drawn = suites._sample(pool, sum(cases[len(plan.order)][2] for plan in plans), rng)
         layouts.append((cases, BytesIO(drawn)))
     for index, plan in enumerate(plans):
         k, sizes, parts = len(plan.order), [], []
