@@ -99,7 +99,7 @@ def delta_class(sc):
     return SetClass.from_bits(sc.n, (b for b in sc.member_bits() if full ^ b in sc.member_bits()))
 
 
-def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=False):
+def generate_class(base, generators, mode, dual=False):
     """All evaluation outcomes over assignments of generators to the indices.
 
     Assignments range over the indices actually occurring in the base: the
@@ -107,7 +107,8 @@ def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=Fals
     prefix keeps its neutral value (the whole universe; the empty set under
     the dual).  With dual=True the outcomes of the dual operation over
     assignments are collected instead.  Every assignment is a lane of one
-    packed evaluation, laid out in iproduct order.
+    packed evaluation, laid out in iproduct order; more than
+    DEFAULT_ASSIGNMENT_CAP assignments are refused before any evaluation.
     """
     _check_mode(mode)
     if not isinstance(generators, SetClass):
@@ -116,8 +117,10 @@ def generate_class(base, generators, mode, cap=DEFAULT_ASSIGNMENT_CAP, dual=Fals
     enum_pos = [i for i, idx in enumerate(order) if idx != ()]
     g, k = len(generators), len(enum_pos)
     count = g**k
-    if count > cap:
-        raise ResourceError(f"{count} assignments ({g} generators over {k} indices) exceed the cap {cap}")
+    if count > DEFAULT_ASSIGNMENT_CAP:
+        raise ResourceError(
+            f"{count} assignments ({g} generators over {k} indices) exceed the cap {DEFAULT_ASSIGNMENT_CAP}"
+        )
     n, universe = generators.n, (1 << generators.n) - 1
     width = (n + 7) // 8 or 1  # bytes per lane
     full = replicate(universe, count, width)
@@ -190,13 +193,6 @@ def _pairs(sc, which):
     return ((a, b) for a in order for b in order if not a & b)
 
 
-def _checked_pairs(sc, which):
-    """(a, b, witness bits or None) for each pair of member bits that the
-    property checks, row-major in canonical order."""
-    _, search = _property(which)
-    return ((a, b, search(sc, a, b)) for a, b in _pairs(sc, which))
-
-
 def _check(sc, which, record=None):
     """The CheckResult of a property.  A given dict receives the witness bits of
     each checked pair of member bits (a, b), in scan order, through the first
@@ -205,7 +201,7 @@ def _check(sc, which, record=None):
         raise ResourceError(f"class of {len(sc)} members exceeds the cap {MAX_CLASS_MEMBERS}")
     _, search = _property(which)
     checked = 0
-    for a, b in _pairs(sc, which):  # the scan of _checked_pairs, without its generator
+    for a, b in _pairs(sc, which):
         checked += 1
         found = search(sc, a, b)
         if record is not None:

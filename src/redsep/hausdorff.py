@@ -47,9 +47,10 @@ def _prefix_closure(seqs):
 
 
 class Base:
-    """A finite set of branches over the alphabet {0, ..., alphabet-1}."""
+    """A finite set of branches over the alphabet {0, ..., alphabet-1}; it keeps
+    its compiled plan in each mode once compiled_plan first builds it."""
 
-    __slots__ = ("alphabet", "branches", "mode_hint")
+    __slots__ = ("alphabet", "branches", "mode_hint", "_plans")
 
     def __init__(self, alphabet, branches, mode_hint=PREFIX):
         if not isinstance(alphabet, int) or alphabet < 1:
@@ -67,12 +68,10 @@ class Base:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "branches", tuple(sorted(seen, key=_length_lex_key)))
         object.__setattr__(self, "mode_hint", mode_hint)
+        object.__setattr__(self, "_plans", {})  # mode -> compiled plan, filled by compiled_plan on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("Base is immutable")
-
-    def depth(self):
-        return max((len(br) for br in self.branches), default=0)
 
     def prefix_indices(self):
         """All prefixes of all branches, including the empty one, length-lex order."""
@@ -112,18 +111,12 @@ def compile_positions(base, mode, index_order):
     return tuple(tuple(pos[s] for s in sorted(set(br))) for br in base.branches)
 
 
-_PLANS = {}  # (branches, mode) -> plan: the alphabet and mode hint do not change a plan
-
-
 def compiled_plan(base, mode):
-    """The base's relevant indices in a mode and its positions into them, memoised (bounded)."""
-    key = (base.branches, mode)
-    if key not in _PLANS:
-        if len(_PLANS) >= 4096:
-            _PLANS.clear()
+    """The base's relevant indices in a mode and its positions into them, kept on the base."""
+    if mode not in base._plans:
         order = base.relevant_indices(mode)
-        _PLANS[key] = order, compile_positions(base, mode, order)
-    return _PLANS[key]
+        base._plans[mode] = order, compile_positions(base, mode, order)
+    return base._plans[mode]
 
 
 def eval_plan_bits(plans, values):

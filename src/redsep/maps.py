@@ -70,6 +70,10 @@ class PointMap:
             bits &= bits - 1
         return out
 
+    def saturated(self, bits):
+        """Is the domain set of these bits a union of fibers, F^-1(F(A)) = A?"""
+        return self.preimage_bits(self.image_bits(bits)) == bits
+
     def image(self, mask):
         if not isinstance(mask, SubsetMask) or mask.n != self.dom.n:
             raise InputError(f"expected a SubsetMask over the domain ({self.dom.n} points)")
@@ -99,7 +103,7 @@ def alg_contains(pm, mask):
     """Is the set saturated, i.e. a union of fibers?"""
     if not isinstance(mask, SubsetMask) or mask.n != pm.dom.n:
         raise InputError(f"expected a SubsetMask over the domain ({pm.dom.n} points)")
-    return pm.preimage_bits(pm.image_bits(mask.bits)) == mask.bits
+    return pm.saturated(mask.bits)
 
 
 def alg_enumerate(pm):

@@ -7,8 +7,10 @@ contains U_x for each of its points x.  A space stores its n minimal
 neighbourhoods and the bitmasks of its open sets.  Components, of the whole
 space or of the subspace on a carrier, and products are derived from the
 neighbourhoods, and the open sets are wrapped as SubsetMasks only when asked
-for.
+for.  A space keeps its zero sets once they are first asked for.
 """
+
+from functools import cache
 
 from .classes import SetClass, complement_class
 from .errors import InputError, ResourceError
@@ -40,7 +42,7 @@ class FinSpace:
     its opens are their up-filter.
     """
 
-    __slots__ = ("n", "_nbhds", "_open_bits")
+    __slots__ = ("n", "_nbhds", "_open_bits", "_zero_sets")
 
     def __init__(self, n, nbhds):
         object.__setattr__(self, "n", n)
@@ -48,12 +50,15 @@ class FinSpace:
         # the opens are the unions of minimal neighbourhoods: the cost follows
         # the number of open sets rather than the 2^n subsets
         object.__setattr__(self, "_open_bits", frozenset(unions(self._nbhds)))
+        object.__setattr__(self, "_zero_sets", None)  # set by zero_sets on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("FinSpace is immutable")
 
     @classmethod
+    @cache
     def discrete(cls, n):
+        """The discrete space on n points, one object per n."""
         return cls(n, [1 << x for x in range(n)])
 
     @property
@@ -70,9 +75,6 @@ class FinSpace:
     def min_neighborhoods(self):
         """Per point, the smallest open set containing it."""
         return self._nbhds
-
-    def universe(self):
-        return SubsetMask.full(self.n)
 
     def __eq__(self, other):
         return isinstance(other, FinSpace) and self.n == other.n and self._nbhds == other._nbhds
@@ -139,23 +141,16 @@ def components(space):
     return tuple(SubsetMask(space.n, b) for b in component_bits(space.min_neighborhoods(), (1 << space.n) - 1))
 
 
-_ZERO_SETS = {}  # space -> its zero sets; the sweeps ask again for the same few hundred spaces
-_ZERO_SETS_LIMIT = 512
-
-
 def zero_sets(space):
-    """All unions of connected components, the empty union included, memoised (bounded).
+    """All unions of connected components, the empty union included, kept on the space.
 
     These are exactly the sets cut out by continuous maps into a discrete
     pair of points: such maps are constant on components.
     """
-    if space in _ZERO_SETS:
-        return _ZERO_SETS[space]
-    if len(_ZERO_SETS) >= _ZERO_SETS_LIMIT:
-        _ZERO_SETS.clear()
-    blocks = component_bits(space.min_neighborhoods(), (1 << space.n) - 1)
-    _ZERO_SETS[space] = zeros = SetClass.from_bits(space.n, unions(blocks))
-    return zeros
+    if space._zero_sets is None:
+        blocks = component_bits(space.min_neighborhoods(), (1 << space.n) - 1)
+        object.__setattr__(space, "_zero_sets", SetClass.from_bits(space.n, unions(blocks)))
+    return space._zero_sets
 
 
 class ProductCodec:

@@ -34,7 +34,6 @@ from .classes import (
     DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
     SEPARATION,
-    _checked_pairs,
     _pairs,
     check_reduction,
     check_separation,
@@ -113,11 +112,15 @@ class _Collector:
         if len(self.docs[kind]) < self.keep:
             self.docs[kind].append({"suite": self.name, "kind": kind, "instance": instance, "detail": detail})
 
+    def tally(self, kind, build):
+        """add, with the (instance, detail) that build() returns, called only while the kind's documents are kept."""
+        if len(self.docs[kind]) < self.keep:
+            self.add(kind, *build())
+        else:
+            self.counts[kind] += 1
+
     def violation(self, instance, detail):
         self.add("violation", instance, detail)
-
-    def witness(self, instance, detail):
-        self.add("witness", instance, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +157,12 @@ def _spaces(max_points):
     return tuple(space for spaces in reversed(by_size) for space in spaces)
 
 
-_discrete = cache(FinSpace.discrete)
-
-
 def _maps(domains, codomains):
     """Every table map between discrete spaces, domain size outermost, tables in lex order."""
     for n in domains:
         for m in codomains:
             for table in all_tables(n, m):
-                yield PointMap(_discrete(n), _discrete(m), table)
+                yield PointMap(FinSpace.discrete(n), FinSpace.discrete(m), table)
 
 
 def _tables(pm):
@@ -476,7 +476,7 @@ def _replay_preimage_commutes(instance, kind):
 
 def _saturated(pm):
     """Brute force: the domain subsets A with F^-1(F(A)) = A."""
-    return [a for a in range(1 << pm.dom.n) if pm.preimage_bits(pm.image_bits(a)) == a]
+    return [a for a in range(1 << pm.dom.n) if pm.saturated(a)]
 
 
 def _steps(pm):
@@ -594,7 +594,7 @@ def _run_zero_witness_certificate(bounds, rng, budget, col):
                 col.cases += 1
                 rep = zero_witness_map(space, list(combo))
                 pm, joined = rep.map, reduce(or_, (z.bits for z in combo), 0)
-                if rep.all_saturated and pm.preimage_bits(pm.image_bits(joined)) == joined:
+                if rep.all_saturated and pm.saturated(joined):
                     continue
                 # a violation: only now build its documents
                 instance = _doc(space, zeros=[serialize.points_doc(z) for z in combo])
@@ -818,20 +818,16 @@ def _run_zero_trace_gap(bounds, rng, budget, col):
             carrier = SubsetMask(space.n, carrier_bits)
             rep = zero_trace_gap(space, carrier)
             escaped = rep.traces - rep.intrinsic
-            if not (escaped or rep.gap):
-                continue
-            carrier_doc = serialize.points_doc(carrier)
             if escaped:
-                col.violation(
-                    _doc(space, carrier=carrier_doc, check="trace-not-intrinsic"),
+                col.tally("violation", lambda: (
+                    _doc(space, carrier=serialize.points_doc(carrier), check="trace-not-intrinsic"),
                     {"escaped": rep.indexed(escaped)},
-                )
+                ))
             if rep.gap:
-                gap = {"gap": rep.indexed(rep.gap)}
-                if discrete or carrier_bits == full:
-                    col.violation(_doc(space, carrier=carrier_doc, check="unexpected-gap"), gap)
-                else:
-                    col.witness(_doc(space, carrier=carrier_doc), gap)
+                check = {"check": "unexpected-gap"} if discrete or carrier_bits == full else {}
+                col.tally("violation" if check else "witness", lambda: (
+                    _doc(space, carrier=serialize.points_doc(carrier), **check), {"gap": rep.indexed(rep.gap)}
+                ))
 
 
 def _replay_zero_trace_gap(instance, kind):
@@ -854,12 +850,12 @@ _IDENTITY_BASES = (
 
 
 def _run_transfer_identity(bounds, rng, budget, col):
-    """Transfer along the identity agrees with the direct checkers."""
+    """Transfer along the identity agrees with the direct checkers, witness for witness."""
+    bases = [canonical_base(kind_name, *params) for kind_name, params in _IDENTITY_BASES]  # each keeps its plans
     for space in _spaces(bounds.max_points):
         opens = open_sets(space)
         ident = PointMap.identity(space)
-        for kind_name, params in _IDENTITY_BASES:
-            base = canonical_base(kind_name, *params)
+        for base in bases:
             for mode in MODES:
                 enum = len([i for i in base.relevant_indices(mode) if i != ()])
                 if len(opens) ** enum > bounds.cap:
@@ -870,11 +866,11 @@ def _run_transfer_identity(bounds, rng, budget, col):
                     rep = transfer_property(ident, base, opens, opens, mode, which)
                     if phi is None:  # the class the first transfer generated serves both properties
                         phi = rep.class_cod
-                    direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
+                    record = {}
+                    direct = (check_reduction if which == REDUCTION else check_separation)(phi, record)
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
-                        got = [(t.a, t.b, t.witness_dom) for t in rep.pairs]
-                        agree = got == list(_checked_pairs(phi, which))
+                        agree = [((t.a, t.b), t.witness_dom) for t in rep.pairs] == list(record.items())
                     if not agree:
                         col.violation(
                             _doc(space, base=serialize.base_to_doc(base), mode=mode, which=which),

@@ -36,8 +36,8 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which):
     codomain class has the property.  When they hold, every pair from the
     generated domain class is handled by image, canonical witness (read from
     the codomain check's record), pullback, and one validation in the domain
-    class.  Images and preimages are memoised for the call, so each set is
-    mapped once.
+    class.  Images and preimages are memoised for the call, so the pair loop
+    maps each set once.
     """
     holds, _ = _property(which)
     if generators_dom.n != pm.dom.n:
@@ -51,7 +51,7 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which):
     image, preimage = cache(pm.image_bits), cache(pm.preimage_bits)
     bad_images = offending(generators_dom, lambda g: image(g) not in generators_cod._bits)
     bad_preimages = offending(generators_cod, lambda h: preimage(h) not in generators_dom._bits)
-    bad_saturation = offending(generators_dom, lambda g: preimage(image(g)) != g)
+    bad_saturation = offending(generators_dom, lambda g: not pm.saturated(g))
     class_cod = generate_class(base, generators_cod, mode)
     record = {}
     target_check = (check_reduction if which == REDUCTION else check_separation)(class_cod, record)
@@ -98,10 +98,6 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which):
 ZeroWitnessReport = namedtuple("ZeroWitnessReport", "map certificate all_saturated")
 
 
-# the indicator codomain depends only on the number of listed sets
-_indicator_cod = cache(lambda k: FinSpace.discrete(1 << k))
-
-
 def zero_witness_map(space, zeros):
     """Diagonal of the 0/1 indicator maps of the listed zero sets.
 
@@ -128,8 +124,8 @@ def zero_witness_map(space, zeros):
         for z in zeros:
             code = code * 2 + (z.bits >> x & 1 ^ 1)
         table.append(code)
-    pm = PointMap(space, _indicator_cod(k), table)
-    certificate = tuple((z, pm.preimage_bits(pm.image_bits(z.bits)) == z.bits) for z in zeros)
+    pm = PointMap(space, FinSpace.discrete(1 << k), table)
+    certificate = tuple((z, pm.saturated(z.bits)) for z in zeros)
     return ZeroWitnessReport(pm, certificate, all(ok for _, ok in certificate))
 
 
@@ -151,7 +147,7 @@ def zero_trace_gap(space, carrier):
     """Compare restricted ambient zero sets with the subspace's own zero sets.
 
     Zero sets are the unions of components.  The traces are cut from the
-    space's memoised zero sets (the trace of a union is the union of the
+    zero sets the space keeps (the trace of a union is the union of the
     traces), and the intrinsic sets are the unions of the components of the
     subspace on the carrier.  Traces are always intrinsic (each cut ambient
     component is a union of subspace components); the converse can fail off

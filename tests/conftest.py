@@ -28,7 +28,7 @@ from redsep import (
     zero_sets,
 )
 from redsep import suites
-from redsep.classes import _reduction_witness, _separation_witness
+from redsep.classes import _pairs, _reduction_witness, _separation_witness
 from redsep.masks import lane_table, map_runs, pack_lanes, restrict_bits
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -127,6 +127,12 @@ def canonical_witness(sc, which, a, b):
     """The property's per-pair search on masks or bits (a, b) in sc: the witness bits, or None."""
     a, b = (x.bits if isinstance(x, SubsetMask) else x for x in (a, b))
     return (_reduction_witness if which == REDUCTION else _separation_witness)(sc, a, b)
+
+
+def checked_pairs(sc, which):
+    """(a, b, witness bits or None) for each pair of member bits that the property checks, row-major in
+    canonical order: the scan a check makes, written as a generator."""
+    return ((a, b, canonical_witness(sc, which, a, b)) for a, b in _pairs(sc, which))
 
 
 def subspace(space, carrier):

@@ -38,9 +38,9 @@ from redsep import (
     zero_sets,
 )
 from redsep import classes
-from redsep.classes import _reduction_witness, _separation_witness, reduces, separates
+from redsep.classes import DEFAULT_ASSIGNMENT_CAP, _reduction_witness, _separation_witness, reduces, separates
 
-from conftest import SPACE_POOL, bases, canonical_witness, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
+from conftest import SPACE_POOL, bases, canonical_witness, checked_pairs, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
 
 
 def opens_class(space):
@@ -165,13 +165,20 @@ def test_generate_class_matches_an_iproduct_walk(n):
                 assert got.member_bits() == iproduct_generate(base, gens, mode, dual)
 
 
-def test_generate_class_cap_and_validation():
+def test_generate_class_cap_and_validation(monkeypatch):
+    # prefix-mode a_operation(2, 2) has 6 indices besides the empty prefix
     base = canonical_base("a_operation", 2, 2)
-    gens = sclass(3, [[0, 1], [1, 2]])
+    assert 8**6 == DEFAULT_ASSIGNMENT_CAP < 9**6
+    assert len(generate_class(base, power_set(3), PREFIX)) == 8
+
+    def refuse(*args):
+        raise AssertionError("evaluated past the assignment cap")
+
+    monkeypatch.setattr(classes, "replicate", refuse)
+    monkeypatch.setattr(classes, "eval_plan_bits", refuse)
     with pytest.raises(ResourceError) as err:
-        generate_class(base, gens, PREFIX, cap=32)
-    assert "64" in str(err.value)
-    generate_class(base, gens, PREFIX, cap=64)
+        generate_class(base, SetClass.from_bits(4, range(9)), PREFIX)
+    assert "531441 assignments (9 generators over 6 indices)" in str(err.value)
     with pytest.raises(InputError):
         generate_class(base, [mask(3, [0])], PREFIX)
 
@@ -322,7 +329,7 @@ def test_checkers_and_searches_match_a_brute_force_oracle_on_small_classes():
 
 
 def test_the_check_record_is_the_checked_pairs_through_the_first_failure():
-    """The record of a check holds what _checked_pairs yields, in scan order, through the
+    """The record of a check holds what checked_pairs yields, in scan order, through the
     first pair without a witness; the CheckResult beside it is the checker's."""
     pool = [SetClass.from_bits(n, bits) for n, bits in differential_classes()]
     pool += [derive(space) for space in SPACE_POOL for derive in (open_sets, closed_sets, zero_sets)]
@@ -332,7 +339,7 @@ def test_the_check_record_is_the_checked_pairs_through_the_first_failure():
             record = {}
             res = check(sc, record)
             rows = []
-            for row in classes._checked_pairs(sc, which):
+            for row in checked_pairs(sc, which):
                 rows.append(row)
                 if row[2] is None:
                     break

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from redsep import (
+    MODES,
     PREFIX,
     RANGE,
     Base,
@@ -18,6 +19,7 @@ from redsep import (
     dual_evaluate,
     evaluate,
 )
+from redsep.hausdorff import compile_positions, compiled_plan
 
 from conftest import base_mode_families, bases, mask, masks
 
@@ -103,6 +105,17 @@ def test_prefix_indices_are_length_lex_with_parents_first():
     assert order == ((), (0,), (1,), (1, 0), (1, 1))
     for idx in order:
         assert idx == () or idx[:-1] in order
+
+
+def test_a_base_keeps_its_compiled_plan_per_mode():
+    base = Base(2, [(1, 0), (0,), (1, 1)], PREFIX)
+    twin = Base(2, [(0,), (1, 1), (1, 0)], PREFIX)
+    assert twin == base and twin is not base
+    for mode in MODES:
+        order, positions = compiled_plan(base, mode)
+        assert compiled_plan(base, mode) is compiled_plan(base, mode)
+        assert order == base.relevant_indices(mode) and positions == compile_positions(base, mode, order)
+        assert compiled_plan(twin, mode) == compiled_plan(base, mode)
 
 
 def test_range_indices_are_the_mentioned_symbols():

@@ -19,7 +19,6 @@ from redsep import (
     product,
     zero_sets,
 )
-from redsep import spaces as spaces_module
 from redsep.masks import restrict_bits
 
 from conftest import mask, masks, spaces, subspace
@@ -160,24 +159,23 @@ def test_components_partition_and_zero_sets_are_their_unions():
         assert zero_sets(space).member_bits() == expected
 
 
-def test_memoised_zero_sets_are_the_clopen_sets(monkeypatch):
+def test_memoised_zero_sets_are_the_clopen_sets():
     # On a finite space the unions of components are exactly the clopen sets.
     labeled = LABELED_5
     assert len(labeled) == 390 + 6942
     for space in labeled:
         assert zero_sets(space).member_bits() == _clopens(space)
+        assert zero_sets(space) is zero_sets(space)  # kept on the space
+    # an equal space built apart keeps its own, equal, zero sets
     twin = generate_topology(3, [mask(3, []), mask(3, [0]), mask(3, [0, 1, 2])])
-    assert zero_sets(twin) is zero_sets(generate_topology(3, list(twin.opens)))
-    monkeypatch.setattr(spaces_module, "_ZERO_SETS", {})
-    monkeypatch.setattr(spaces_module, "_ZERO_SETS_LIMIT", 7)
-    for space in labeled:
-        zero_sets(space)
-        assert 1 <= len(spaces_module._ZERO_SETS) <= 7
-        assert zero_sets(space).member_bits() == _clopens(space)
+    other = generate_topology(3, list(twin.opens))
+    assert other == twin and other is not twin
+    assert zero_sets(other) == zero_sets(twin) and zero_sets(other) is not zero_sets(twin)
 
 
 def test_discrete_and_indiscrete_extremes():
     d = FinSpace.discrete(3)
+    assert FinSpace.discrete(3) is d and d == FinSpace(3, [1, 2, 4])
     assert d.is_discrete() and len(d.open_bits()) == 8
     assert len(zero_sets(d)) == 8
     i = indiscrete(3)

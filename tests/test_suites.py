@@ -1,5 +1,6 @@
 """Suite runner: determinism, finding replay, pass/fail semantics."""
 
+import ast
 import hashlib
 import json
 import random
@@ -72,6 +73,23 @@ def test_the_registered_suites():
         "intersection-image-necessity",
         "zero-trace-gap",
     }
+
+
+def _recorded_cases():
+    """SWEEP_DEFAULT_CASES of bench/oracle.py, read from its source without importing the benchmark."""
+    tree = ast.parse((ROOT / "bench" / "oracle.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SWEEP_DEFAULT_CASES":
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/oracle.py has no SWEEP_DEFAULT_CASES")
+
+
+def test_default_case_counts_are_the_ones_the_benchmark_recorded():
+    # the benchmark fails every sweep operation whose suite set or case count differs from its record
+    recorded = _recorded_cases()
+    assert suite_names() == tuple(sorted(recorded))
+    for name in suite_names():
+        assert (name, run_suite(name).cases) == (name, recorded[name])
 
 
 def test_unknown_suite_names_are_rejected():
