@@ -9,11 +9,12 @@ A pair (A, B) is reduced by (C, D) when C <= A, D <= B, C and D are disjoint
 and C u D = A u B.  Disjoint (A, B) are separated by C when A <= C and
 B n C = 0; separators are drawn from the ambiguous part (members whose
 complement is also a member).  A witness is its bits: (c, d) for reduction,
-(s,) for separation.  Each condition is written once (reduces, separates),
-and each property has one search on bitmasks for the canonical-first witness
-of a pair.  A check is one scan over the pairs; given a dict, it records the
-witness of every pair it checked, so callers that want witnesses read the
-record instead of searching again.
+(s,) for separation, with its parts named in WITNESS_FIELDS.  Each condition
+is written once (reduces, separates), and each property has one search on
+bitmasks for the canonical-first witness of a pair.  A check is one scan
+over the pairs, and check picks the property by name; given a dict, it
+records the witness of every pair it checked, so callers that want
+witnesses read the record instead of searching again.
 """
 
 from collections import namedtuple
@@ -21,7 +22,7 @@ from functools import cached_property
 from itertools import product as iproduct
 
 from .errors import InputError, PreconditionError, ResourceError
-from .hausdorff import compiled_plan, eval_plan_bits, _check_mode
+from .hausdorff import compiled_plan, eval_lanes, _check_mode
 from .masks import SubsetMask, lanes_of, points_of, replicate, sort_key, unions
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
@@ -104,11 +105,11 @@ def generate_class(base, generators, mode, dual=False):
 
     Assignments range over the indices actually occurring in the base: the
     nonempty prefixes of branches, or the mentioned symbols.  The empty
-    prefix keeps its neutral value (the whole universe; the empty set under
-    the dual).  With dual=True the outcomes of the dual operation over
-    assignments are collected instead.  Every assignment is a lane of one
-    packed evaluation, laid out in iproduct order; more than
-    DEFAULT_ASSIGNMENT_CAP assignments are refused before any evaluation.
+    prefix stays free, so eval_lanes keeps it neutral.  With dual=True the
+    outcomes of the dual operation over assignments are collected instead.
+    Every assignment is a lane of one packed evaluation, laid out in iproduct
+    order; more than DEFAULT_ASSIGNMENT_CAP assignments are refused before
+    any evaluation.
     """
     _check_mode(mode)
     if not isinstance(generators, SetClass):
@@ -121,16 +122,15 @@ def generate_class(base, generators, mode, dual=False):
         raise ResourceError(
             f"{count} assignments ({g} generators over {k} indices) exceed the cap {DEFAULT_ASSIGNMENT_CAP}"
         )
-    n, universe = generators.n, (1 << generators.n) - 1
+    n = generators.n
     width = (n + 7) // 8 or 1  # bytes per lane
-    full = replicate(universe, count, width)
-    cells = [(universe ^ b if dual else b).to_bytes(width, "little") for b in generators._order]
-    values = [full] * len(order)
+    cells = [b.to_bytes(width, "little") for b in generators._order]
+    values = [None] * len(order)
     # coordinate j of assignment a is generator a // g**(k-1-j) % g
     for j, i in enumerate(enum_pos):
         values[i] = int.from_bytes(b"".join(cell * g ** (k - 1 - j) for cell in cells) * g**j, "little")
-    out = eval_plan_bits(plans, values) & full
-    return SetClass.from_bits(n, set(lanes_of(full ^ out if dual else out, count, width)))
+    out = eval_lanes(plans, values, replicate(1, count, width), n, dual)
+    return SetClass.from_bits(n, set(lanes_of(out, count, width)))
 
 
 def reduces(a, b, c, d, sc=None):
@@ -147,6 +147,10 @@ def separates(a, b, s, sc=None):
     if a & ~s or b & s:
         return False
     return sc is None or (s in sc._bits and ((1 << sc.n) - 1) ^ s in sc._bits)
+
+
+# the names of a witness's parts in reports, per property
+WITNESS_FIELDS = {REDUCTION: ("c", "d"), SEPARATION: ("separator",)}
 
 
 CheckResult = namedtuple("CheckResult", "holds pairs_checked failing_pair")
@@ -221,6 +225,12 @@ def check_separation(sc, record=None):
     """Does every disjoint ordered pair admit a separator from the ambiguous part?
     A given dict receives the record of the scan (see _check)."""
     return _check(sc, SEPARATION, record)
+
+
+def check(sc, which, record=None):
+    """The CheckResult of the property named which, run as check_reduction or check_separation."""
+    _property(which)  # refuses any other name
+    return (check_reduction if which == REDUCTION else check_separation)(sc, record)
 
 
 def reduction_to_separation(sc, a, b):

@@ -24,16 +24,9 @@ from itertools import islice
 from pathlib import Path
 
 from . import __version__, serialize
-from .classes import (
-    REDUCTION,
-    SEPARATION,
-    check_reduction,
-    check_separation,
-    complement_class,
-    generate_class,
-)
+from .classes import WITNESS_FIELDS, check, complement_class, generate_class
 from .errors import EngineError, InputError
-from .hausdorff import MODES, dual_evaluate, evaluate
+from .hausdorff import MODES, evaluate
 from .masks import SubsetMask, points_of
 from .spaces import closed_sets, components, open_sets, product, zero_sets
 from .transfer import transfer_property, zero_trace_gap
@@ -89,10 +82,6 @@ def _class_doc(sc):
     return [serialize.points_doc(m) for m in sc.members] if sc is not None else None
 
 
-# the report fields of a witness's bits, per property
-_WITNESS_FIELDS = {REDUCTION: ("c", "d"), SEPARATION: ("separator",)}
-
-
 def _bits_doc(points, names, bits):
     """Named point lists of bits; points is a memo of points_of shared by one report."""
     return {name: points(x) for name, x in zip(names, bits)}
@@ -128,7 +117,7 @@ def _cmd_eval(args):
     base, family = serialize.base_family_from_doc(doc, "instance")
     mode = _mode_for(doc, family.mode)
     dual = _dual(doc)
-    value = dual_evaluate(base, family, mode) if dual else evaluate(base, family, mode)
+    value = evaluate(base, family, mode, dual)
     report = {
         "universe": family.n,
         "mode": mode,
@@ -161,7 +150,7 @@ def _cmd_check(args):
     sc = _class_from_instance(_load_instance(args.instance), args)
     which = args.command.removeprefix("check-")
     record = {}
-    res = (check_reduction if which == REDUCTION else check_separation)(sc, record)
+    res = check(sc, which, record)
     # a class with the property has a witness for every checked pair
     witness_count = res.pairs_checked if res.holds else 0
     report = {
@@ -176,7 +165,7 @@ def _cmd_check(args):
     if res.failing_pair is not None:
         report["failing_pair"] = [serialize.points_doc(m) for m in res.failing_pair]
     if witness_count:
-        names, points = ("a", "b", *_WITNESS_FIELDS[which]), cache(points_of)
+        names, points = ("a", "b", *WITNESS_FIELDS[which]), cache(points_of)
         report["witnesses"] = [
             _bits_doc(points, names, (a, b, *found)) for (a, b), found in islice(record.items(), _TRACE_CAP)
         ]
@@ -197,11 +186,11 @@ def _cmd_transfer(args):
     )
     base = _base(doc)
     mode = _mode_for(doc, base.mode_hint)
-    which = serialize._field(doc, "which", "instance", choices=tuple(_WITNESS_FIELDS))
+    which = serialize._field(doc, "which", "instance", choices=tuple(WITNESS_FIELDS))
     gens_dom = _generators_from(doc, "dom_generators", pm.dom, args)
     gens_cod = _generators_from(doc, "cod_generators", pm.cod, args)
     rep = transfer_property(pm, base, gens_dom, gens_cod, mode, which)
-    fields, points = _WITNESS_FIELDS[which], cache(points_of)
+    fields, points = WITNESS_FIELDS[which], cache(points_of)
     traces = [
         {
             **_bits_doc(points, ("a", "b", "fa", "fb"), (t.a, t.b, t.fa, t.fb)),

@@ -12,7 +12,8 @@ range   the index set is the alphabet; a branch intersects the sets indexed
         by the symbols it mentions
 
 The dual operation complements the family, evaluates, and complements the
-result.
+result; an empty prefix that nothing sets is neutral in both.  eval_lanes is
+the one evaluator, for one lane or many.
 """
 
 from itertools import product as iproduct
@@ -133,12 +134,22 @@ def eval_plan_bits(plans, values):
     return out
 
 
+def eval_lanes(positions, values, ones, n, dual=False):
+    """eval, or its dual, on packed values, each lane of ones (1 per lane) cut to n points.  A value None is
+    an empty prefix that nothing sets, and it is neutral: the whole universe, the empty set under the dual."""
+    full = ones * ((1 << n) - 1)
+    flip = full if dual else 0
+    if flip or None in values:
+        values = [full if v is None else v ^ flip for v in values]
+    return eval_plan_bits(positions, values) & full ^ flip
+
+
 class IndexedFamily:
     """An assignment of subsets of a fixed universe to branch indices.
 
     Prefix-mode keys are tuples of ints, range-mode keys are ints.  Unassigned
-    indices fall back to the default; the empty prefix additionally falls back
-    to the full universe.
+    indices fall back to the default; an empty prefix that neither sets is
+    free: its value is the full universe, and it stays neutral under the dual.
     """
 
     __slots__ = ("n", "mode", "assignments", "default")
@@ -185,16 +196,15 @@ class IndexedFamily:
             return SubsetMask.full(self.n)
         raise InputError(f"no value assigned to index {index!r} and no default set")
 
+    def free_root(self):
+        """Is the empty prefix free: prefix-indexed, unassigned, and without a default?"""
+        return self.mode == PREFIX and () not in self.assignments and self.default is None
+
     def map_values(self, fn):
-        """Apply fn to every effective value, materializing the empty prefix."""
+        """Apply fn to every assigned value and to the default; a free empty prefix stays free."""
         assignments = {k: fn(v) for k, v in self.assignments.items()}
-        if self.mode == PREFIX and () not in assignments:
-            assignments[()] = fn(SubsetMask.full(self.n))
         default = fn(self.default) if self.default is not None else None
         return IndexedFamily(self.n, self.mode, assignments, default)
-
-    def complemented(self):
-        return self.map_values(lambda m: m.complement())
 
     def __repr__(self):
         return (
@@ -203,15 +213,18 @@ class IndexedFamily:
         )
 
 
-def evaluate(base, family, mode=None):
-    """Union over branches of the intersections indexed along each branch."""
+def evaluate(base, family, mode=None, dual=False):
+    """Union over branches of the intersections indexed along each branch, or
+    with dual=True the dual operation: one lane of eval_lanes."""
     if mode is None:
         mode = family.mode
     _check_mode(mode)
     if mode != family.mode:
         raise ModeError(f"family is {family.mode}-indexed, cannot evaluate in {mode} mode")
     order, plans = compiled_plan(base, mode)
-    return SubsetMask(family.n, eval_plan_bits(plans, [family.value(idx).bits for idx in order]))
+    free = family.free_root()
+    values = [None if free and idx == () else family.value(idx).bits for idx in order]
+    return SubsetMask(family.n, eval_lanes(plans, values, 1, family.n, dual))
 
 
 # contract name for the operation
@@ -219,8 +232,8 @@ eval = evaluate
 
 
 def dual_evaluate(base, family, mode=None):
-    """Universe minus evaluate(base, complemented family)."""
-    return evaluate(base, family.complemented(), mode).complement()
+    """Universe minus the evaluation of the complemented family; a free empty prefix stays neutral."""
+    return evaluate(base, family, mode, dual=True)
 
 
 dual_eval = dual_evaluate
@@ -229,14 +242,15 @@ dual_eval = dual_evaluate
 def decreasing_replacement(family):
     """Replace each value by the intersection along all its prefixes.
 
-    Values are materialized on the prefix closure of the assigned keys, so
-    evaluation agrees with the input for every base whose indices lie in that
-    closure, and the result is decreasing along branch extension.
+    Values are materialized on the prefix closure of the assigned keys but a
+    free empty prefix, so evaluation agrees with the input for every base whose
+    indices lie in that closure, and the result decreases along branches.
     """
     if family.mode != PREFIX:
         raise ModeError("decreasing replacement is defined for prefix-mode families only")
     out = {}
-    for key in _prefix_closure(family.assignments):
+    # a free empty prefix, first in length-lex order, stays free
+    for key in _prefix_closure(family.assignments)[family.free_root():]:
         acc = SubsetMask.full(family.n)
         for k in range(len(key) + 1):
             acc = acc & family.value(key[:k])

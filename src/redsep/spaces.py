@@ -45,6 +45,8 @@ class FinSpace:
     __slots__ = ("n", "_nbhds", "_open_bits", "_zero_sets")
 
     def __init__(self, n, nbhds):
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"universe size must be a nonnegative int, got {n!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_nbhds", tuple(nbhds))
         # the opens are the unions of minimal neighbourhoods: the cost follows
@@ -58,7 +60,7 @@ class FinSpace:
     @classmethod
     @cache
     def discrete(cls, n):
-        """The discrete space on n points, one object per n."""
+        """The discrete space on n points, one object per n (a refused n is not kept)."""
         return cls(n, [1 << x for x in range(n)])
 
     @property
@@ -200,22 +202,10 @@ def product(spaces, max_points=DEFAULT_MAX_PRODUCT_POINTS):
     total = codec.total()
     if total > min(max_points, POINT_CEILING):
         raise ResourceError(f"product has {total} points, cap is {min(max_points, POINT_CEILING)}")
-    factor_nbhds = [s.min_neighborhoods() for s in spaces]
-    min_nbhd = []
-    for flat in range(total):
-        coords = codec.decode(flat)
-        acc = 0
-        stack = [(0, 0)]
-        # expand the box of factor minimal neighborhoods into flat indices
-        while stack:
-            depth, prefix = stack.pop()
-            if depth == len(spaces):
-                acc |= 1 << prefix
-                continue
-            nb = factor_nbhds[depth][coords[depth]]
-            size = spaces[depth].n
-            for y in range(size):
-                if nb >> y & 1:
-                    stack.append((depth + 1, prefix * size + y))
-        min_nbhd.append(acc)
-    return FinSpace(total, min_nbhd), codec
+    # fold in one factor at a time: point x*m + y of the next product has the box of U_x and U_y, the
+    # union of U_y shifted to row x' for every x' in U_x (the rows are disjoint)
+    nbhds = [1]  # the product of no factors: one point
+    for space in spaces:
+        m = space.n
+        nbhds = [sum(v << x * m for x in points_of(u)) for u in nbhds for v in space.min_neighborhoods()]
+    return FinSpace(total, nbhds), codec

@@ -35,6 +35,7 @@ from .classes import (
     REDUCTION,
     SEPARATION,
     _pairs,
+    check,
     check_reduction,
     check_separation,
     complement_class,
@@ -52,7 +53,8 @@ from .hausdorff import (
     compiled_plan,
     decreasing_replacement,
     dual_evaluate,
-    eval_plan_bits,
+    eval_lanes,
+    eval_plan_bits,  # noqa: F401 -- not called here; the benchmark's tracer tests read the kernel through this binding
     evaluate,
 )
 from .maps import PointMap, _decreasing, _directed, alg_contains, alg_enumerate, diagonal_product, directed_image_check
@@ -279,14 +281,6 @@ def _groups(col, entries, key):
                 col.add(kind, instance, detail)
 
 
-def _ev(positions, values, ones, n, dual=False):
-    """eval, or its dual, on packed values, each lane of ones (1 per lane) cut to n points."""
-    full = ones * ((1 << n) - 1)
-    if dual:
-        return full ^ (eval_plan_bits(positions, [full ^ v for v in values]) & full)
-    return eval_plan_bits(positions, values) & full
-
-
 def _differing(lanes, *pairs):
     """(lane, pair index, left, right) wherever a pair of packed values differs, lane by lane."""
     if all(left == right for left, right in pairs):
@@ -297,8 +291,8 @@ def _differing(lanes, *pairs):
 
 def _image_pair(n, m, sizes, ones, imgs, positions, values):
     """F(eval(values)) and eval(F(values)) on packed values over n points; F maps run i of sizes[i] lanes by imgs[i]."""
-    rhs = _ev(positions, [map_runs(v, sizes, imgs) for v in values], ones, m)
-    return map_runs(_ev(positions, values, ones, n), sizes, imgs), rhs
+    rhs = eval_lanes(positions, [map_runs(v, sizes, imgs) for v in values], ones, m)
+    return map_runs(eval_lanes(positions, values, ones, n), sizes, imgs), rhs
 
 
 def _meet_image(pm, img, fam):
@@ -398,8 +392,11 @@ def _run_distributivity(bounds, rng, budget, col):
             lanes, pos, ones = count << n, plan.positions, replicate(1, count << n)
             values = [replicate(v, 1 << n, count) for v in batch.columns]
             masks = pack_lanes(b"".join(bytes([mask]) * count for mask in range(1 << n)))
-            meet = _ev(pos, [v & masks for v in values], ones, n), _ev(pos, values, ones, n) & masks
-            join = _ev(pos, [v | masks for v in values], ones, n, True), _ev(pos, values, ones, n, True) | masks
+            meet = eval_lanes(pos, [v & masks for v in values], ones, n), eval_lanes(pos, values, ones, n) & masks
+            join = (
+                eval_lanes(pos, [v | masks for v in values], ones, n, True),
+                eval_lanes(pos, values, ones, n, True) | masks,
+            )
             for lane, j, left, right in _differing(lanes, meet, join):
                 (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
@@ -423,11 +420,11 @@ def _run_restriction(bounds, rng, budget, col):
         n, carriers = spaces[0].n, range(1 << spaces[0].n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
         for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
-            lanes, plan, pos, ones = batch.lanes, batch.plan, batch.plan.positions, batch.ones
+            lanes, plan, pos, ones, columns = batch.lanes, batch.plan, batch.plan.positions, batch.ones, batch.columns
             col.cases += lanes
-            ev = _ev(pos, batch.columns, ones, n)
+            ev = eval_lanes(pos, columns, ones, n)
             for carrier, trace in zip(carriers, traces):
-                right = _ev(pos, [map_runs(v, [lanes], [trace]) for v in batch.columns], ones, carrier.bit_count())
+                right = eval_lanes(pos, [map_runs(v, [lanes], [trace]) for v in columns], ones, carrier.bit_count())
                 for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
                     e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
                     instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
@@ -452,14 +449,14 @@ def _run_preimage_commutes(bounds, rng, budget, col):
     for pms, found in _groups(col, maps, lambda pm: (pm.dom.n, pm.cod.n)):
         n, m, pres = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[1] for pm in pms]
         for batch in _sweep(bounds, [range(1 << m)] * len(pms), rng, budget):
-            lanes, plan, pos, columns, sizes = batch.lanes, batch.plan, batch.plan.positions, batch.columns, batch.sizes
-            col.cases += lanes
+            plan, pos, ones, sizes, columns = batch.plan, batch.plan.positions, batch.ones, batch.sizes, batch.columns
+            col.cases += batch.lanes
             pulled = [map_runs(v, sizes, pres) for v in columns]
             checks = [
-                (map_runs(_ev(pos, columns, batch.ones, m, dual), sizes, pres), _ev(pos, pulled, batch.ones, n, dual))
+                (map_runs(eval_lanes(pos, columns, ones, m, dual), sizes, pres), eval_lanes(pos, pulled, ones, n, dual))
                 for dual in (False, True)
             ]
-            for i, j, left, right in _differing(lanes, *checks):
+            for i, j, left, right in _differing(batch.lanes, *checks):
                 e, fields = _entry(batch, i), {"mode": plan.mode, "identity": ("eval", "dual")[j]}
                 instance = _doc(pms[e], plan, m, _case(plan, batch.raw, i), **fields)
                 found.append(((e, batch.index, i, j), "violation", instance, _lr(n, left, right)))
@@ -469,9 +466,9 @@ def _replay_preimage_commutes(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
     base, family = _map_family(instance, pm, "cod")
     mode = _field(instance, "mode", choices=MODES)
-    op = evaluate if _field(instance, "identity", choices=("eval", "dual")) == "eval" else dual_evaluate
+    dual = _field(instance, "identity", choices=("eval", "dual")) == "dual"
     pulled = IndexedFamily(pm.dom.n, mode, {idx: pm.preimage(v) for idx, v in family.assignments.items()})
-    return pm.preimage(op(base, family, mode)) != op(base, pulled, mode)
+    return pm.preimage(evaluate(base, family, mode, dual)) != evaluate(base, pulled, mode, dual)
 
 
 def _saturated(pm):
@@ -530,7 +527,7 @@ def _run_algebra_closure(bounds, rng, budget, col):
             lanes, plan = batch.lanes, batch.plan
             if (k := len(plan.order)) not in masks:  # an entry's lanes depend on its pool and k only
                 masks[k] = _fiber_masks(steps, batch.sizes)
-            out = _ev(plan.positions, batch.columns, batch.ones, n)
+            out = eval_lanes(plan.positions, batch.columns, batch.ones, n)
             for i, _, _, _ in _differing(lanes, (_unsaturated(out, masks[k]), 0)):
                 e = _entry(batch, i)
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
@@ -628,13 +625,13 @@ def _run_image_commutes(bounds, rng, budget, col):
         for batch in _sweep(bounds, [range(1 << n)] * len(pms), rng, budget, [PREFIX], exhaust=False):
             lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
             col.cases += lanes
-            ev_raw = _ev(pos, dec, batch.ones, n)
+            ev_raw = eval_lanes(pos, dec, batch.ones, n)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
             for i, idx in enumerate(plan.order):
                 if idx:
                     dec[i] &= dec[plan.order.index(idx[:-1])]
             lhs, rhs = _image_pair(n, m, batch.sizes, batch.ones, imgs, pos, dec)
-            ev_dec = _ev(pos, dec, batch.ones, n)
+            ev_dec = eval_lanes(pos, dec, batch.ones, n)
             checks = (("decreasing-image", m), ("replacement-value", n))
             for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
                 (check, size), e = checks[j], _entry(batch, i)
@@ -867,7 +864,7 @@ def _run_transfer_identity(bounds, rng, budget, col):
                     if phi is None:  # the class the first transfer generated serves both properties
                         phi = rep.class_cod
                     record = {}
-                    direct = (check_reduction if which == REDUCTION else check_separation)(phi, record)
+                    direct = check(phi, which, record)
                     agree = rep.verdict == direct.holds
                     if agree and rep.verdict:
                         agree = [((t.a, t.b), t.witness_dom) for t in rep.pairs] == list(record.items())
@@ -885,9 +882,7 @@ def _replay_transfer_identity(instance, kind):
     which = _field(instance, "which", choices=(REDUCTION, SEPARATION))
     opens = open_sets(space)
     rep = transfer_property(PointMap.identity(space), base, opens, opens, mode, which)
-    phi = rep.class_cod
-    direct = check_reduction(phi) if which == REDUCTION else check_separation(phi)
-    return rep.verdict != direct.holds
+    return rep.verdict != check(rep.class_cod, which).holds
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ reported with the offending hypothesis or pair.
 from collections import namedtuple
 from functools import cache
 
-from .classes import REDUCTION, _pairs, _property, check_reduction, check_separation, generate_class
+from .classes import _pairs, _property, check, generate_class
 from .errors import InputError, PreconditionError, ResourceError
 from .maps import PointMap
 from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
@@ -54,7 +54,7 @@ def transfer_property(pm, base, generators_dom, generators_cod, mode, which):
     bad_saturation = offending(generators_dom, lambda g: not pm.saturated(g))
     class_cod = generate_class(base, generators_cod, mode)
     record = {}
-    target_check = (check_reduction if which == REDUCTION else check_separation)(class_cod, record)
+    target_check = check(class_cod, which, record)
     hypotheses = (
         HypothesisReport("images-stay-in-codomain-generators", not bad_images, bad_images),
         HypothesisReport("preimages-stay-in-domain-generators", not bad_preimages, bad_preimages),

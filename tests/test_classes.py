@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
@@ -29,6 +30,7 @@ from redsep import (
     closed_sets,
     complement_class,
     delta_class,
+    dual_evaluate,
     evaluate,
     generate_class,
     generate_topology,
@@ -165,6 +167,21 @@ def test_generate_class_matches_an_iproduct_walk(n):
                 assert got.member_bits() == iproduct_generate(base, gens, mode, dual)
 
 
+def test_dual_generation_collects_dual_evaluate_with_the_empty_prefix_left_free():
+    for n in range(3):
+        subsets = range(1 << n)
+        gen_classes = [SetClass.from_bits(n, c) for r in range(1, len(subsets) + 1) for c in combinations(subsets, r)]
+        for base in all_bases(2, 2):
+            for mode in (PREFIX, RANGE):
+                free = [idx for idx in base.relevant_indices(mode) if idx != ()]
+                for gens in gen_classes:
+                    values = {
+                        dual_evaluate(base, IndexedFamily(n, mode, dict(zip(free, assign))), mode).bits
+                        for assign in iproduct(gens.members, repeat=len(free))
+                    }
+                    assert generate_class(base, gens, mode, dual=True).member_bits() == values
+
+
 def test_generate_class_cap_and_validation(monkeypatch):
     # prefix-mode a_operation(2, 2) has 6 indices besides the empty prefix
     base = canonical_base("a_operation", 2, 2)
@@ -175,7 +192,7 @@ def test_generate_class_cap_and_validation(monkeypatch):
         raise AssertionError("evaluated past the assignment cap")
 
     monkeypatch.setattr(classes, "replicate", refuse)
-    monkeypatch.setattr(classes, "eval_plan_bits", refuse)
+    monkeypatch.setattr(classes, "eval_lanes", refuse)
     with pytest.raises(ResourceError) as err:
         generate_class(base, SetClass.from_bits(4, range(9)), PREFIX)
     assert "531441 assignments (9 generators over 6 indices)" in str(err.value)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import redsep
 from redsep import Bounds, FinSpace, PointMap, ResourceError, __version__, canonical_json, run_suite
-from redsep import catalog, cli, maps, serialize, spaces, suites
+from redsep import catalog, cli, hausdorff, maps, serialize, spaces, suites
 from redsep.cli import main
 from redsep.masks import replicate
 
@@ -119,6 +119,18 @@ def test_eval_dual_and_prefix_modes(tmp_path):
     )
     code, out = run_cli(["eval", inst])
     assert code == 0 and json.loads(out)["value"] == [1]
+
+
+def test_eval_dual_keeps_an_unassigned_empty_prefix_neutral(tmp_path):
+    # the dual of one branch 00 over {"0": [1], "00": [1]} is their union {1}, as generate finds for generator [1]
+    base = {"alphabet": 1, "branches": [[0, 0]], "mode": "prefix"}
+    family = {"universe": 2, "mode": "prefix", "assignments": {"0": [1], "0,0": [1]}}
+    code, out = run_cli(["eval", write_instance(tmp_path, {"base": base, "family": family, "dual": True})])
+    assert code == 0 and json.loads(out)["value"] == [1]
+    generators = {"universe": 2, "members": [[1]]}
+    doc = {"base": base, "generators": generators, "dual": True}
+    code, out = run_cli(["generate", write_instance(tmp_path, doc, name="generate.json")])
+    assert code == 0 and json.loads(out)["members"] == [[1]]
 
 
 def test_eval_reads_stdin(tmp_path, monkeypatch):
@@ -641,8 +653,10 @@ def _finding_seeds():
     reduction-dual-separation when each separator is built for the swapped pair;
     and one inline document for each suite left."""
     docs = [json.loads(path.read_text()) for path in sorted(CORPUS.glob("*.json"))]
-    honest_kernel, every_lane = suites.eval_plan_bits, replicate(1, 1 << 12)
-    with mock.patch.object(suites, "eval_plan_bits", lambda plans, values: honest_kernel(plans, values) ^ every_lane):
+    honest_kernel, every_lane = hausdorff.eval_plan_bits, replicate(1, 1 << 12)
+    with mock.patch.object(
+        hausdorff, "eval_plan_bits", lambda plans, values: honest_kernel(plans, values) ^ every_lane
+    ):
         for name in LANE_SUITES:
             docs += run_suite(name, bounds=Bounds(max_points=2, alphabet=1), seed=3, budget=2, keep=3).violations
     honest_separator = suites.reduction_to_separation

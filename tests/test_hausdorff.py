@@ -64,7 +64,7 @@ def test_evaluate_matches_the_naive_reading(bmf):
 @given(base_mode_families())
 def test_dual_is_complement_of_evaluate_on_complements(bmf):
     base, mode, family = bmf
-    direct = evaluate(base, family.complemented(), mode).complement()
+    direct = evaluate(base, family.map_values(SubsetMask.complement), mode).complement()
     assert dual_evaluate(base, family, mode) == direct
 
 
@@ -97,6 +97,12 @@ def test_prefix_empty_index_defaults_to_the_universe():
     assert evaluate(base, family) == mask(2, [1])
     with pytest.raises(InputError):
         IndexedFamily(2, PREFIX, {(0,): mask(2, [0])}).value((1,))
+    # the unassigned empty prefix stays free through both rewrites, and a default stands in for it
+    for rewritten in (family.map_values(SubsetMask.complement), decreasing_replacement(family)):
+        assert rewritten.free_root() and () not in rewritten.assignments
+    defaulted = IndexedFamily(2, PREFIX, {(0,): mask(2, [0])}, default=mask(2, [1]))
+    assert not defaulted.free_root()
+    assert defaulted.map_values(SubsetMask.complement).value(()) == mask(2, [0])
 
 
 def test_prefix_indices_are_length_lex_with_parents_first():

@@ -183,6 +183,20 @@ def test_discrete_and_indiscrete_extremes():
     assert zero_sets(i).member_bits() == {0, 0b111}
 
 
+def test_a_space_refuses_a_negative_universe_size():
+    with pytest.raises(InputError) as err:
+        FinSpace(-1, ())
+    assert str(err.value) == "universe size must be a nonnegative int, got -1"
+
+
+def test_a_negative_discrete_size_is_refused_and_not_kept():
+    kept = FinSpace.discrete.cache_info().currsize
+    with pytest.raises(InputError) as err:
+        FinSpace.discrete(-1)
+    assert str(err.value) == "universe size must be a nonnegative int, got -1"
+    assert FinSpace.discrete.cache_info().currsize == kept
+
+
 def test_subspace_opens_are_exactly_the_traces():
     for space in LABELED:
         for carrier_bits in range(1 << space.n):
@@ -216,6 +230,22 @@ def test_product_slices_are_homeomorphic_to_the_factor(sierpinski, chain3):
             for b in chain3.open_bits()
         }
         assert slice_opens == factor_opens
+
+
+def test_product_neighbourhoods_are_the_boxes_of_the_factor_neighbourhoods():
+    small = [space for k in range(4) for space in all_topologies(k)]
+    for left in small:
+        for right in small:
+            prod, codec = product([left, right])
+            assert prod.n == left.n * right.n
+            for x, u in enumerate(left.min_neighborhoods()):
+                for y, v in enumerate(right.min_neighborhoods()):
+                    box = {
+                        codec.encode((a, b))
+                        for a in range(left.n) if u >> a & 1
+                        for b in range(right.n) if v >> b & 1
+                    }
+                    assert prod.min_neighborhoods()[codec.encode((x, y))] == sum(1 << p for p in box)
 
 
 def test_product_point_count_and_codec_round_trip(sierpinski, chain3):

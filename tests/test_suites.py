@@ -36,8 +36,8 @@ from redsep import (
     suite_defaults,
     suite_names,
 )
-from redsep import FinSpace, PointMap, serialize, suites
-from redsep.hausdorff import eval_plan_bits
+from redsep import FinSpace, PointMap, hausdorff, serialize, suites
+from redsep.hausdorff import eval_lanes, eval_plan_bits
 from redsep.masks import lanes_of, pack_lanes, replicate
 
 from conftest import closure_oracle, family_doc, mask, sweep_oracle
@@ -238,8 +238,9 @@ EVERY_LANE = replicate(1, 1 << 12)
 
 @contextmanager
 def _broken_kernel(monkeypatch):
-    """Flip point 0 of every lane, and check that every kernel call is made through _ev on at most 4,096 lanes."""
-    honest_kernel, honest_ev, kernel_calls, lanes = suites.eval_plan_bits, suites._ev, [], []
+    """Flip point 0 of every lane, and check that every kernel call is made through eval_lanes on at most 4,096
+    lanes."""
+    honest_kernel, honest_ev, kernel_calls, lanes = hausdorff.eval_plan_bits, suites.eval_lanes, [], []
 
     def kernel(plans, values):
         kernel_calls.append(None)
@@ -250,8 +251,8 @@ def _broken_kernel(monkeypatch):
         return honest_ev(positions, values, ones, n, dual)
 
     with monkeypatch.context() as patch:
-        patch.setattr(suites, "eval_plan_bits", kernel)
-        patch.setattr(suites, "_ev", ev)
+        patch.setattr(hausdorff, "eval_plan_bits", kernel)
+        patch.setattr(suites, "eval_lanes", ev)
         yield
     assert len(kernel_calls) == len(lanes) > 0
     assert max(lanes) <= 1 << 12
@@ -334,7 +335,7 @@ def test_packed_evaluation_matches_every_lane(lanes):
         assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
             eval_plan_bits(pos, case) & full for case in cases
         ]
-        assert list(lanes_of(suites._ev(pos, packed, replicate(1, lanes), 8, dual=True), lanes)) == [
+        assert list(lanes_of(eval_lanes(pos, packed, replicate(1, lanes), 8, dual=True), lanes)) == [
             full ^ (eval_plan_bits(pos, [full ^ v for v in case]) & full) for case in cases
         ]
 
