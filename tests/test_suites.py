@@ -305,6 +305,23 @@ def test_a_broken_kernel_pins_every_sampled_assignment(monkeypatch):
     assert _sha(res.violations) == "9f8f4d684377a6afc29504e127922ea119428c3edaf5a921ec00ec59f6268046"
 
 
+def test_a_broken_image_table_pins_every_intersection_image_violation(monkeypatch):
+    # the image of each one-point set gains point 0: F(meet) and the meet of the images then differ on
+    # families whose meet is one point; the documents pin the (map, family) order of the report
+    honest = suites._tables
+
+    def tables(pm):
+        img, pre = honest(pm)
+        return bytes(v | 1 if b >> pm.dom.n == 0 and b.bit_count() == 1 else v for b, v in enumerate(img)), pre
+
+    monkeypatch.setattr(suites, "_tables", tables)
+    res = run_suite("intersection-image", keep=10**6)
+    assert (res.cases, res.violation_count, len(res.violations)) == (32540, 4133, 4133)
+    assert _sha(res.violations) == "31da785425817be9913b59ace5e508e7c3e214599dd52d02a9859493616efd3c"
+    # the replay checks the public report, which the broken table does not reach
+    assert not any(replay_finding(json.loads(canonical_json(doc))) for doc in res.violations[:64])
+
+
 # The expected counterexamples at default bounds and seed 0.
 WITNESS_FINDINGS = {
     "image-necessity": (56, 36, "b4a742f94676e5265bf2c42741386d17449ef7920df7fdff3a769ff01a7251e4"),
