@@ -129,7 +129,7 @@ def generate_class(base, generators, mode, dual=False):
     # coordinate j of assignment a is generator a // g**(k-1-j) % g
     for j, i in enumerate(enum_pos):
         values[i] = int.from_bytes(b"".join(cell * g ** (k - 1 - j) for cell in cells) * g**j, "little")
-    out = eval_lanes(plans, values, replicate(1, count, width), n, dual)
+    out = eval_lanes(plans, values, replicate((1 << n) - 1, count, width), dual)
     return SetClass.from_bits(n, set(lanes_of(out, count, width)))
 
 

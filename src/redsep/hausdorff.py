@@ -13,7 +13,7 @@ range   the index set is the alphabet; a branch intersects the sets indexed
 
 The dual operation complements the family, evaluates, and complements the
 result; an empty prefix that nothing sets is neutral in both.  eval_lanes is
-the one evaluator, for one lane or many.
+the one evaluator, for one lane or many, each lane over its own universe.
 """
 
 from itertools import product as iproduct
@@ -134,10 +134,10 @@ def eval_plan_bits(plans, values):
     return out
 
 
-def eval_lanes(positions, values, ones, n, dual=False):
-    """eval, or its dual, on packed values, each lane of ones (1 per lane) cut to n points.  A value None is
-    an empty prefix that nothing sets, and it is neutral: the whole universe, the empty set under the dual."""
-    full = ones * ((1 << n) - 1)
+def eval_lanes(positions, values, full, dual=False):
+    """eval, or its dual, on packed values, each lane cut to its own universe: full holds (1 << n) - 1 in each
+    lane of n points, so one call may mix lanes of different sizes.  A value None is an empty prefix that
+    nothing sets, and it is neutral: the whole universe, the empty set under the dual."""
     flip = full if dual else 0
     if flip or None in values:
         values = [full if v is None else v ^ flip for v in values]
@@ -200,11 +200,12 @@ class IndexedFamily:
         """Is the empty prefix free: prefix-indexed, unassigned, and without a default?"""
         return self.mode == PREFIX and () not in self.assignments and self.default is None
 
-    def map_values(self, fn):
-        """Apply fn to every assigned value and to the default; a free empty prefix stays free."""
+    def map_values(self, fn, n=None):
+        """Apply fn to every assigned value and to the default, giving a family over n points (by default the
+        family's own); a free empty prefix stays free."""
         assignments = {k: fn(v) for k, v in self.assignments.items()}
         default = fn(self.default) if self.default is not None else None
-        return IndexedFamily(self.n, self.mode, assignments, default)
+        return IndexedFamily(self.n if n is None else n, self.mode, assignments, default)
 
     def __repr__(self):
         return (
@@ -224,7 +225,7 @@ def evaluate(base, family, mode=None, dual=False):
     order, plans = compiled_plan(base, mode)
     free = family.free_root()
     values = [None if free and idx == () else family.value(idx).bits for idx in order]
-    return SubsetMask(family.n, eval_lanes(plans, values, 1, family.n, dual))
+    return SubsetMask(family.n, eval_lanes(plans, values, (1 << family.n) - 1, dual))
 
 
 # contract name for the operation

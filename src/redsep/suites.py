@@ -8,9 +8,13 @@ deterministic for a fixed (suite, bounds, seed, budget).
 
 The sweeping suites share one layer: a structural pool (spaces or table
 maps), the compiled plan of every (base, mode) pair, built once per
-(alphabet, depth), and per plan the assignments of every pool entry with the
-same universe size, which one kernel call evaluates as the lanes of packed
-ints (see ``masks``).  Equal pools share one layout of pool^k per k, and each
+(alphabet, depth), and per plan the assignments of a run of pool entries,
+which one kernel call evaluates as the lanes of packed ints (see ``masks``).
+The kernel takes each lane's universe packed beside the values, so the map
+suites run their maps in enumeration order across domain and codomain sizes.
+Distributivity and restriction keep the spaces of one point count together:
+they copy each case once per mask or carrier, and how many copies depends on
+the point count.  Equal pools share one layout of pool^k per k, and each
 pool entry draws all its samples in one pass, as it would alone.
 
 Findings are plain JSON-ready documents.  A violation is a broken law and
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, combinations, groupby, islice
 from itertools import product as iproduct
-from operator import or_
+from operator import and_, or_
 
 from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
@@ -58,7 +62,7 @@ from .hausdorff import (
     evaluate,
 )
 from .maps import PointMap, _decreasing, _directed, alg_contains, alg_enumerate, diagonal_product, directed_image_check
-from .masks import SubsetMask, lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
+from .masks import LANE_POINTS, SubsetMask, lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
 from .spaces import FinSpace, open_sets, zero_sets
 from .transfer import transfer_property, zero_trace_gap, zero_witness_map
 
@@ -160,7 +164,10 @@ def _spaces(max_points):
 
 
 def _maps(domains, codomains):
-    """Every table map between discrete spaces, domain size outermost, tables in lex order."""
+    """Every table map between discrete spaces, domain size outermost, tables in lex order.  Lanes hold subsets of
+    at most LANE_POINTS points, so larger sizes are refused before the first map."""
+    if max(chain(domains, codomains), default=0) > LANE_POINTS:
+        raise ResourceError(f"a one-byte lane holds subsets of at most {LANE_POINTS} points")
     for n in domains:
         for m in codomains:
             for table in all_tables(n, m):
@@ -215,9 +222,8 @@ def _case(plan, raw, i):
     return tuple(raw[i * len(plan.order) : (i + 1) * len(plan.order)])
 
 
-# A plan's index and assignments from a run of pools: lanes per pool, total lanes, case-major bytes, columns,
-# and the packed int with 1 in every lane.
-_Batch = namedtuple("_Batch", "index plan sizes lanes raw columns ones")
+# A plan's index and assignments from a run of pools: lanes per pool, total lanes, case-major bytes, columns.
+_Batch = namedtuple("_Batch", "index plan sizes lanes raw columns")
 
 # Per plan, a pool's lanes, its enumerated or corner cases, its sample count, and where the samples lie in its draws.
 _Layout = namedtuple("_Layout", "lanes fixed counts cuts")
@@ -245,7 +251,7 @@ def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
     """
     plans = _plans(bounds, modes)
     ks = [len(plan.order) for plan in plans]
-    layouts, lanes, parts, ones = {}, [], [], {}
+    layouts, lanes, parts = {}, [], []
     for pool in pools:
         pool = pack_lanes(pool).to_bytes(len(pool), "little")  # raises ResourceError on values over 8 points
         if pool not in layouts:
@@ -255,10 +261,8 @@ def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
         lanes.append(layout.lanes)
         parts.append(map(bytes.__add__, layout.fixed, map(drawn.__getitem__, layout.cuts)))
     for index, (plan, k, sizes, row) in enumerate(zip(plans, ks, zip(*lanes), zip(*parts))):
-        raw, count = b"".join(row), sum(sizes)
-        if k not in ones:  # a plan's lanes depend on its k only
-            ones[k] = replicate(1, count)
-        yield _Batch(index, plan, list(sizes), count, raw, _columns(raw, k), ones[k])
+        raw = b"".join(row)
+        yield _Batch(index, plan, list(sizes), sum(sizes), raw, _columns(raw, k))
 
 
 def _entry(batch, lane):
@@ -270,9 +274,9 @@ def _entry(batch, lane):
 GROUP_ENTRIES = 256
 
 
-def _groups(col, entries, key):
-    """Runs of at most GROUP_ENTRIES consecutive entries with equal keys (pool entries of one universe size), each
-    with a list for its (key, kind, instance, detail) findings, reported in key order once the run is done."""
+def _groups(col, entries, key=lambda entry: None):
+    """Runs of at most GROUP_ENTRIES consecutive entries with equal keys, each with a list for its (key, kind,
+    instance, detail) findings, reported in key order once the run is done."""
     for _, run in groupby(entries, key):
         while chunk := list(islice(run, GROUP_ENTRIES)):
             found = []
@@ -289,10 +293,25 @@ def _differing(lanes, *pairs):
     return [(i, j, a[i], b[i]) for i in range(lanes) for j, (a, b) in enumerate(pairs) if a[i] != b[i]]
 
 
-def _image_pair(n, m, sizes, ones, imgs, positions, values):
-    """F(eval(values)) and eval(F(values)) on packed values over n points; F maps run i of sizes[i] lanes by imgs[i]."""
-    rhs = eval_lanes(positions, [map_runs(v, sizes, imgs) for v in values], ones, m)
-    return map_runs(eval_lanes(positions, values, ones, n), sizes, imgs), rhs
+def _universes(pms):
+    """A function from a batch over the maps to its packed domain and codomain universes: (1 << n) - 1 in each of
+    the lanes of pms[e], for its n points.  A batch's lanes depend on its plan's k only, so each k is packed once."""
+    units, packed = [[bytes([(1 << getattr(pm, side).n) - 1]) for pm in pms] for side in ("dom", "cod")], {}
+
+    def universes(batch):
+        k = len(batch.plan.order)
+        if k not in packed:
+            packed[k] = [int.from_bytes(b"".join(map(bytes.__mul__, side, batch.sizes)), "little") for side in units]
+        return packed[k]
+
+    return universes
+
+
+def _image_pair(dom, cod, sizes, imgs, positions, values):
+    """F(eval(values)) and eval(F(values)) on packed values, each lane cut to the domain universe in dom and then
+    to the codomain universe in cod; F maps run i of sizes[i] lanes by imgs[i]."""
+    rhs = eval_lanes(positions, [map_runs(v, sizes, imgs) for v in values], cod)
+    return map_runs(eval_lanes(positions, values, dom), sizes, imgs), rhs
 
 
 def _meet_image(pm, img, fam):
@@ -310,8 +329,8 @@ def _merge_witness(pm, img):
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
     columns = _columns(bytes(chain.from_iterable(cases)), 3)
-    ones = replicate(1, len(cases))
-    found = _differing(len(cases), _image_pair(n, pm.cod.n, [len(cases)], ones, [img], _PROBE.positions, columns))
+    dom, cod = (replicate((1 << size) - 1, len(cases)) for size in (n, pm.cod.n))
+    found = _differing(len(cases), _image_pair(dom, cod, [len(cases)], [img], _PROBE.positions, columns))
     return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
@@ -389,14 +408,11 @@ def _run_distributivity(bounds, rng, budget, col):
             count, plan = batch.lanes, batch.plan
             col.cases += count
             # lane mask * count + c holds case c under that mask: the columns repeat once per mask
-            lanes, pos, ones = count << n, plan.positions, replicate(1, count << n)
+            lanes, pos, full = count << n, plan.positions, replicate((1 << n) - 1, count << n)
             values = [replicate(v, 1 << n, count) for v in batch.columns]
             masks = pack_lanes(b"".join(bytes([mask]) * count for mask in range(1 << n)))
-            meet = eval_lanes(pos, [v & masks for v in values], ones, n), eval_lanes(pos, values, ones, n) & masks
-            join = (
-                eval_lanes(pos, [v | masks for v in values], ones, n, True),
-                eval_lanes(pos, values, ones, n, True) | masks,
-            )
+            meet = eval_lanes(pos, [v & masks for v in values], full), eval_lanes(pos, values, full) & masks
+            join = eval_lanes(pos, [v | masks for v in values], full, True), eval_lanes(pos, values, full, True) | masks
             for lane, j, left, right in _differing(lanes, meet, join):
                 (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
                 fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
@@ -420,11 +436,12 @@ def _run_restriction(bounds, rng, budget, col):
         n, carriers = spaces[0].n, range(1 << spaces[0].n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
         for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
-            lanes, plan, pos, ones, columns = batch.lanes, batch.plan, batch.plan.positions, batch.ones, batch.columns
+            lanes, plan, pos, columns = batch.lanes, batch.plan, batch.plan.positions, batch.columns
             col.cases += lanes
-            ev = eval_lanes(pos, columns, ones, n)
+            fulls = [replicate((1 << size) - 1, lanes) for size in range(n + 1)]  # per carrier size
+            ev = eval_lanes(pos, columns, fulls[n])
             for carrier, trace in zip(carriers, traces):
-                right = eval_lanes(pos, [map_runs(v, [lanes], [trace]) for v in columns], ones, carrier.bit_count())
+                right = eval_lanes(pos, [map_runs(v, [lanes], [trace]) for v in columns], fulls[carrier.bit_count()])
                 for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
                     e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
                     instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
@@ -436,30 +453,29 @@ def _replay_restriction(instance, kind):
     mode = _field(instance, "mode", choices=MODES)
     carrier = _mask(instance, "carrier", family.n).bits
     sub_n = carrier.bit_count()
-    traced = {
-        idx: SubsetMask(sub_n, restrict_bits(v.bits & carrier, carrier)) for idx, v in family.assignments.items()
-    }
+    traced = family.map_values(lambda v: SubsetMask(sub_n, restrict_bits(v.bits & carrier, carrier)), sub_n)
     left = restrict_bits(evaluate(base, family, mode).bits & carrier, carrier)
-    return left != evaluate(base, IndexedFamily(sub_n, mode, traced), mode).bits
+    return left != evaluate(base, traced, mode).bits
 
 
 def _run_preimage_commutes(bounds, rng, budget, col):
     """Preimages pass through the operation and its dual for every table."""
     maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
-    for pms, found in _groups(col, maps, lambda pm: (pm.dom.n, pm.cod.n)):
-        n, m, pres = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[1] for pm in pms]
-        for batch in _sweep(bounds, [range(1 << m)] * len(pms), rng, budget):
-            plan, pos, ones, sizes, columns = batch.plan, batch.plan.positions, batch.ones, batch.sizes, batch.columns
+    for pms, found in _groups(col, maps):
+        pres, universes = [_tables(pm)[1] for pm in pms], _universes(pms)
+        for batch in _sweep(bounds, [range(1 << pm.cod.n) for pm in pms], rng, budget):
+            plan, pos, sizes, columns = batch.plan, batch.plan.positions, batch.sizes, batch.columns
             col.cases += batch.lanes
+            dom, cod = universes(batch)
             pulled = [map_runs(v, sizes, pres) for v in columns]
             checks = [
-                (map_runs(eval_lanes(pos, columns, ones, m, dual), sizes, pres), eval_lanes(pos, pulled, ones, n, dual))
+                (map_runs(eval_lanes(pos, columns, cod, dual), sizes, pres), eval_lanes(pos, pulled, dom, dual))
                 for dual in (False, True)
             ]
             for i, j, left, right in _differing(batch.lanes, *checks):
-                e, fields = _entry(batch, i), {"mode": plan.mode, "identity": ("eval", "dual")[j]}
-                instance = _doc(pms[e], plan, m, _case(plan, batch.raw, i), **fields)
-                found.append(((e, batch.index, i, j), "violation", instance, _lr(n, left, right)))
+                pm, fields = pms[e := _entry(batch, i)], {"mode": plan.mode, "identity": ("eval", "dual")[j]}
+                instance = _doc(pm, plan, pm.cod.n, _case(plan, batch.raw, i), **fields)
+                found.append(((e, batch.index, i, j), "violation", instance, _lr(pm.dom.n, left, right)))
 
 
 def _replay_preimage_commutes(instance, kind):
@@ -467,7 +483,7 @@ def _replay_preimage_commutes(instance, kind):
     base, family = _map_family(instance, pm, "cod")
     mode = _field(instance, "mode", choices=MODES)
     dual = _field(instance, "identity", choices=("eval", "dual")) == "dual"
-    pulled = IndexedFamily(pm.dom.n, mode, {idx: pm.preimage(v) for idx, v in family.assignments.items()})
+    pulled = family.map_values(pm.preimage, pm.dom.n)
     return pm.preimage(evaluate(base, family, mode, dual)) != evaluate(base, pulled, mode, dual)
 
 
@@ -477,11 +493,11 @@ def _saturated(pm):
 
 
 def _steps(pm):
-    """Per distance d, the points x whose nearest earlier point of their fiber is x - d.
+    """Per distance d < LANE_POINTS, the points x whose nearest earlier point of their fiber is x - d.
 
     A set is a union of fibers exactly when every such x agrees with x - d.
     """
-    last, steps = {}, [0] * pm.dom.n
+    last, steps = {}, [0] * LANE_POINTS
     for x, y in enumerate(pm.table):
         if y in last:
             steps[x - last[y]] |= 1 << x
@@ -491,9 +507,8 @@ def _steps(pm):
 
 def _fiber_masks(steps, sizes):
     """Per distance d with a step, (d, the packed int holding steps[e][d] in each of the sizes[e] lanes of entry e)."""
-    n = len(steps[0])
     rows = b"".join(bytes(s) * size for s, size in zip(steps, sizes))  # per lane, its entry's steps
-    masks = ((d, int.from_bytes(rows[d::n], "little")) for d in range(1, n))
+    masks = ((d, int.from_bytes(rows[d::LANE_POINTS], "little")) for d in range(1, LANE_POINTS))
     return [(d, mask) for d, mask in masks if mask]
 
 
@@ -508,11 +523,11 @@ def _unsaturated(packed, masks):
 def _run_algebra_closure(bounds, rng, budget, col):
     """alg F is the brute-force fixed-point family and is closed under eval."""
     maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
-    for pms, found in _groups(col, maps, lambda pm: pm.dom.n):
-        n, pools, steps, masks = pms[0].dom.n, [], [], {}
+    for pms, found in _groups(col, maps):
+        pools, steps, masks, universes = [], [], {}, _universes(pms)
         for e, pm in enumerate(pms):
             col.cases += 1
-            brute = _saturated(pm)
+            n, brute = pm.dom.n, _saturated(pm)
             alg_bits = sorted(alg_enumerate(pm).member_bits())
             if alg_bits != brute:
                 detail = {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]}
@@ -527,9 +542,9 @@ def _run_algebra_closure(bounds, rng, budget, col):
             lanes, plan = batch.lanes, batch.plan
             if (k := len(plan.order)) not in masks:  # an entry's lanes depend on its pool and k only
                 masks[k] = _fiber_masks(steps, batch.sizes)
-            out = eval_lanes(plan.positions, batch.columns, batch.ones, n)
+            out = eval_lanes(plan.positions, batch.columns, universes(batch)[0])
             for i, _, _, _ in _differing(lanes, (_unsaturated(out, masks[k]), 0)):
-                e = _entry(batch, i)
+                n = pms[e := _entry(batch, i)].dom.n
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
                 found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(n, out >> 8 * i & 0xFF)}))
 
@@ -620,23 +635,24 @@ def _replay_zero_witness_certificate(instance, kind):
 def _run_image_commutes(bounds, rng, budget, col):
     """Images pass through prefix evaluation of decreasing families."""
     sizes = range(1, bounds.max_points + 1)
-    for pms, found in _groups(col, _maps(sizes, sizes), lambda pm: (pm.dom.n, pm.cod.n)):
-        n, m, imgs = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[0] for pm in pms]
-        for batch in _sweep(bounds, [range(1 << n)] * len(pms), rng, budget, [PREFIX], exhaust=False):
+    for pms, found in _groups(col, _maps(sizes, sizes)):
+        imgs, universes = [_tables(pm)[0] for pm in pms], _universes(pms)
+        for batch in _sweep(bounds, [range(1 << pm.dom.n) for pm in pms], rng, budget, [PREFIX], exhaust=False):
             lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
             col.cases += lanes
-            ev_raw = eval_lanes(pos, dec, batch.ones, n)
+            dom, cod = universes(batch)
+            ev_raw = eval_lanes(pos, dec, dom)
             # cut each raw value by its parent's cut value; parents come first in the length-lex order
             for i, idx in enumerate(plan.order):
                 if idx:
                     dec[i] &= dec[plan.order.index(idx[:-1])]
-            lhs, rhs = _image_pair(n, m, batch.sizes, batch.ones, imgs, pos, dec)
-            ev_dec = eval_lanes(pos, dec, batch.ones, n)
-            checks = (("decreasing-image", m), ("replacement-value", n))
+            lhs, rhs = _image_pair(dom, cod, batch.sizes, imgs, pos, dec)
+            ev_dec = eval_lanes(pos, dec, dom)
             for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
-                (check, size), e = checks[j], _entry(batch, i)
+                pm = pms[e := _entry(batch, i)]
+                check, size = (("decreasing-image", pm.cod.n), ("replacement-value", pm.dom.n))[j]
                 values = [lanes_of(v, lanes)[i] for v in dec] if j == 0 else _case(plan, batch.raw, i)
-                instance = _doc(pms[e], plan, n, values, check=check)
+                instance = _doc(pm, plan, pm.dom.n, values, check=check)
                 found.append(((e, batch.index, i, j), "violation", instance, _lr(size, left, right)))
 
 
@@ -644,8 +660,7 @@ def _image_commutes(pm, base, family):
     """Does F(eval(family)) differ from eval(F(family)) under the public operations?"""
     if family.mode != PREFIX:
         raise InputError("instance.family must be prefix-indexed")
-    mapped = IndexedFamily(pm.cod.n, PREFIX, {idx: pm.image(v) for idx, v in family.assignments.items()})
-    return pm.image(evaluate(base, family)) != evaluate(base, mapped)
+    return pm.image(evaluate(base, family)) != evaluate(base, family.map_values(pm.image, pm.cod.n))
 
 
 def _replay_image_commutes(instance, kind):
@@ -659,26 +674,26 @@ def _replay_image_commutes(instance, kind):
 def _run_image_necessity(bounds, rng, budget, col):
     """Non-injective maps break image commutation on some non-decreasing family."""
     sizes = range(1, bounds.max_points + 1)
-    for pms, found in _groups(col, _maps(sizes, sizes), lambda pm: (pm.dom.n, pm.cod.n)):
-        n, m, imgs = pms[0].dom.n, pms[0].cod.n, [_tables(pm)[0] for pm in pms]
-        injective = [e for e, pm in enumerate(pms) if len(set(pm.table)) == n]
+    for pms, found in _groups(col, _maps(sizes, sizes)):
+        injective = []
         col.cases += len(pms)
         for e, pm in enumerate(pms):
-            if e in injective:
-                continue
-            witness = _merge_witness(pm, imgs[e])
-            if witness is None:
+            if len(set(pm.table)) == pm.dom.n:
+                injective.append(e)
+            elif (witness := _merge_witness(pm, _tables(pm)[0])) is None:
                 found.append(((e,), "violation", _doc(pm, check="missing-witness"), {}))
             else:
-                instance = _doc(pm, _PROBE, n, witness[0], check="non-decreasing-image")
-                found.append(((e,), "witness", instance, _lr(m, *witness[1:])))
-        imgs_run = [imgs[e] for e in injective]
-        for batch in _sweep(bounds, [range(1 << n)] * len(injective), rng, min(budget, 4), [PREFIX]):
-            pair = _image_pair(n, m, batch.sizes, batch.ones, imgs_run, batch.plan.positions, batch.columns)
+                instance = _doc(pm, _PROBE, pm.dom.n, witness[0], check="non-decreasing-image")
+                found.append(((e,), "witness", instance, _lr(pm.cod.n, *witness[1:])))
+        run = [pms[e] for e in injective]
+        imgs, universes = [_tables(pm)[0] for pm in run], _universes(run)
+        for batch in _sweep(bounds, [range(1 << pm.dom.n) for pm in run], rng, min(budget, 4), [PREFIX]):
+            dom, cod = universes(batch)
+            pair = _image_pair(dom, cod, batch.sizes, imgs, batch.plan.positions, batch.columns)
             for i, _, lhs, rhs in _differing(batch.lanes, pair):
-                e = injective[_entry(batch, i)]
-                instance = _doc(pms[e], batch.plan, n, _case(batch.plan, batch.raw, i), check="injective-image")
-                found.append(((e, batch.index, i), "violation", instance, _lr(m, lhs, rhs)))
+                pm = pms[e := injective[_entry(batch, i)]]
+                instance = _doc(pm, batch.plan, pm.dom.n, _case(batch.plan, batch.raw, i), check="injective-image")
+                found.append(((e, batch.index, i), "violation", instance, _lr(pm.cod.n, lhs, rhs)))
 
 
 def _replay_image_necessity(instance, kind):
@@ -693,30 +708,36 @@ def _run_intersection_image(bounds, rng, budget, col):
     """Directed decreasing families push intersections through images."""
     sizes = range(1, min(bounds.max_points, 3) + 1)
     for n in sizes:
-        images = [(pm, _tables(pm)[0]) for pm in _maps([n], sizes)]
+        pms = list(_maps([n], sizes))
+        imgs = [_tables(pm)[0] for pm in pms]
         for k in sizes:
+            raw = bytes(chain.from_iterable(iproduct(range(1 << n), repeat=k)))  # every family, case-major
+            columns = _columns(raw, k)
             for above in _posets(k):
                 if not _directed(above):
                     continue
                 relation = _order_pairs(above)
-                decreasing = [fam for fam in iproduct(range(1 << n), repeat=k) if _decreasing(above, fam)]
-                for pm, img in images:
-                    for fi, fam in enumerate(decreasing):
-                        col.cases += 1
-                        lhs, rhs = _meet_image(pm, img, fam)
-                        if lhs != rhs:
-                            col.violation(
-                                _doc(pm, order=relation, family=[_pts(n, v) for v in fam]), _lr(pm.cod.n, lhs, rhs)
-                            )
-                        if fi < 2:
-                            rep = directed_image_check(
-                                pm, [tuple(p) for p in relation], [SubsetMask(n, v) for v in fam]
-                            )
-                            if not (rep.equal and rep.directed and rep.decreasing):
-                                col.violation(
-                                    _doc(pm, order=relation, family=[_pts(n, v) for v in fam], check="report"),
-                                    {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing},
-                                )
+                # decreasing: no pair i <= j has a point of the j-th set outside the i-th
+                outside = lanes_of(reduce(or_, (columns[j] & ~columns[i] for i, j in relation), 0), len(raw) // k)
+                fams = [raw[f * k : (f + 1) * k] for f, out in enumerate(outside) if not out]
+                count, runs = len(fams), [len(fams)] * len(pms)
+                col.cases += count * len(pms)
+                dec = _columns(b"".join(fams) * len(pms), k)  # lane e * count + f: family f under map e
+                lhs = map_runs(reduce(and_, dec), runs, imgs)
+                rhs = reduce(and_, (map_runs(v, runs, imgs) for v in dec))
+                found = []
+                for lane, _, left, right in _differing(count * len(pms), (lhs, rhs)):
+                    e, f = divmod(lane, count)
+                    found.append(((e, f, 0), {}, _lr(pms[e].cod.n, left, right)))
+                for e, pm in enumerate(pms):
+                    for f, fam in enumerate(fams[:2]):
+                        rep = directed_image_check(pm, [tuple(p) for p in relation], [SubsetMask(n, v) for v in fam])
+                        if not (rep.equal and rep.directed and rep.decreasing):
+                            detail = {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing}
+                            found.append(((e, f, 1), {"check": "report"}, detail))
+                # map by map, family by family, a family's report check after its meet
+                for (e, f, _), fields, detail in sorted(found, key=lambda item: item[0]):
+                    col.violation(_doc(pms[e], order=relation, family=[_pts(n, v) for v in fams[f]], **fields), detail)
 
 
 def _replay_intersection_image(instance, kind):

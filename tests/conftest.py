@@ -156,6 +156,30 @@ def gap_oracle(space, carrier):
     return traces, intrinsic, SetClass.from_bits(intrinsic.n, intrinsic.member_bits() - traces.member_bits())
 
 
+def opposite(above):
+    """The minimal neighbourhoods of the opposite preorder: x lies in the new U_y exactly when y lies in U_x."""
+    return [sum(1 << x for x in range(len(above)) if above[x] >> y & 1) for y in range(len(above))]
+
+
+def opens_reduce(above):
+    """R of the opens, in closed form from the minimal neighbourhoods U_x: any two U_x that meet are nested.
+
+    A pair (A, B) of opens reduces exactly when no component of A u B meets both A - B and B - A, since a
+    reduction splits A u B into two relatively clopen parts; a failure shrinks to two meeting U_x, U_y, neither
+    inside the other.  R of the closeds is this on the opposite preorder.
+    """
+    return all(not a & b or not a & ~b or not b & ~a for a in above for b in above)
+
+
+def opens_separate(above):
+    """S of the opens, in closed form: inside each component every two U_x meet, that is, "U_x meets U_y" is
+    transitive (points of one component are joined by a chain of meeting U_x).  The ambiguous opens are the
+    clopens, the unions of components.  S of the closeds is this on the opposite preorder.
+    """
+    meets = [{y for y, b in enumerate(above) if a & b} for a in above]
+    return all(meets[y] <= near for near in meets for y in near)
+
+
 def sweep_oracle(bounds, pools, rng, budget, modes=MODES, exhaust=True):
     """The sweep assembled one (plan, pool entry) at a time: every entry lays out pool^k per k and draws
     its samples through the sampler into a stream that each plan reads its part of.  Yields

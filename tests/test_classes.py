@@ -23,6 +23,7 @@ from redsep import (
     SetClass,
     SubsetMask,
     all_bases,
+    all_topologies,
     borel_ladder,
     canonical_base,
     check_reduction,
@@ -43,6 +44,7 @@ from redsep import classes
 from redsep.classes import DEFAULT_ASSIGNMENT_CAP, _reduction_witness, _separation_witness, reduces, separates
 
 from conftest import SPACE_POOL, bases, canonical_witness, checked_pairs, mask, modes, power_set, restrict_class, sclass, set_classes, witness_holds
+from conftest import opens_reduce, opens_separate, opposite
 
 
 def opens_class(space):
@@ -198,6 +200,18 @@ def test_generate_class_cap_and_validation(monkeypatch):
     assert "531441 assignments (9 generators over 6 indices)" in str(err.value)
     with pytest.raises(InputError):
         generate_class(base, [mask(3, [0])], PREFIX)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_the_closed_forms_decide_reduction_and_separation_of_the_opens_and_closeds(n):
+    # every labeled space on n points: the scans agree with the criteria on the minimal neighbourhoods
+    for space in all_topologies(n):
+        above = space.min_neighborhoods()
+        opens, closeds = open_sets(space), closed_sets(space)
+        assert check_reduction(opens).holds == opens_reduce(above), above
+        assert check_separation(opens).holds == opens_separate(above), above
+        assert check_reduction(closeds).holds == opens_reduce(opposite(above)), above
+        assert check_separation(closeds).holds == opens_separate(opposite(above)), above
 
 
 def test_power_set_has_reduction_with_canonical_witnesses():

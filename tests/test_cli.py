@@ -323,6 +323,17 @@ def test_replay_rejects_a_tampered_finding(tmp_path):
     assert code == 1 and report["retriggered"] == report["replayed"] - 1
 
 
+def test_replay_of_a_family_with_a_default_is_a_verdict_not_an_input_error(tmp_path, capsys):
+    # symbol 1 takes the default: the pulled-back family must take its preimage, not lose it
+    pm = PointMap(FinSpace.discrete(2), FinSpace.discrete(2), [1, 0])
+    family = {"universe": 2, "mode": "range", "assignments": {"0": [0]}, "default": []}
+    instance = {"map": serialize.map_to_doc(pm), "base": UNION2, "family": family, "mode": "range", "identity": "eval"}
+    path = write_instance(tmp_path, {"suite": "preimage-commutes", "kind": "violation", "instance": instance})
+    code, out = run_cli(["replay", path])
+    assert capsys.readouterr().err == ""
+    assert code == 1 and json.loads(out)["retriggered"] == 0
+
+
 def test_fuzz_writes_a_deterministic_content_addressed_corpus(tmp_path):
     first = tmp_path / "one"
     second = tmp_path / "two"

@@ -25,6 +25,7 @@ from redsep import (
     InputError,
     ResourceError,
     SetClass,
+    SubsetMask,
     alg_enumerate,
     all_tables,
     all_topologies,
@@ -141,6 +142,51 @@ def test_law_abiding_instances_do_not_replay_as_violations():
         assert replay_finding(doc) is False
 
 
+def _family_with_default(n, mode, assignments, default):
+    return {"universe": n, "mode": mode, "assignments": assignments, "default": default}
+
+
+PREFIX_BASE = {"alphabet": 2, "branches": [[0, 0], [0, 1], [1]], "mode": "prefix"}
+RANGE_BASE = {"alphabet": 2, "branches": [[0], [1]], "mode": "range"}
+MAP_3_TO_2 = serialize.map_to_doc(PointMap(FinSpace.discrete(3), FinSpace.discrete(2), [0, 1, 1]))
+MAP_2_TO_3 = serialize.map_to_doc(PointMap(FinSpace.discrete(2), FinSpace.discrete(3), [2, 0]))
+
+
+@pytest.mark.parametrize(
+    "suite, instance",
+    [
+        (
+            "preimage-commutes",
+            {"map": MAP_3_TO_2, "base": RANGE_BASE, "mode": "range", "identity": "eval",
+             "family": _family_with_default(2, "range", {"0": [0]}, [])},
+        ),
+        (
+            "preimage-commutes",
+            {"map": MAP_3_TO_2, "base": PREFIX_BASE, "mode": "prefix", "identity": "dual",
+             "family": _family_with_default(2, "prefix", {"0": [0], "1": [1]}, [1])},
+        ),
+        (
+            "restriction",
+            {"space": serialize.space_to_doc(FinSpace.discrete(3)), "base": RANGE_BASE, "mode": "range",
+             "carrier": [0, 2], "family": _family_with_default(3, "range", {"1": [1]}, [0, 1])},
+        ),
+        (
+            "restriction",
+            {"space": serialize.space_to_doc(FinSpace.discrete(3)), "base": PREFIX_BASE, "mode": "prefix",
+             "carrier": [1, 2], "family": _family_with_default(3, "prefix", {"0": [1, 2]}, [2])},
+        ),
+        (
+            "image-commutes",
+            {"map": MAP_2_TO_3, "base": PREFIX_BASE, "check": "decreasing-image",
+             "family": _family_with_default(2, "prefix", {"0": [0, 1], "1": [1]}, [0])},
+        ),
+    ],
+)
+def test_replays_carry_the_family_default_through_the_map_or_trace(suite, instance):
+    # the rebuilt family keeps the default (mapped), and a free empty prefix stays free
+    assert replay_finding({"suite": suite, "kind": "violation", "instance": instance}) is False
+
+
 def test_replay_rejects_malformed_documents():
     with pytest.raises(InputError):
         replay_finding("not an object")
@@ -246,9 +292,9 @@ def _broken_kernel(monkeypatch):
         kernel_calls.append(None)
         return honest_kernel(plans, values) ^ EVERY_LANE
 
-    def ev(positions, values, ones, n, dual=False):
-        lanes.append(-(-ones.bit_length() // 8))  # ones holds bit 0 of every lane
-        return honest_ev(positions, values, ones, n, dual)
+    def ev(positions, values, full, dual=False):
+        lanes.append(-(-full.bit_length() // 8))  # full holds each lane's universe
+        return honest_ev(positions, values, full, dual)
 
     with monkeypatch.context() as patch:
         patch.setattr(hausdorff, "eval_plan_bits", kernel)
@@ -352,9 +398,30 @@ def test_packed_evaluation_matches_every_lane(lanes):
         assert list(lanes_of(eval_plan_bits(pos, packed) & fulls, lanes)) == [
             eval_plan_bits(pos, case) & full for case in cases
         ]
-        assert list(lanes_of(eval_lanes(pos, packed, replicate(1, lanes), 8, dual=True), lanes)) == [
+        assert list(lanes_of(eval_lanes(pos, packed, fulls, dual=True), lanes)) == [
             full ^ (eval_plan_bits(pos, [full ^ v for v in case]) & full) for case in cases
         ]
+
+
+@pytest.mark.parametrize("dual", [False, True], ids=["eval", "dual"])
+def test_one_kernel_call_evaluates_lanes_of_every_universe_size(dual):
+    # lanes of 0 to 8 points side by side, each cut to its own universe, with a free empty prefix (None) too
+    rng = random.Random(int(dual))
+    sizes = [n for n in range(9) for _ in range(6)]
+    rng.shuffle(sizes)
+    full = pack_lanes([(1 << n) - 1 for n in sizes])
+    one_lane = hausdorff.dual_evaluate if dual else hausdorff.evaluate
+    for plan in suites._compiled(2, 2):
+        for free in (False, True) if plan.mode == PREFIX else (False,):
+            cases = [[rng.randrange(1 << n) for _ in plan.order] for n in sizes]
+            values = [pack_lanes(col) for col in zip(*cases)]
+            if free:
+                assert plan.order[0] == ()
+                values[0] = None
+            out = lanes_of(eval_lanes(plan.positions, values, full, dual), len(sizes))
+            for lane, (n, case) in enumerate(zip(sizes, cases)):
+                assigned = {idx: SubsetMask(n, v) for idx, v in zip(plan.order, case) if not (free and idx == ())}
+                assert out[lane] == one_lane(plan.base, IndexedFamily(n, plan.mode, assigned)).bits, (plan, lane)
 
 
 def _unsaturated_lanes(pms, sizes, packed):
@@ -582,7 +649,6 @@ def test_batches_equal_the_per_entry_assembly(sizes, alphabet, depth, budget, mo
     for batch, (index, plan, sizes, lanes, raw, columns) in zip(batches, expected):
         assert (batch.index, batch.plan, batch.sizes, batch.lanes) == (index, plan, sizes, lanes)
         assert batch.raw == raw and batch.columns == columns
-        assert batch.ones == replicate(1, lanes)
     assert ours.getstate() == theirs.getstate()
 
 
@@ -600,8 +666,9 @@ def test_bounds_with_no_plans_run_every_suite(name, bounds):
 
 
 def test_lanes_refuse_universes_over_8_points():
-    with pytest.raises(ResourceError, match="8 points"):
-        run_suite("preimage-commutes", bounds=Bounds(max_points=9), budget=1)
+    for name in ("preimage-commutes", "algebra-closure", "image-commutes", "image-necessity"):
+        with pytest.raises(ResourceError, match="8 points"):
+            run_suite(name, bounds=Bounds(max_points=9), budget=1)
 
 
 def test_a_cap_over_the_assignment_cap_is_refused_before_any_sweep_starts(monkeypatch):
