@@ -729,9 +729,10 @@ def _run_intersection_image(bounds, rng, budget, col):
                 for lane, _, left, right in _differing(count * len(pms), (lhs, rhs)):
                     e, f = divmod(lane, count)
                     found.append(((e, f, 0), {}, _lr(pms[e].cod.n, left, right)))
+                pairs = [tuple(p) for p in relation]
                 for e, pm in enumerate(pms):
                     for f, fam in enumerate(fams[:2]):
-                        rep = directed_image_check(pm, [tuple(p) for p in relation], [SubsetMask(n, v) for v in fam])
+                        rep = directed_image_check(pm, pairs, [SubsetMask(n, v) for v in fam])
                         if not (rep.equal and rep.directed and rep.decreasing):
                             detail = {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing}
                             found.append(((e, f, 1), {"check": "report"}, detail))
