@@ -436,16 +436,19 @@ def _run_restriction(bounds, rng, budget, col):
         n, carriers = spaces[0].n, range(1 << spaces[0].n)
         traces = [lane_table([restrict_bits(v & carrier, carrier) for v in carriers]) for carrier in carriers]
         for batch in _sweep(bounds, [sorted(space.open_bits()) for space in spaces], rng, budget):
-            lanes, plan, pos, columns = batch.lanes, batch.plan, batch.plan.positions, batch.columns
-            col.cases += lanes
-            fulls = [replicate((1 << size) - 1, lanes) for size in range(n + 1)]  # per carrier size
-            ev = eval_lanes(pos, columns, fulls[n])
-            for carrier, trace in zip(carriers, traces):
-                right = eval_lanes(pos, [map_runs(v, [lanes], [trace]) for v in columns], fulls[carrier.bit_count()])
-                for i, _, a, b in _differing(lanes, (map_runs(ev, [lanes], [trace]), right)):
-                    e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
-                    instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
-                    found.append(((e, batch.index, i, carrier), "violation", instance, _lr(n, a, b)))
+            count, plan, pos = batch.lanes, batch.plan, batch.plan.positions
+            col.cases += count
+            # lane carrier * count + c holds case c traced on that carrier: the columns repeat once per carrier
+            runs, copies = [count] * len(carriers), len(carriers)
+            subs = pack_lanes(b"".join(bytes([(1 << c.bit_count()) - 1]) * count for c in carriers))
+            ev = eval_lanes(pos, batch.columns, replicate((1 << n) - 1, count))
+            left = map_runs(replicate(ev, copies, count), runs, traces)
+            right = eval_lanes(pos, [map_runs(replicate(v, copies, count), runs, traces) for v in batch.columns], subs)
+            for lane, _, a, b in _differing(count << n, (left, right)):
+                carrier, i = divmod(lane, count)
+                e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
+                instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
+                found.append(((e, batch.index, i, carrier), "violation", instance, _lr(n, a, b)))
 
 
 def _replay_restriction(instance, kind):

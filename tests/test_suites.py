@@ -470,6 +470,13 @@ def test_fiber_masks_follow_runs_of_unequal_sizes(k):
         packed = pack_lanes([rng.randrange(1 << n) for _ in range(sum(sizes))])
         ours, theirs = _unsaturated_lanes(pms, sizes, packed)
         assert ours == theirs
+    # maps from 0 to 4 points in one run, shuffled, each lane holding a subset of its own map's domain
+    pms = [pm for n in range(5) for pm in _table_maps(n, range(1, 4))]
+    rng.shuffle(pms)
+    sizes = [suites._layout(bytes(sorted(alg_enumerate(pm).member_bits())), [k], 6, True).lanes[0] for pm in pms]
+    packed = pack_lanes([rng.randrange(1 << pm.dom.n) for pm, size in zip(pms, sizes) for _ in range(size)])
+    ours, theirs = _unsaturated_lanes(pms, sizes, packed)
+    assert ours == theirs and ours
 
 
 def test_fiber_masks_hold_at_full_lane_width():
