@@ -12,7 +12,7 @@ from .classes import SetClass
 from .errors import InputError, ResourceError
 from .hausdorff import MODES, PREFIX, Base, IndexedFamily
 from .maps import PointMap
-from .masks import SubsetMask
+from .masks import SubsetMask, points_of
 from .spaces import DEFAULT_MAX_POINTS, POINT_CEILING, generate_topology
 
 
@@ -186,6 +186,12 @@ def _index_from_key(mode, key, path):
     if any(v < 0 for v in nums):
         raise InputError(f"{path} key {key!r} has a negative symbol")
     return nums if mode == PREFIX else nums[0]
+
+
+def family_to_doc(n, mode, assignments):
+    """The document of a family over n points with no default, from its (index, bits) pairs."""
+    points = {_index_key(mode, idx): list(points_of(bits)) for idx, bits in assignments}
+    return {"universe": n, "mode": mode, "assignments": points, "default": None}
 
 
 def family_from_doc(doc, path="family"):

@@ -61,8 +61,18 @@ from .hausdorff import (
     eval_plan_bits,  # noqa: F401 -- not called here; the benchmark's tracer tests read the kernel through this binding
     evaluate,
 )
-from .maps import PointMap, _decreasing, _directed, alg_contains, alg_enumerate, diagonal_product, directed_image_check
-from .masks import LANE_POINTS, SubsetMask, lane_table, lanes_of, map_runs, pack_lanes, replicate, restrict_bits
+from .maps import PointMap, _directed, alg_contains, alg_enumerate, diagonal_product, directed_image_check
+from .masks import (
+    LANE_POINTS,
+    SubsetMask,
+    lane_table,
+    lanes_of,
+    map_runs,
+    pack_lanes,
+    points_of,
+    replicate,
+    restrict_bits,
+)
 from .spaces import FinSpace, open_sets, zero_sets
 from .transfer import transfer_property, zero_trace_gap, zero_witness_map
 
@@ -174,12 +184,9 @@ def _maps(domains, codomains):
                 yield PointMap(FinSpace.discrete(n), FinSpace.discrete(m), table)
 
 
-def _tables(pm):
-    """Lane tables of the image of every domain subset and the preimage of every codomain subset."""
-    return (
-        lane_table([pm.image_bits(bits) for bits in range(1 << pm.dom.n)]),
-        lane_table([pm.preimage_bits(bits) for bits in range(1 << pm.cod.n)]),
-    )
+def _image_table(pm):
+    """Lane table of the image of every domain subset."""
+    return lane_table([pm.image_bits(bits) for bits in range(1 << pm.dom.n)])
 
 
 @cache
@@ -314,23 +321,14 @@ def _image_pair(dom, cod, sizes, imgs, positions, values):
     return map_runs(eval_lanes(positions, values, dom), sizes, imgs), rhs
 
 
-def _meet_image(pm, img, fam):
-    """F(intersection of fam) and the intersection of F(fam) on raw bitmasks; img is the image lane table."""
-    inter, rhs = (1 << pm.dom.n) - 1, (1 << pm.cod.n) - 1
-    for v in fam:
-        inter &= v
-        rhs &= img[v]
-    return img[inter], rhs
-
-
-def _merge_witness(pm, img):
+def _merge_witness(pm):
     """The first probe family over two merged points that breaks image commutation, or None."""
     n = pm.dom.n
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
     columns = _columns(bytes(chain.from_iterable(cases)), 3)
     dom, cod = (replicate((1 << size) - 1, len(cases)) for size in (n, pm.cod.n))
-    found = _differing(len(cases), _image_pair(dom, cod, [len(cases)], [img], _PROBE.positions, columns))
+    found = _differing(len(cases), _image_pair(dom, cod, [len(cases)], [_image_table(pm)], _PROBE.positions, columns))
     return (cases[found[0][0]], *found[0][2:]) if found else None
 
 
@@ -338,19 +336,12 @@ def _merge_witness(pm, img):
 # finding documents
 
 
-def _pts(n, bits):
-    return sorted(p for p in range(n) if bits >> p & 1)
+def _pts(bits):
+    return list(points_of(bits))
 
 
-def _lr(n, left, right):
-    return {"left": _pts(n, left), "right": _pts(n, right)}
-
-
-def _family_doc(n, mode, order, values):
-    assignments = {
-        serialize._index_key(mode, idx): _pts(n, values[i]) for i, idx in enumerate(order)
-    }
-    return {"universe": n, "mode": mode, "assignments": assignments, "default": None}
+def _lr(left, right):
+    return {"left": _pts(left), "right": _pts(right)}
 
 
 def _doc(where, plan=None, n=0, values=(), **fields):
@@ -361,7 +352,7 @@ def _doc(where, plan=None, n=0, values=(), **fields):
         doc = {"map": serialize.map_to_doc(where)}
     if plan is not None:
         doc["base"] = serialize.base_to_doc(plan.base)
-        doc["family"] = _family_doc(n, plan.mode, plan.order, values)
+        doc["family"] = serialize.family_to_doc(n, plan.mode, zip(plan.order, values))
     return {**doc, **fields}
 
 
@@ -415,9 +406,9 @@ def _run_distributivity(bounds, rng, budget, col):
             join = eval_lanes(pos, [v | masks for v in values], full, True), eval_lanes(pos, values, full, True) | masks
             for lane, j, left, right in _differing(lanes, meet, join):
                 (mask, c), e = divmod(lane, count), _entry(batch, lane % count)
-                fields = {"mode": plan.mode, "mask": _pts(n, mask), "identity": ("intersection", "union")[j]}
+                fields = {"mode": plan.mode, "mask": _pts(mask), "identity": ("intersection", "union")[j]}
                 instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, c), **fields)
-                found.append(((e, batch.index, c, mask, j), "violation", instance, _lr(n, left, right)))
+                found.append(((e, batch.index, c, mask, j), "violation", instance, _lr(left, right)))
 
 
 def _replay_distributivity(instance, kind):
@@ -446,9 +437,9 @@ def _run_restriction(bounds, rng, budget, col):
             right = eval_lanes(pos, [map_runs(replicate(v, copies, count), runs, traces) for v in batch.columns], subs)
             for lane, _, a, b in _differing(count << n, (left, right)):
                 carrier, i = divmod(lane, count)
-                e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(n, carrier)}
+                e, fields = _entry(batch, i), {"mode": plan.mode, "carrier": _pts(carrier)}
                 instance = _doc(spaces[e], plan, n, _case(plan, batch.raw, i), **fields)
-                found.append(((e, batch.index, i, carrier), "violation", instance, _lr(n, a, b)))
+                found.append(((e, batch.index, i, carrier), "violation", instance, _lr(a, b)))
 
 
 def _replay_restriction(instance, kind):
@@ -465,7 +456,8 @@ def _run_preimage_commutes(bounds, rng, budget, col):
     """Preimages pass through the operation and its dual for every table."""
     maps = _maps(range(bounds.max_points + 1), range(1, bounds.max_points + 1))
     for pms, found in _groups(col, maps):
-        pres, universes = [_tables(pm)[1] for pm in pms], _universes(pms)
+        pres = [lane_table([pm.preimage_bits(bits) for bits in range(1 << pm.cod.n)]) for pm in pms]
+        universes = _universes(pms)
         for batch in _sweep(bounds, [range(1 << pm.cod.n) for pm in pms], rng, budget):
             plan, pos, sizes, columns = batch.plan, batch.plan.positions, batch.sizes, batch.columns
             col.cases += batch.lanes
@@ -478,7 +470,7 @@ def _run_preimage_commutes(bounds, rng, budget, col):
             for i, j, left, right in _differing(batch.lanes, *checks):
                 pm, fields = pms[e := _entry(batch, i)], {"mode": plan.mode, "identity": ("eval", "dual")[j]}
                 instance = _doc(pm, plan, pm.cod.n, _case(plan, batch.raw, i), **fields)
-                found.append(((e, batch.index, i, j), "violation", instance, _lr(pm.dom.n, left, right)))
+                found.append(((e, batch.index, i, j), "violation", instance, _lr(left, right)))
 
 
 def _replay_preimage_commutes(instance, kind):
@@ -530,10 +522,10 @@ def _run_algebra_closure(bounds, rng, budget, col):
         pools, steps, masks, universes = [], [], {}, _universes(pms)
         for e, pm in enumerate(pms):
             col.cases += 1
-            n, brute = pm.dom.n, _saturated(pm)
+            brute = _saturated(pm)
             alg_bits = sorted(alg_enumerate(pm).member_bits())
             if alg_bits != brute:
-                detail = {"enumerated": [_pts(n, b) for b in alg_bits], "brute_force": [_pts(n, b) for b in brute]}
+                detail = {"enumerated": [_pts(b) for b in alg_bits], "brute_force": [_pts(b) for b in brute]}
                 found.append(((e,), "violation", _doc(pm, check="extension"), detail))
             fibers = len(set(pm.table))
             if len(alg_bits) != 1 << fibers:
@@ -549,7 +541,7 @@ def _run_algebra_closure(bounds, rng, budget, col):
             for i, _, _, _ in _differing(lanes, (_unsaturated(out, masks[k]), 0)):
                 n = pms[e := _entry(batch, i)].dom.n
                 instance = _doc(pms[e], plan, n, _case(plan, batch.raw, i), mode=plan.mode, check="eval-closure")
-                found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(n, out >> 8 * i & 0xFF)}))
+                found.append(((e, batch.index, i), "violation", instance, {"outcome": _pts(out >> 8 * i & 0xFF)}))
 
 
 def _replay_algebra_closure(instance, kind):
@@ -583,7 +575,7 @@ def _run_diagonal_absorption(bounds, rng, budget, col):
                                         {
                                             "maps": [serialize.map_to_doc(pm1), serialize.map_to_doc(pm2)],
                                             "factor": which,
-                                            "member": _pts(n, bits),
+                                            "member": _pts(bits),
                                         },
                                         {"algebra_size": len(alg_diag)},
                                     )
@@ -617,7 +609,7 @@ def _run_zero_witness_certificate(bounds, rng, budget, col):
                     bad = [serialize.points_doc(z) for z, ok in rep.certificate if not ok]
                     col.violation(instance, {"unsaturated": bad})
                 else:
-                    col.violation(instance, {"escaping_union": _pts(space.n, joined)})
+                    col.violation(instance, {"escaping_union": _pts(joined)})
 
 
 def _replay_zero_witness_certificate(instance, kind):
@@ -639,7 +631,7 @@ def _run_image_commutes(bounds, rng, budget, col):
     """Images pass through prefix evaluation of decreasing families."""
     sizes = range(1, bounds.max_points + 1)
     for pms, found in _groups(col, _maps(sizes, sizes)):
-        imgs, universes = [_tables(pm)[0] for pm in pms], _universes(pms)
+        imgs, universes = [_image_table(pm) for pm in pms], _universes(pms)
         for batch in _sweep(bounds, [range(1 << pm.dom.n) for pm in pms], rng, budget, [PREFIX], exhaust=False):
             lanes, plan, pos, dec = batch.lanes, batch.plan, batch.plan.positions, list(batch.columns)
             col.cases += lanes
@@ -653,10 +645,10 @@ def _run_image_commutes(bounds, rng, budget, col):
             ev_dec = eval_lanes(pos, dec, dom)
             for i, j, left, right in _differing(lanes, (lhs, rhs), (ev_raw, ev_dec)):
                 pm = pms[e := _entry(batch, i)]
-                check, size = (("decreasing-image", pm.cod.n), ("replacement-value", pm.dom.n))[j]
+                check = ("decreasing-image", "replacement-value")[j]
                 values = [lanes_of(v, lanes)[i] for v in dec] if j == 0 else _case(plan, batch.raw, i)
                 instance = _doc(pm, plan, pm.dom.n, values, check=check)
-                found.append(((e, batch.index, i, j), "violation", instance, _lr(size, left, right)))
+                found.append(((e, batch.index, i, j), "violation", instance, _lr(left, right)))
 
 
 def _image_commutes(pm, base, family):
@@ -683,27 +675,27 @@ def _run_image_necessity(bounds, rng, budget, col):
         for e, pm in enumerate(pms):
             if len(set(pm.table)) == pm.dom.n:
                 injective.append(e)
-            elif (witness := _merge_witness(pm, _tables(pm)[0])) is None:
+            elif (witness := _merge_witness(pm)) is None:
                 found.append(((e,), "violation", _doc(pm, check="missing-witness"), {}))
             else:
                 instance = _doc(pm, _PROBE, pm.dom.n, witness[0], check="non-decreasing-image")
-                found.append(((e,), "witness", instance, _lr(pm.cod.n, *witness[1:])))
+                found.append(((e,), "witness", instance, _lr(*witness[1:])))
         run = [pms[e] for e in injective]
-        imgs, universes = [_tables(pm)[0] for pm in run], _universes(run)
+        imgs, universes = [_image_table(pm) for pm in run], _universes(run)
         for batch in _sweep(bounds, [range(1 << pm.dom.n) for pm in run], rng, min(budget, 4), [PREFIX]):
             dom, cod = universes(batch)
             pair = _image_pair(dom, cod, batch.sizes, imgs, batch.plan.positions, batch.columns)
             for i, _, lhs, rhs in _differing(batch.lanes, pair):
                 pm = pms[e := injective[_entry(batch, i)]]
                 instance = _doc(pm, batch.plan, pm.dom.n, _case(batch.plan, batch.raw, i), check="injective-image")
-                found.append(((e, batch.index, i), "violation", instance, _lr(pm.cod.n, lhs, rhs)))
+                found.append(((e, batch.index, i), "violation", instance, _lr(lhs, rhs)))
 
 
 def _replay_image_necessity(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
     check = _field(instance, "check", choices=("missing-witness", "injective-image", "non-decreasing-image"))
     if check == "missing-witness":
-        return _merge_witness(pm, _tables(pm)[0]) is None
+        return _merge_witness(pm) is None
     return _image_commutes(pm, *_map_family(instance, pm, "dom"))
 
 
@@ -712,7 +704,7 @@ def _run_intersection_image(bounds, rng, budget, col):
     sizes = range(1, min(bounds.max_points, 3) + 1)
     for n in sizes:
         pms = list(_maps([n], sizes))
-        imgs = [_tables(pm)[0] for pm in pms]
+        imgs = [_image_table(pm) for pm in pms]
         for k in sizes:
             raw = bytes(chain.from_iterable(iproduct(range(1 << n), repeat=k)))  # every family, case-major
             columns = _columns(raw, k)
@@ -731,17 +723,16 @@ def _run_intersection_image(bounds, rng, budget, col):
                 found = []
                 for lane, _, left, right in _differing(count * len(pms), (lhs, rhs)):
                     e, f = divmod(lane, count)
-                    found.append(((e, f, 0), {}, _lr(pms[e].cod.n, left, right)))
-                pairs = [tuple(p) for p in relation]
+                    found.append(((e, f, 0), {}, _lr(left, right)))
                 for e, pm in enumerate(pms):
                     for f, fam in enumerate(fams[:2]):
-                        rep = directed_image_check(pm, pairs, [SubsetMask(n, v) for v in fam])
+                        rep = directed_image_check(pm, relation, [SubsetMask(n, v) for v in fam])
                         if not (rep.equal and rep.directed and rep.decreasing):
                             detail = {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing}
                             found.append(((e, f, 1), {"check": "report"}, detail))
                 # map by map, family by family, a family's report check after its meet
                 for (e, f, _), fields, detail in sorted(found, key=lambda item: item[0]):
-                    col.violation(_doc(pms[e], order=relation, family=[_pts(n, v) for v in fams[f]], **fields), detail)
+                    col.violation(_doc(pms[e], order=relation, family=[_pts(v) for v in fams[f]], **fields), detail)
 
 
 def _replay_intersection_image(instance, kind):
@@ -761,26 +752,21 @@ def _replay_intersection_image(instance, kind):
 
 
 def _run_intersection_image_necessity(bounds, rng, budget, col):
-    """Dropping directedness or decreasingness admits strict inclusions."""
+    """Dropping directedness or decreasingness admits strict inclusions, by the public directed_image_check."""
     sizes = range(1, min(bounds.max_points, 2) + 1)
     for pm in _maps(sizes, sizes):
         n = pm.dom.n
-        img, _ = _tables(pm)
         for k in sizes:
-            for above in _posets(k):
-                directed = _directed(above)
-                relation = _order_pairs(above)
+            for relation in map(_order_pairs, _posets(k)):
                 for fam in iproduct(range(1 << n), repeat=k):
                     col.cases += 1
-                    lhs, rhs = _meet_image(pm, img, fam)
-                    if lhs == rhs:
+                    rep = directed_image_check(pm, relation, [SubsetMask(n, v) for v in fam])
+                    if rep.equal:
                         continue
-                    decreasing = _decreasing(above, fam)
-                    col.add(
-                        "violation" if directed and decreasing else "witness",
-                        _doc(pm, order=relation, family=[_pts(n, v) for v in fam]),
-                        {**_lr(pm.cod.n, lhs, rhs), "directed": directed, "decreasing": decreasing},
-                    )
+                    kind = "violation" if rep.directed and rep.decreasing else "witness"
+                    detail = _lr(rep.intersection_image.bits, rep.image_intersection.bits)
+                    detail.update(directed=rep.directed, decreasing=rep.decreasing)
+                    col.add(kind, _doc(pm, order=relation, family=[_pts(v) for v in fam]), detail)
 
 
 def _run_reduction_dual_separation(bounds, rng, budget, col):

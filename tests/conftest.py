@@ -180,6 +180,32 @@ def opens_separate(above):
     return all(meets[y] <= near for near in meets for y in near)
 
 
+def partial_orders(k):
+    """Every partial order on 0..k-1 as its set of pairs (i, j), i != j, meaning i <= j: each antisymmetric,
+    transitive set of such pairs."""
+    pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+    for keep in iproduct((False, True), repeat=len(pairs)):
+        order = {p for p, kept in zip(pairs, keep) if kept}
+        antisymmetric = all((j, i) not in order for i, j in order)
+        if antisymmetric and all((i, l) in order for i, j in order for j2, l in order if j == j2 and i != l):
+            yield sorted(order)
+
+
+def directed_image_oracle(pm, order, family):
+    """directed_image_check point by point, for a partial order given as all its pairs (i, j), i != j:
+    (F(intersection), intersection of the F(A_i), directed, decreasing), the two sides as point sets read
+    through the map's table."""
+    sets = [set(m.points()) for m in family]
+    leq = set(order) | {(i, i) for i in range(len(sets))}
+    meet = set.intersection(*sets)
+    image_meet = {pm.table[x] for x in meet}
+    meet_images = set.intersection(*({pm.table[x] for x in s} for s in sets))
+    indices = range(len(sets))
+    directed = all(any((i, u) in leq and (j, u) in leq for u in indices) for i in indices for j in indices)
+    decreasing = all(sets[j] <= sets[i] for i, j in leq)
+    return image_meet, meet_images, directed, decreasing
+
+
 def sweep_oracle(bounds, pools, rng, budget, modes=MODES, exhaust=True):
     """The sweep assembled one (plan, pool entry) at a time: every entry lays out pool^k per k and draws
     its samples through the sampler into a stream that each plan reads its part of.  Yields

@@ -1,6 +1,7 @@
 """Point maps: images, preimage algebras, diagonals, directed image exchange."""
 
 from dataclasses import dataclass
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import assume, given
@@ -21,7 +22,7 @@ from redsep import (
 )
 from redsep import maps
 
-from conftest import mask, masks, sclass, spaces, tables
+from conftest import directed_image_oracle, mask, masks, partial_orders, sclass, spaces, tables
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,29 @@ def test_order_relation_is_closed_transitively_and_rejects_cycles():
         directed_image_check(pm, [], [])
     with pytest.raises(InputError):
         directed_image_check(pm, [], [mask(2, [0])])
+
+
+def test_the_directed_image_report_matches_the_pointwise_oracle_on_every_small_case():
+    assert [len(list(partial_orders(k))) for k in range(1, 5)] == [1, 3, 19, 219]  # labeled posets, OEIS A001035
+    cases = 0
+    for n in range(1, 4):
+        for m in range(1, 4):
+            for table in iproduct(range(m), repeat=n):
+                pm = table_map(n, m, table)
+                for k in (1, 2):
+                    orders = list(partial_orders(k))
+                    for family in iproduct([SubsetMask(n, b) for b in range(1 << n)], repeat=k):
+                        for order in orders:
+                            rep = directed_image_check(pm, order, family)
+                            image_meet, meet_images, directed, decreasing = directed_image_oracle(pm, order, family)
+                            assert set(rep.intersection_image.points()) == image_meet
+                            assert set(rep.image_intersection.points()) == meet_images
+                            assert (rep.directed, rep.decreasing) == (directed, decreasing)
+                            assert rep.equal == (image_meet == meet_images)
+                            missing = meet_images - image_meet
+                            assert (rep.missing and set(rep.missing.points())) == (missing or None)
+                            cases += 1
+    assert cases == 8012
 
 
 @given(tables, st.data())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from redsep import (
     PREFIX,
+    RANGE,
     FinSpace,
     IndexedFamily,
     InputError,
@@ -181,6 +182,18 @@ def test_family_documents_round_trip_in_both_modes():
     back = serialize.family_from_doc(doc)
     assert back.assignments == range_family.assignments
     assert back.default == range_family.default
+
+
+def test_the_family_writer_spells_keys_and_points_as_instance_documents_do():
+    prefix = {(): 0b111, (0,): 0b001, (1, 0): 0b110, (0, 10): 0}
+    ranged = {0: 0b10, 3: 0b11, 12: 0b01}
+    for mode, assignments in ((PREFIX, prefix), (RANGE, ranged)):
+        n = 3 if mode == PREFIX else 2
+        doc = serialize.family_to_doc(n, mode, assignments.items())
+        family = IndexedFamily(n, mode, {idx: SubsetMask(n, bits) for idx, bits in assignments.items()})
+        assert canonical_json(doc) == canonical_json(family_doc(family))
+        back = serialize.family_from_doc(json.loads(canonical_json(doc)))
+        assert back.assignments == family.assignments and back.default is None
 
 
 def test_space_documents_regenerate_the_same_topology():

@@ -354,13 +354,12 @@ def test_a_broken_kernel_pins_every_sampled_assignment(monkeypatch):
 def test_a_broken_image_table_pins_every_intersection_image_violation(monkeypatch):
     # the image of each one-point set gains point 0: F(meet) and the meet of the images then differ on
     # families whose meet is one point; the documents pin the (map, family) order of the report
-    honest = suites._tables
+    honest = suites._image_table
 
-    def tables(pm):
-        img, pre = honest(pm)
-        return bytes(v | 1 if b >> pm.dom.n == 0 and b.bit_count() == 1 else v for b, v in enumerate(img)), pre
+    def image_table(pm):
+        return bytes(v | 1 if b >> pm.dom.n == 0 and b.bit_count() == 1 else v for b, v in enumerate(honest(pm)))
 
-    monkeypatch.setattr(suites, "_tables", tables)
+    monkeypatch.setattr(suites, "_image_table", image_table)
     res = run_suite("intersection-image", keep=10**6)
     assert (res.cases, res.violation_count, len(res.violations)) == (32540, 4133, 4133)
     assert _sha(res.violations) == "31da785425817be9913b59ace5e508e7c3e214599dd52d02a9859493616efd3c"
@@ -393,6 +392,38 @@ def test_witness_documents_are_pinned(name):
     res = run_suite(name, seed=0)
     assert res.passed and res.violation_count == 0
     assert (res.cases, res.witness_count, _sha(res.witnesses)) == WITNESS_FINDINGS[name]
+
+
+# Every intersection-image-necessity document at default bounds and seed 0, honest and under two image faults:
+# (cases, violations, witnesses, violation digest, witness digest).  The faults reach the suite only through
+# PointMap.image_bits, so the documents pin the suite's reading of the image sides, whichever code computes them.
+_NO_VIOLATIONS = "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"
+NECESSITY_FINDINGS = {
+    "honest": (302, 0, 18, _NO_VIOLATIONS, "942f9c7ef548de387ba0431ff903f7fa63bc6d0e77961020df80734423ef4022"),
+    "nonempty-images-gain-0": (
+        302, 0, 30, _NO_VIOLATIONS, "44601cec92edf176d4a9384f7650b3d7b58de6df84a7eedea89fe1e46241e0d2"
+    ),
+    "one-point-images-gain-0": (
+        302, 4, 38,
+        "053dc62da81bcf9af3249b474536a98eca92bb0224269c2d978e542ffa746a56",
+        "e95db7414bc48b73719f5b7c6d11b69c6fae7134611c28e25a084fe7bf5a9c67",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(NECESSITY_FINDINGS))
+def test_intersection_image_necessity_documents_are_pinned(fault, monkeypatch):
+    honest = PointMap.image_bits
+    if fault == "nonempty-images-gain-0":
+        monkeypatch.setattr(PointMap, "image_bits", lambda pm, bits: honest(pm, bits) | (bits != 0))
+    elif fault == "one-point-images-gain-0":
+        monkeypatch.setattr(PointMap, "image_bits", lambda pm, bits: honest(pm, bits) | (bits.bit_count() == 1))
+    res = run_suite("intersection-image-necessity", keep=10**6)
+    found = (res.cases, res.violation_count, res.witness_count, _sha(res.violations), _sha(res.witnesses))
+    assert found == NECESSITY_FINDINGS[fault]
+    assert (len(res.violations), len(res.witnesses)) == found[1:3]
+    # the replay reads the same image sides, so under the same fault every document still triggers
+    assert all(replay_finding(json.loads(canonical_json(doc))) for doc in res.violations + res.witnesses)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 64, 1000])
