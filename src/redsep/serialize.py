@@ -122,6 +122,12 @@ def mask_from_doc(n, val, path):
     return SubsetMask.from_points(n, val)
 
 
+def masks_from_doc(n, val, path):
+    if not isinstance(val, list):
+        raise InputError(f"{path} must be an array of point arrays")
+    return [mask_from_doc(n, v, f"{path}[{i}]") for i, v in enumerate(val)]
+
+
 def space_to_doc(space):
     return {"n": space.n, "subbasis": [points_doc(o) for o in space.opens]}
 
@@ -129,10 +135,7 @@ def space_to_doc(space):
 def space_from_doc(doc, path="space", max_points=DEFAULT_MAX_POINTS):
     n = _int_field(doc, "n", path)
     sub = _field(doc, "subbasis", path, optional=True, default=[])
-    if not isinstance(sub, list):
-        raise InputError(f"{path}.subbasis must be an array of point arrays")
-    masks = [mask_from_doc(n, s, f"{path}.subbasis[{i}]") for i, s in enumerate(sub)]
-    return generate_topology(n, masks, max_points=max_points)
+    return generate_topology(n, masks_from_doc(n, sub, f"{path}.subbasis"), max_points=max_points)
 
 
 def base_to_doc(base):
@@ -252,11 +255,7 @@ def map_from_doc(doc, path="map", max_points=DEFAULT_MAX_POINTS):
 
 def class_from_doc(doc, path="class"):
     n = _int_field(doc, "universe", path, maximum=POINT_CEILING)
-    members = _field(doc, "members", path)
-    if not isinstance(members, list):
-        raise InputError(f"{path}.members must be an array of point arrays")
-    masks = [mask_from_doc(n, m, f"{path}.members[{i}]") for i, m in enumerate(members)]
-    return SetClass(n, masks)
+    return SetClass(n, masks_from_doc(n, _field(doc, "members", path), f"{path}.members"))
 
 
 def relation_from_doc(val, path="order"):

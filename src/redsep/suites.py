@@ -371,10 +371,7 @@ def _mask(instance, name, n):
 
 
 def _masks(instance, name, n):
-    vals = _field(instance, name)
-    if not isinstance(vals, list):
-        raise InputError(f"instance.{name} must be an array of point arrays")
-    return [serialize.mask_from_doc(n, v, f"instance.{name}[{i}]") for i, v in enumerate(vals)]
+    return serialize.masks_from_doc(n, _field(instance, name), f"instance.{name}")
 
 
 def _map_family(instance, pm, side):
@@ -720,19 +717,9 @@ def _run_intersection_image(bounds, rng, budget, col):
                 dec = _columns(b"".join(fams) * len(pms), k)  # lane e * count + f: family f under map e
                 lhs = map_runs(reduce(and_, dec), runs, imgs)
                 rhs = reduce(and_, (map_runs(v, runs, imgs) for v in dec))
-                found = []
                 for lane, _, left, right in _differing(count * len(pms), (lhs, rhs)):
                     e, f = divmod(lane, count)
-                    found.append(((e, f, 0), {}, _lr(left, right)))
-                for e, pm in enumerate(pms):
-                    for f, fam in enumerate(fams[:2]):
-                        rep = directed_image_check(pm, relation, [SubsetMask(n, v) for v in fam])
-                        if not (rep.equal and rep.directed and rep.decreasing):
-                            detail = {"equal": rep.equal, "directed": rep.directed, "decreasing": rep.decreasing}
-                            found.append(((e, f, 1), {"check": "report"}, detail))
-                # map by map, family by family, a family's report check after its meet
-                for (e, f, _), fields, detail in sorted(found, key=lambda item: item[0]):
-                    col.violation(_doc(pms[e], order=relation, family=[_pts(v) for v in fams[f]], **fields), detail)
+                    col.violation(_doc(pms[e], order=relation, family=[_pts(v) for v in fams[f]]), _lr(left, right))
 
 
 def _replay_intersection_image(instance, kind):
@@ -746,8 +733,6 @@ def _replay_intersection_image(instance, kind):
     rep = directed_image_check(pm, order, family)
     if kind == "witness":
         return not rep.equal
-    if _field(instance, "check", choices=(None, "report")) == "report":
-        return not (rep.equal and rep.directed and rep.decreasing)
     return rep.directed and rep.decreasing and not rep.equal
 
 
@@ -978,4 +963,5 @@ def replay_finding(doc):
     instance = doc.get("instance")
     if not isinstance(instance, dict):
         raise InputError("finding document is missing its instance")
-    return bool(_SUITES[suite].replay(instance, doc.get("kind", "violation")))
+    kind = serialize._field(doc, "kind", "", optional=True, default="violation", choices=("violation", "witness"))
+    return bool(_SUITES[suite].replay(instance, kind))

@@ -323,6 +323,15 @@ def test_replay_rejects_a_tampered_finding(tmp_path):
     assert code == 1 and report["retriggered"] == report["replayed"] - 1
 
 
+@pytest.mark.parametrize("kind", ["bogus", None, 3])
+def test_replay_of_an_unknown_kind_exits_2(tmp_path, capsys, kind):
+    doc = json.loads((CORPUS / "intersection-image-necessity-d51ac2a0635a.json").read_text())
+    path = write_instance(tmp_path, {**doc, "kind": kind})
+    code, out = run_cli(["replay", path])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: kind must be one of violation, witness, got {kind!r}\n"
+
+
 def test_replay_of_a_family_with_a_default_is_a_verdict_not_an_input_error(tmp_path, capsys):
     # symbol 1 takes the default: the pulled-back family must take its preimage, not lose it
     pm = PointMap(FinSpace.discrete(2), FinSpace.discrete(2), [1, 0])
@@ -679,7 +688,7 @@ def _finding_seeds():
     inline = {
         "diagonal-absorption": {"maps": [merge, identity], "factor": "left", "member": [0, 1]},
         "zero-witness-certificate": {"space": square, "zeros": [[0], [1]]},
-        "intersection-image": {"map": merge, "order": [[0, 1]], "family": [[0, 1], [0]], "check": "report"},
+        "intersection-image": {"map": merge, "order": [[0, 1]], "family": [[0, 1], [0]]},
         "transfer-identity": {"space": square, "base": UNION2, "mode": "range", "which": "separation"},
     }
     docs += [{"suite": name, "kind": "violation", "instance": doc, "detail": {}} for name, doc in inline.items()]

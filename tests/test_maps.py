@@ -258,6 +258,32 @@ def test_the_directed_image_report_matches_the_pointwise_oracle_on_every_small_c
     assert cases == 8012
 
 
+def test_the_directed_image_report_holds_on_every_case_intersection_image_sweeps():
+    # every table map between discrete spaces of 1-3 points, k = 1-3: the oracle picks the directed
+    # decreasing (order, family) pairs once per domain, and the report must agree with it under every map
+    cases = 0
+    for n in range(1, 4):
+        identity = PointMap.identity(FinSpace.discrete(n))
+        for k in range(1, 4):
+            kept = [
+                (order, family)
+                for order in partial_orders(k)
+                for family in iproduct([SubsetMask(n, b) for b in range(1 << n)], repeat=k)
+                if directed_image_oracle(identity, order, family)[2:] == (True, True)
+            ]
+            for m in range(1, 4):
+                for table in iproduct(range(m), repeat=n):
+                    pm = table_map(n, m, table)
+                    for order, family in kept:
+                        rep = directed_image_check(pm, order, family)
+                        image_meet, meet_images, _, _ = directed_image_oracle(pm, order, family)
+                        assert rep.equal and rep.directed and rep.decreasing
+                        assert set(rep.intersection_image.points()) == image_meet
+                        assert set(rep.image_intersection.points()) == meet_images
+                        cases += 1
+    assert cases == 32540  # intersection-image's default case count
+
+
 @given(tables, st.data())
 def test_intersection_image_never_exceeds_the_image_intersection(nmt, data):
     n, m, table = nmt

@@ -198,6 +198,16 @@ def test_replay_rejects_malformed_documents():
         replay_finding({"suite": ["distributivity"], "instance": {}})
 
 
+@pytest.mark.parametrize("kind", ["bogus", None, 3, ["violation"]])
+def test_replay_refuses_a_kind_other_than_violation_or_witness(kind):
+    doc = json.loads((CORPUS / "intersection-image-necessity-d51ac2a0635a.json").read_text())
+    assert replay_finding(doc) and replay_finding({**doc, "kind": "violation"}) is False
+    del doc["kind"]
+    assert replay_finding(doc) is False  # a missing kind means violation
+    with pytest.raises(InputError, match=r"^kind must be one of violation, witness, got "):
+        replay_finding({**doc, "kind": kind})
+
+
 def test_shipped_corpus_findings_still_trigger():
     files = sorted(CORPUS.glob("*.json"))
     assert len(files) >= 4
@@ -365,18 +375,6 @@ def test_a_broken_image_table_pins_every_intersection_image_violation(monkeypatc
     assert _sha(res.violations) == "31da785425817be9913b59ace5e508e7c3e214599dd52d02a9859493616efd3c"
     # the replay checks the public report, which the broken table does not reach
     assert not any(replay_finding(json.loads(canonical_json(doc))) for doc in res.violations[:64])
-    # a report that also fails for maps sending point 0 to 0 interleaves its findings: each family's report
-    # check (run on the first two families of each map) comes after its meet
-    honest_report = suites.directed_image_check
-
-    def report(pm, relation, family):
-        rep = honest_report(pm, relation, family)
-        return rep._replace(equal=rep.equal and pm.table[0] != 0)
-
-    monkeypatch.setattr(suites, "directed_image_check", report)
-    res = run_suite("intersection-image", keep=10**6)
-    assert (res.violation_count, sum(doc["instance"].get("check") == "report" for doc in res.violations)) == (4685, 552)
-    assert _sha(res.violations) == "06d063be75a079d0eadc97f80d3b601b52296593771ace950b918bc23beae225"
 
 
 # The expected counterexamples at default bounds and seed 0.
