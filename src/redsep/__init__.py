@@ -15,14 +15,12 @@ from .classes import (
     REDUCTION,
     SEPARATION,
     CheckResult,
-    Ladder,
     LadderLevel,
     SetClass,
     borel_ladder,
     check_reduction,
     check_separation,
     complement_class,
-    delta_class,
     generate_class,
     reduction_to_separation,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "HypothesisReport",
     "IndexedFamily",
     "InputError",
-    "Ladder",
     "LadderLevel",
     "MODES",
     "ModeError",
@@ -133,7 +130,6 @@ __all__ = [
     "complement_class",
     "components",
     "decreasing_replacement",
-    "delta_class",
     "diagonal_product",
     "directed_image_check",
     "dual_eval",

@@ -26,7 +26,6 @@ from .hausdorff import compiled_plan, eval_lanes, _check_mode
 from .masks import SubsetMask, lanes_of, points_of, replicate, sort_key, unions
 
 DEFAULT_ASSIGNMENT_CAP = 1 << 18
-MAX_LADDER_DEPTH = 64
 # the checkers scan |C|^2 pairs with up to |C| candidates each
 MAX_CLASS_MEMBERS = 256
 
@@ -92,12 +91,6 @@ def complement_class(sc):
     """The class of complements of members."""
     full = (1 << sc.n) - 1
     return SetClass.from_bits(sc.n, (full ^ b for b in sc.member_bits()))
-
-
-def delta_class(sc):
-    """Members whose complement is also a member."""
-    full = (1 << sc.n) - 1
-    return SetClass.from_bits(sc.n, (b for b in sc.member_bits() if full ^ b in sc.member_bits()))
 
 
 def generate_class(base, generators, mode, dual=False):
@@ -256,31 +249,27 @@ def reduction_to_separation(sc, a, b):
     return SubsetMask(sc.n, found[1])
 
 
-LadderLevel = namedtuple("LadderLevel", "sigma pi delta")
-Ladder = namedtuple("Ladder", "levels stabilized")
+LadderLevel = namedtuple("LadderLevel", "sigma pi")
 
 
-def borel_ladder(generators, depth):
-    """Alternate union closures and complements, accumulating the dual levels.
+def borel_ladder(generators):
+    """The levels LadderLevel(sigma, pi) of alternating union closures and
+    complements, up to the first that repeats the one before it.
 
-    Level 1 takes all unions of generators; each later sigma level takes all
-    unions over every earlier pi level.  Stops early (stabilized=True) when a
-    level repeats; on finite universes the limit is the Boolean algebra the
-    generators generate.
+    Sigma level 1 takes the unions of nonempty subfamilies of the generators,
+    each later one those of every earlier pi level.  The loop ends by level 5:
+    sigma levels 1 and 2 hold the generators and their complements, so pi
+    level 3, which holds every intersection of members of those two levels,
+    holds every atom of the Boolean algebra the generators generate, and sigma
+    level 4 is that algebra.  No generators give one empty level.
     """
     if not isinstance(generators, SetClass):
         raise InputError("generators must be a SetClass")
-    if not isinstance(depth, int) or depth < 1:
-        raise InputError(f"depth must be a positive int, got {depth!r}")
-    if depth > MAX_LADDER_DEPTH:
-        raise ResourceError(f"depth {depth} exceeds the cap {MAX_LADDER_DEPTH}")
     levels, source, pool = [], generators.member_bits(), set()
-    for _ in range(depth):
-        # the unions of nonempty subfamilies: the empty union only if a source set is empty
+    while True:
         sigma = SetClass.from_bits(generators.n, unions(source) - ({0} - source))
         if levels and sigma == levels[-1].sigma:  # then its complements repeat too
-            return Ladder(tuple(levels), True)
+            return tuple(levels)
         pi = complement_class(sigma)
-        levels.append(LadderLevel(sigma, pi, delta_class(sigma)))
+        levels.append(LadderLevel(sigma, pi))
         source = pool = pool | pi.member_bits()
-    return Ladder(tuple(levels), False)

@@ -41,7 +41,6 @@ from .classes import (
     _pairs,
     check,
     check_reduction,
-    check_separation,
     complement_class,
     reduction_to_separation,
     separates,
@@ -266,9 +265,9 @@ def _sweep(bounds, pools, rng, budget, modes=MODES, exhaust=True):
         layout = layouts[pool]
         drawn = _sample(pool, sum(layout.counts), rng)
         lanes.append(layout.lanes)
-        parts.append(map(bytes.__add__, layout.fixed, map(drawn.__getitem__, layout.cuts)))
+        parts.append(zip(layout.fixed, map(drawn.__getitem__, layout.cuts)))
     for index, (plan, k, sizes, row) in enumerate(zip(plans, ks, zip(*lanes), zip(*parts))):
-        raw = b"".join(row)
+        raw = b"".join(chain.from_iterable(row))
         yield _Batch(index, plan, list(sizes), sum(sizes), raw, _columns(raw, k))
 
 
@@ -691,9 +690,12 @@ def _run_image_necessity(bounds, rng, budget, col):
 def _replay_image_necessity(instance, kind):
     pm = _field(instance, "map", serialize.map_from_doc)
     check = _field(instance, "check", choices=("missing-witness", "injective-image", "non-decreasing-image"))
-    if check == "missing-witness":
-        return _merge_witness(pm) is None
-    return _image_commutes(pm, *_map_family(instance, pm, "dom"))
+    merges = len(set(pm.table)) < pm.dom.n
+    if check == "missing-witness":  # only a map that merges two points owes a witness
+        return kind == "violation" and merges and _merge_witness(pm) is None
+    # a witness breaks the law on a map that merges points, a violation (injective-image) on an injective map
+    broken = _image_commutes(pm, *_map_family(instance, pm, "dom"))
+    return broken and (kind, merges) == (("witness", True) if check == "non-decreasing-image" else ("violation", False))
 
 
 def _run_intersection_image(bounds, rng, budget, col):
@@ -762,13 +764,6 @@ def _run_reduction_dual_separation(bounds, rng, budget, col):
         if not check_reduction(opens).holds:
             continue
         closeds = complement_class(opens)
-        sep = check_separation(closeds)
-        if not sep.holds:
-            col.violation(
-                _doc(space, check="separation-verdict"),
-                {"failing_pair": [serialize.points_doc(s) for s in sep.failing_pair]},
-            )
-            continue
         member = dict(zip(closeds._order, closeds.members))
         for a, b in _pairs(closeds, SEPARATION):
             try:
@@ -785,16 +780,14 @@ def _run_reduction_dual_separation(bounds, rng, budget, col):
 
 def _replay_reduction_dual_separation(instance, kind):
     space = _field(instance, "space", serialize.space_from_doc)
-    check = _field(instance, "check", choices=("separation-verdict", "constructed-witness"))
+    _field(instance, "check", choices=("constructed-witness",))
+    pair = _masks(instance, "pair", space.n)
+    if len(pair) != 2:
+        raise InputError("instance.pair must hold two point arrays")
     opens = open_sets(space)
     if not check_reduction(opens).holds:
         return False
     closeds = complement_class(opens)
-    if check == "separation-verdict":
-        return not check_separation(closeds).holds
-    pair = _masks(instance, "pair", space.n)
-    if len(pair) != 2:
-        raise InputError("instance.pair must hold two point arrays")
     try:
         separator = reduction_to_separation(opens, *pair)
     except PreconditionError:

@@ -30,7 +30,6 @@ from redsep import (
     check_separation,
     closed_sets,
     complement_class,
-    delta_class,
     dual_evaluate,
     evaluate,
     generate_class,
@@ -83,12 +82,6 @@ def test_from_bits_equals_the_class_of_wrapped_masks():
 def test_complement_class_is_an_involution(sc):
     assert complement_class(complement_class(sc)) == sc
     assert {m.complement() for m in sc} == set(complement_class(sc))
-
-
-@given(set_classes(3))
-def test_delta_class_is_the_self_dual_part(sc):
-    assert set(delta_class(sc)) == {m for m in sc if m.complement() in sc}
-    assert delta_class(sc) == delta_class(complement_class(sc))
 
 
 @given(set_classes(3), st.integers(0, 7))
@@ -471,31 +464,28 @@ def test_separation_preconditions_are_reported(sierpinski):
 
 
 def test_frozen_ladder_over_the_empty_set_generator():
-    ladder = borel_ladder(sclass(2, [[]]), 8)
-    assert ladder.stabilized and len(ladder.levels) == 3
-    sigmas = [set(level.sigma) for level in ladder.levels]
+    ladder = borel_ladder(sclass(2, [[]]))
+    assert len(ladder) == 3
+    sigmas = [set(level.sigma) for level in ladder]
     assert sigmas == [{mask(2, [])}, {mask(2, [0, 1])}, {mask(2, []), mask(2, [0, 1])}]
-    assert ladder.levels[-1].delta == ladder.levels[-1].sigma
 
 
 def test_ladder_over_closed_sets_reaches_the_full_power_set(sierpinski):
-    ladder = borel_ladder(closed_sets(sierpinski), 8)
-    assert ladder.stabilized and len(ladder.levels) == 3
-    assert {m.points() for m in ladder.levels[0].sigma} == {(), (0,), (0, 1)}
-    assert ladder.levels[-1].sigma == power_set(2)
+    ladder = borel_ladder(closed_sets(sierpinski))
+    assert len(ladder) == 3
+    assert {m.points() for m in ladder[0].sigma} == {(), (0,), (0, 1)}
+    assert ladder[-1].sigma == power_set(2)
 
 
 @given(set_classes(3))
 def test_ladder_levels_are_dual_pairs_and_eventually_monotone(gens):
-    ladder = borel_ladder(gens, 16)
-    assert ladder.stabilized
-    for level in ladder.levels:
+    ladder = borel_ladder(gens)
+    for level in ladder:
         assert level.pi == complement_class(level.sigma)
-        assert set(level.delta) == set(level.sigma) & set(level.pi)
-    for lo, hi in zip(ladder.levels[1:], ladder.levels[2:]):
+    for lo, hi in zip(ladder[1:], ladder[2:]):
         assert lo.sigma.member_bits() <= hi.sigma.member_bits()
-    final = ladder.levels[-1].sigma
-    assert final == ladder.levels[-1].pi
+    final = ladder[-1].sigma
+    assert final == ladder[-1].pi
     members = set(final)
     for x in members:
         for y in members:
@@ -516,22 +506,57 @@ def _union_closure(bits):
 def test_ladder_sigma_levels_are_union_closures(gens):
     # level 1 closes the generators, each later level every earlier pi level,
     # until the next level would repeat the last
-    ladder = borel_ladder(gens, 16)
+    ladder = borel_ladder(gens)
     source, pool = gens.member_bits(), set()
-    for level in ladder.levels:
+    for level in ladder:
         assert level.sigma.member_bits() == _union_closure(source)
         source = pool = pool | level.pi.member_bits()
-    assert ladder.stabilized and _union_closure(source) == ladder.levels[-1].sigma.member_bits()
+    assert _union_closure(source) == ladder[-1].sigma.member_bits()
+
+
+def _generated_algebra(sc):
+    """Every union of the blocks of points that the same members hold, the empty union included."""
+    blocks = {}
+    for x in range(sc.n):
+        held = frozenset(b for b in sc.member_bits() if b >> x & 1)
+        blocks[held] = blocks.get(held, 0) | 1 << x
+    algebra = {0}
+    for block in blocks.values():
+        algebra |= {u | block for u in algebra}
+    return algebra
+
+
+def _every_ladder_input():
+    """Every class over at most 3 points, and the opens and closeds of every space of at most 4 points."""
+    for n in range(4):
+        for chosen in range(1 << (1 << n)):
+            yield "class", SetClass.from_bits(n, (b for b in range(1 << n) if chosen >> b & 1))
+    for n in range(5):
+        for space in all_topologies(n):
+            yield "space", open_sets(space)
+            yield "space", closed_sets(space)
+
+
+def test_every_small_ladder_ends_in_the_generated_algebra_within_four_levels():
+    lengths = {"class": set(), "space": set()}
+    inputs = 0
+    for source, gens in _every_ladder_input():
+        inputs += 1
+        ladder = borel_ladder(gens)
+        lengths[source].add(len(ladder))
+        for level in ladder:
+            assert level.pi == complement_class(level.sigma)
+        if len(gens):
+            assert ladder[-1].sigma.member_bits() == _generated_algebra(gens)
+        else:
+            assert ladder == (classes.LadderLevel(gens, gens),)
+    assert inputs == 278 + 2 * 390
+    assert max(lengths["class"]) == 4 and lengths["space"] == {1, 3, 4}
 
 
 def test_ladder_validation():
-    gens = sclass(2, [[0]])
     with pytest.raises(InputError):
-        borel_ladder([mask(2, [0])], 2)
-    with pytest.raises(InputError):
-        borel_ladder(gens, 0)
-    with pytest.raises(ResourceError):
-        borel_ladder(gens, 65)
+        borel_ladder([mask(2, [0])])
 
 
 def test_generated_opens_from_subbasis_form_a_reducing_class():

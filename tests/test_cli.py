@@ -332,6 +332,24 @@ def test_replay_of_an_unknown_kind_exits_2(tmp_path, capsys, kind):
     assert capsys.readouterr().err == f"error: kind must be one of violation, witness, got {kind!r}\n"
 
 
+def test_replay_of_an_image_necessity_finding_of_the_wrong_kind_or_map_exits_1(tmp_path):
+    witness = json.loads((CORPUS / "image-necessity-f638e7342c50.json").read_text())
+    identity = serialize.map_to_doc(PointMap.identity(FinSpace.discrete(2)))
+    missing = {"suite": "image-necessity", "kind": "violation", "instance": {"map": identity, "check": "missing-witness"}}
+    for name, doc in (("relabelled.json", {**witness, "kind": "violation"}), ("identity.json", missing)):
+        code, out = run_cli(["replay", write_instance(tmp_path, doc, name)])
+        assert code == 1 and json.loads(out)["retriggered"] == 0
+
+
+def test_replay_of_a_separation_verdict_finding_exits_2(tmp_path, capsys):
+    instance = {"space": serialize.space_to_doc(FinSpace.discrete(2)), "check": "separation-verdict"}
+    code, out = run_cli(["replay", write_instance(tmp_path, {"suite": "reduction-dual-separation", "instance": instance})])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: instance.check must be one of constructed-witness, got 'separation-verdict'\n"
+    )
+
+
 def test_replay_of_a_family_with_a_default_is_a_verdict_not_an_input_error(tmp_path, capsys):
     # symbol 1 takes the default: the pulled-back family must take its preimage, not lose it
     pm = PointMap(FinSpace.discrete(2), FinSpace.discrete(2), [1, 0])

@@ -32,6 +32,7 @@ from redsep import (
     canonical_base,
     canonical_json,
     check_reduction,
+    generate_topology,
     replay_finding,
     run_suite,
     suite_defaults,
@@ -206,6 +207,45 @@ def test_replay_refuses_a_kind_other_than_violation_or_witness(kind):
     assert replay_finding(doc) is False  # a missing kind means violation
     with pytest.raises(InputError, match=r"^kind must be one of violation, witness, got "):
         replay_finding({**doc, "kind": kind})
+
+
+def test_image_necessity_replay_reads_the_kind_and_the_map(monkeypatch):
+    # the shipped witness, relabelled a violation or renamed to a violation's check, no longer triggers
+    doc = json.loads((CORPUS / "image-necessity-f638e7342c50.json").read_text())
+    assert doc["kind"] == "witness" and doc["instance"]["check"] == "non-decreasing-image"
+    assert replay_finding(doc) and replay_finding({**doc, "kind": "violation"}) is False
+    for check in ("missing-witness", "injective-image"):
+        instance = {**doc["instance"], "check": check}
+        assert replay_finding({**doc, "instance": instance}) is False
+        # as violations: the map merges two points, which gives it a witness and takes it out of the injective law
+        assert replay_finding({**doc, "kind": "violation", "instance": instance}) is False
+    # a missing witness retriggers only on a map that merges two points
+    merge = PointMap(FinSpace.discrete(2), FinSpace.discrete(1), [0, 0])
+    missing = {"suite": "image-necessity", "kind": "violation", "instance": {"check": "missing-witness"}}
+    for pm in (PointMap.identity(FinSpace.discrete(2)), merge):
+        missing["instance"]["map"] = serialize.map_to_doc(pm)
+        assert replay_finding(missing) is False
+    monkeypatch.setattr(suites, "_merge_witness", lambda pm: None)
+    assert replay_finding(missing) is True
+    missing["instance"]["map"] = serialize.map_to_doc(PointMap.identity(FinSpace.discrete(2)))
+    assert replay_finding(missing) is False
+
+
+def test_a_separation_verdict_finding_is_refused():
+    instance = {"space": serialize.space_to_doc(FinSpace.discrete(2)), "check": "separation-verdict"}
+    with pytest.raises(InputError, match="^instance.check must be one of constructed-witness, got 'separation-verdict'$"):
+        replay_finding({"suite": "reduction-dual-separation", "instance": instance})
+
+
+def test_a_malformed_separation_pair_is_refused_on_any_space():
+    # the opens of this space do not reduce, so the pair is never used, but it is still read
+    space = generate_topology(3, [mask(3, [1]), mask(3, [0, 1]), mask(3, [1, 2])])
+    assert not check_reduction(SetClass.from_bits(3, space.open_bits())).holds
+    space = serialize.space_to_doc(space)
+    for pair, message in (("x", "instance.pair"), ([[0]], "^instance.pair must hold two point arrays$")):
+        instance = {"space": space, "check": "constructed-witness", "pair": pair}
+        with pytest.raises(InputError, match=message):
+            replay_finding({"suite": "reduction-dual-separation", "instance": instance})
 
 
 def test_shipped_corpus_findings_still_trigger():
