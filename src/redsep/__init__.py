@@ -33,7 +33,6 @@ from .hausdorff import (
     IndexedFamily,
     canonical_base,
     decreasing_replacement,
-    dual_eval,
     dual_evaluate,
     evaluate,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "decreasing_replacement",
     "diagonal_product",
     "directed_image_check",
-    "dual_eval",
     "dual_evaluate",
     "evaluate",
     "generate_class",

@@ -48,15 +48,8 @@ def _load_instance(path):
     return doc
 
 
-def _point_cap(args):
-    """--max-points as a keyword argument, when it is given."""
-    return {} if args.max_points is None else {"max_points": args.max_points}
-
-
-def _space_from_instance(doc, args, name="space"):
-    return serialize.space_from_doc(
-        serialize._field(doc, name, "instance"), f"instance.{name}", **_point_cap(args)
-    )
+def _space_from_instance(doc):
+    return serialize.space_from_doc(serialize._field(doc, "space", "instance"), "instance.space")
 
 
 def _derived_class(space, which, path):
@@ -69,11 +62,11 @@ def _derived_class(space, which, path):
     raise InputError(f"{path} must be 'opens', 'closeds', or 'zeros', not {which!r}")
 
 
-def _class_from_instance(doc, args):
+def _class_from_instance(doc):
     if "class" in doc:
         return serialize.class_from_doc(doc["class"], "instance.class")
     if "space" in doc:
-        space = _space_from_instance(doc, args)
+        space = _space_from_instance(doc)
         return _derived_class(space, doc.get("class_from", "opens"), "instance.class_from")
     raise InputError("instance needs a 'class' or a 'space' (with optional 'class_from')")
 
@@ -147,7 +140,7 @@ def _cmd_generate(args):
 
 
 def _cmd_check(args):
-    sc = _class_from_instance(_load_instance(args.instance), args)
+    sc = _class_from_instance(_load_instance(args.instance))
     which = args.command.removeprefix("check-")
     record = {}
     res = check(sc, which, record)
@@ -172,7 +165,7 @@ def _cmd_check(args):
     return report, 0 if res.holds else 1
 
 
-def _generators_from(doc, key, space, args):
+def _generators_from(doc, key, space):
     val = serialize._field(doc, key, "instance")
     if isinstance(val, str):
         return _derived_class(space, val, f"instance.{key}")
@@ -181,14 +174,12 @@ def _generators_from(doc, key, space, args):
 
 def _cmd_transfer(args):
     doc = _load_instance(args.instance)
-    pm = serialize.map_from_doc(
-        serialize._field(doc, "map", "instance"), "instance.map", **_point_cap(args)
-    )
+    pm = serialize.map_from_doc(serialize._field(doc, "map", "instance"), "instance.map")
     base = _base(doc)
     mode = _mode_for(doc, base.mode_hint)
     which = serialize._field(doc, "which", "instance", choices=tuple(WITNESS_FIELDS))
-    gens_dom = _generators_from(doc, "dom_generators", pm.dom, args)
-    gens_cod = _generators_from(doc, "cod_generators", pm.cod, args)
+    gens_dom = _generators_from(doc, "dom_generators", pm.dom)
+    gens_cod = _generators_from(doc, "cod_generators", pm.cod)
     rep = transfer_property(pm, base, gens_dom, gens_cod, mode, which)
     fields, points = WITNESS_FIELDS[which], cache(points_of)
     traces = [
@@ -224,7 +215,7 @@ def _cmd_transfer(args):
 
 def _cmd_zero_gap(args):
     doc = _load_instance(args.instance)
-    space = _space_from_instance(doc, args)
+    space = _space_from_instance(doc)
     carrier_doc = doc.get("carrier")
     if carrier_doc is None:
         carrier_doc = list(range(space.n))
@@ -251,9 +242,9 @@ def _cmd_space(args):
             serialize.space_from_doc(d, f"instance.product[{i}]")
             for i, d in enumerate(factors_doc)
         ]
-        space, _codec = product(factors, **_point_cap(args))
+        space, _codec = product(factors)
     else:
-        space = _space_from_instance(doc, args)
+        space = _space_from_instance(doc)
     opens = open_sets(space)
     comps = components(space)
     zeros = zero_sets(space)
@@ -336,7 +327,6 @@ def _cmd_fuzz(args):
             "max_points": bounds.max_points,
             "alphabet": bounds.alphabet,
             "depth": bounds.depth,
-            "cap": bounds.cap,
         },
         "budget": budget,
         "cases": res.cases,
@@ -367,9 +357,6 @@ def _render_text(report):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed echoed into the report")
-    common.add_argument(
-        "--max-points", type=int, default=None, help="override the point-count cap"
-    )
     common.add_argument(
         "--format", choices=("json", "text"), default="json", help="report rendering"
     )
@@ -409,6 +396,7 @@ def build_parser():
         "fuzz", parents=[common], help="run a property suite and persist its findings"
     )
     fuzz.add_argument("suite", help="suite name (an unknown name lists the known ones)")
+    fuzz.add_argument("--max-points", type=int, default=None, help="override the point bound of the sweep")
     fuzz.add_argument("--alphabet", type=int, default=None, help="override the alphabet bound")
     fuzz.add_argument("--depth", type=int, default=None, help="override the depth bound")
     fuzz.add_argument(

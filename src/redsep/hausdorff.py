@@ -228,16 +228,9 @@ def evaluate(base, family, mode=None, dual=False):
     return SubsetMask(family.n, eval_lanes(plans, values, (1 << family.n) - 1, dual))
 
 
-# contract name for the operation
-eval = evaluate
-
-
 def dual_evaluate(base, family, mode=None):
     """Universe minus the evaluation of the complemented family; a free empty prefix stays neutral."""
     return evaluate(base, family, mode, dual=True)
-
-
-dual_eval = dual_evaluate
 
 
 def decreasing_replacement(family):

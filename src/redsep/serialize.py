@@ -13,7 +13,7 @@ from .errors import InputError, ResourceError
 from .hausdorff import MODES, PREFIX, Base, IndexedFamily
 from .maps import PointMap
 from .masks import SubsetMask, points_of
-from .spaces import DEFAULT_MAX_POINTS, POINT_CEILING, generate_topology
+from .spaces import POINT_CEILING, generate_topology
 
 
 def canonical_json(doc):
@@ -132,10 +132,10 @@ def space_to_doc(space):
     return {"n": space.n, "subbasis": [points_doc(o) for o in space.opens]}
 
 
-def space_from_doc(doc, path="space", max_points=DEFAULT_MAX_POINTS):
+def space_from_doc(doc, path="space"):
     n = _int_field(doc, "n", path)
     sub = _field(doc, "subbasis", path, optional=True, default=[])
-    return generate_topology(n, masks_from_doc(n, sub, f"{path}.subbasis"), max_points=max_points)
+    return generate_topology(n, masks_from_doc(n, sub, f"{path}.subbasis"))
 
 
 def base_to_doc(base):
@@ -237,9 +237,9 @@ def map_to_doc(pm):
     }
 
 
-def map_from_doc(doc, path="map", max_points=DEFAULT_MAX_POINTS):
-    dom = space_from_doc(_field(doc, "dom", path), f"{path}.dom", max_points)
-    cod = space_from_doc(_field(doc, "cod", path), f"{path}.cod", max_points)
+def map_from_doc(doc, path="map"):
+    dom = space_from_doc(_field(doc, "dom", path), f"{path}.dom")
+    cod = space_from_doc(_field(doc, "cod", path), f"{path}.cod")
     table = _field(doc, "table", path)
     if not isinstance(table, list) or not all(
         isinstance(t, int) and not isinstance(t, bool) for t in table

@@ -16,9 +16,9 @@ from .classes import SetClass, complement_class
 from .errors import InputError, ResourceError
 from .masks import SubsetMask, points_of, sort_key, unions
 
-DEFAULT_MAX_POINTS = 5
-DEFAULT_MAX_PRODUCT_POINTS = 12
-# No max_points lifts this: a space on n points can have 2^n open sets, and reports list them all.
+# The one point cap of every instance document: a space, a product and each of its factors, the two spaces
+# of a map, and the universe of a class or family.  A space on n points can have 2^n open sets, and reports
+# list them all.  No option lifts it.
 POINT_CEILING = 12
 
 
@@ -89,12 +89,12 @@ class FinSpace:
         return f"FinSpace({self.n}, [{inner}])"
 
 
-def generate_topology(n, subbasis, max_points=DEFAULT_MAX_POINTS):
+def generate_topology(n, subbasis):
     """Smallest topology on n points containing every subbasis set."""
     if not isinstance(n, int) or n < 0:
         raise InputError(f"universe size must be a nonnegative int, got {n!r}")
-    if n > min(max_points, POINT_CEILING):
-        raise ResourceError(f"{n} points exceed the cap {min(max_points, POINT_CEILING)}")
+    if n > POINT_CEILING:
+        raise ResourceError(f"{n} points exceed the cap {POINT_CEILING}")
     sub_bits = []
     for s in subbasis:
         if not isinstance(s, SubsetMask):
@@ -193,15 +193,15 @@ class ProductCodec:
         return acc
 
 
-def product(spaces, max_points=DEFAULT_MAX_PRODUCT_POINTS):
+def product(spaces):
     """Product topology; returns (space, codec)."""
     spaces = list(spaces)
     if not spaces:
         raise InputError("product needs at least one factor")
     codec = ProductCodec(s.n for s in spaces)
     total = codec.total()
-    if total > min(max_points, POINT_CEILING):
-        raise ResourceError(f"product has {total} points, cap is {min(max_points, POINT_CEILING)}")
+    if total > POINT_CEILING:
+        raise ResourceError(f"product has {total} points, cap is {POINT_CEILING}")
     # fold in one factor at a time: point x*m + y of the next product has the box of U_x and U_y, the
     # union of U_y shifted to row x' for every x' in U_x (the rows are disjoint)
     nbhds = [1]  # the product of no factors: one point

@@ -35,7 +35,6 @@ from operator import and_, or_
 from . import serialize
 from .catalog import all_bases, all_tables, all_topologies
 from .classes import (
-    DEFAULT_ASSIGNMENT_CAP,
     REDUCTION,
     SEPARATION,
     _pairs,
@@ -83,7 +82,6 @@ class Bounds:
     max_points: int = 3
     alphabet: int = 2
     depth: int = 2
-    cap: int = 4096
 
 
 @dataclass(frozen=True)
@@ -172,11 +170,16 @@ def _spaces(max_points):
     return tuple(space for spaces in reversed(by_size) for space in spaces)
 
 
-def _maps(domains, codomains):
-    """Every table map between discrete spaces, domain size outermost, tables in lex order.  Lanes hold subsets of
-    at most LANE_POINTS points, so larger sizes are refused before the first map."""
-    if max(chain(domains, codomains), default=0) > LANE_POINTS:
+def _check_lane_points(*sizes):
+    """Refuse point counts over LANE_POINTS: a one-byte lane holds subsets of at most that many points."""
+    if max(sizes, default=0) > LANE_POINTS:
         raise ResourceError(f"a one-byte lane holds subsets of at most {LANE_POINTS} points")
+
+
+def _maps(domains, codomains):
+    """Every table map between discrete spaces, domain size outermost, tables in lex order; sizes over
+    LANE_POINTS are refused before the first map."""
+    _check_lane_points(*domains, *codomains)
     for n in domains:
         for m in codomains:
             for table in all_tables(n, m):
@@ -322,6 +325,7 @@ def _image_pair(dom, cod, sizes, imgs, positions, values):
 
 def _merge_witness(pm):
     """The first probe family over two merged points that breaks image commutation, or None."""
+    _check_lane_points(pm.dom.n, pm.cod.n)
     n = pm.dom.n
     merged = [(x, y) for x in range(n) for y in range(n) if x != y and pm.table[x] == pm.table[y]]
     cases = [((1 << n) - 1, 1 << x, 1 << y) for x, y in merged]
@@ -833,6 +837,8 @@ _IDENTITY_BASES = (
     ("intersection", (2,)),
     ("a_operation", (2, 2)),
 )
+# transfer-identity skips a (base, mode) pair with more assignments of the opens than this
+IDENTITY_ASSIGNMENTS = 4096
 
 
 def _run_transfer_identity(bounds, rng, budget, col):
@@ -844,7 +850,7 @@ def _run_transfer_identity(bounds, rng, budget, col):
         for base in bases:
             for mode in MODES:
                 enum = len([i for i in base.relevant_indices(mode) if i != ()])
-                if len(opens) ** enum > bounds.cap:
+                if len(opens) ** enum > IDENTITY_ASSIGNMENTS:
                     continue
                 phi = None
                 for which in (REDUCTION, SEPARATION):
@@ -924,15 +930,13 @@ def run_suite(name, bounds=None, seed=0, budget=None, keep=32):
     """Run one suite deterministically and collect its findings; budget None means the suite's default."""
     suite = _suite(name)
     bounds = suite.bounds if bounds is None else bounds
-    for field in ("max_points", "alphabet", "depth", "cap"):
+    for field in ("max_points", "alphabet", "depth"):
         if getattr(bounds, field) < 0:
             raise InputError(f"bounds.{field} must be nonnegative, got {getattr(bounds, field)}")
     if budget is not None and budget < 1:
         raise InputError("--budget must be positive")
     if budget is not None and budget > MAX_BUDGET:
         raise ResourceError(f"budget {budget} exceeds the cap {MAX_BUDGET}")
-    if bounds.cap > DEFAULT_ASSIGNMENT_CAP:
-        raise ResourceError(f"bounds.cap {bounds.cap} exceeds the cap {DEFAULT_ASSIGNMENT_CAP}")
     col = _Collector(name, keep)
     suite.run(bounds, random.Random(f"{name}:{seed}"), suite.budget if budget is None else budget, col)
     return SuiteResult(

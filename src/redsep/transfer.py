@@ -14,7 +14,7 @@ from .classes import _pairs, _property, check, generate_class
 from .errors import InputError, PreconditionError, ResourceError
 from .maps import PointMap
 from .masks import SubsetMask, points_of, restrict_bits, sort_key, unions
-from .spaces import DEFAULT_MAX_PRODUCT_POINTS, FinSpace, component_bits, zero_sets
+from .spaces import POINT_CEILING, FinSpace, component_bits, zero_sets
 
 
 HypothesisReport = namedtuple("HypothesisReport", "name holds offending")
@@ -114,8 +114,8 @@ def zero_witness_map(space, zeros):
         if z.bits not in zero_bits:
             raise PreconditionError(f"{z!r} is not a zero set of the space")
     k = len(zeros)
-    if 1 << k > DEFAULT_MAX_PRODUCT_POINTS:
-        raise ResourceError(f"{k} indicator factors exceed the product cap {DEFAULT_MAX_PRODUCT_POINTS}")
+    if 1 << k > POINT_CEILING:
+        raise ResourceError(f"{k} indicator factors exceed the product cap {POINT_CEILING}")
     # diagonal of k two-point discrete factors, row-major: bit i of the code
     # is the indicator of zeros[k-1-i]; equals the generic product codec
     table = []

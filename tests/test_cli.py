@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import importlib
+import importlib.util
 import io
 import json
 import pkgutil
@@ -293,12 +294,50 @@ def test_check_reports_up_to_3_points_are_pinned(command, tmp_path):
     assert digest.hexdigest() == CHECK_REPORTS_SHA[command]
 
 
-def test_space_respects_the_point_cap(tmp_path):
-    inst = write_instance(tmp_path, {"product": [CONNECTED3, CONNECTED3]})
-    code, out = run_cli(["space", "--max-points", "4", inst])
+def test_space_respects_the_point_cap(tmp_path, capsys):
+    inst = write_instance(tmp_path, {"product": [CONNECTED3, CONNECTED3, {"n": 2}]})
+    code, out = run_cli(["space", inst])
     assert code == 2 and out == ""
-    code, out = run_cli(["space", "--max-points", "12", inst])
+    assert capsys.readouterr().err == "error: product has 18 points, cap is 12\n"
+    code, out = run_cli(["space", write_instance(tmp_path, {"product": [CONNECTED3, CONNECTED3]})])
     assert code == 0 and json.loads(out)["n"] == 9
+
+
+def test_spaces_and_products_of_6_to_12_points_run_with_no_flag(tmp_path):
+    six = {"n": 6, "subbasis": [[0, 1], [2, 3, 4], [5]]}
+    code, out = run_cli(["space", write_instance(tmp_path, {"space": six})])
+    assert code == 0 and json.loads(out)["n"] == 6
+    # a factor is read under the one ceiling too, not under a smaller default
+    code, out = run_cli(["space", write_instance(tmp_path, {"product": [six, {"n": 2, "subbasis": [[1]]}]})])
+    report = json.loads(out)
+    assert code == 0 and report["n"] == 12 and report["counts"]["components"] == 3
+
+
+def test_only_fuzz_takes_max_points(tmp_path, capsys):
+    inst = write_instance(tmp_path, {"space": CONNECTED3})
+    commands = ("eval", "generate", "check-reduction", "check-separation", "transfer", "zero-gap", "space")
+    finding = str(CORPUS / "image-necessity-f638e7342c50.json")
+    for command, arg in [*((c, inst) for c in commands), ("replay", finding)]:
+        with pytest.raises(SystemExit) as exit_:
+            run_cli([command, arg, "--max-points", "12"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --max-points 12" in capsys.readouterr().err
+    code, out = run_cli(["fuzz", "diagonal-absorption", "--max-points", "1"])
+    assert code == 0 and json.loads(out)["bounds"] == {"alphabet": 2, "depth": 2, "max_points": 1}
+
+
+def test_the_instance_generator_writes_the_shipped_files_byte_for_byte(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("gen_instances", ROOT / "tools" / "gen_instances.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the generator puts src/ on the path
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "ROOT", tmp_path)
+    gen.main()
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    shipped = sorted(p.relative_to(ROOT) for d in ("instances", "corpus", "tests/golden") for p in (ROOT / d).rglob("*.json"))
+    assert len(written) == 35 and written == shipped
+    for path in written:
+        assert (tmp_path / path).read_bytes() == (ROOT / path).read_bytes(), path
 
 
 def test_replay_accepts_the_shipped_corpus():
@@ -339,6 +378,14 @@ def test_replay_of_an_image_necessity_finding_of_the_wrong_kind_or_map_exits_1(t
     for name, doc in (("relabelled.json", {**witness, "kind": "violation"}), ("identity.json", missing)):
         code, out = run_cli(["replay", write_instance(tmp_path, doc, name)])
         assert code == 1 and json.loads(out)["retriggered"] == 0
+
+
+def test_replay_of_an_image_necessity_finding_on_a_9_point_map_exits_2(tmp_path, capsys):
+    pm = PointMap(FinSpace.discrete(9), FinSpace.discrete(2), [0] * 9)
+    instance = {"map": serialize.map_to_doc(pm), "check": "missing-witness"}
+    code, out = run_cli(["replay", write_instance(tmp_path, {"suite": "image-necessity", "instance": instance})])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: a one-byte lane holds subsets of at most 8 points\n"
 
 
 def test_replay_of_a_separation_verdict_finding_exits_2(tmp_path, capsys):
@@ -471,7 +518,7 @@ def test_an_oversized_space_bound_is_refused_before_any_topology_is_enumerated(c
         catalog.all_topologies(6)
 
 
-def test_instance_spaces_stop_at_12_points_whatever_max_points_says(tmp_path, capsys, monkeypatch):
+def test_instance_spaces_stop_at_12_points(tmp_path, capsys, monkeypatch):
     honest, built = spaces.FinSpace, []
 
     def recorded(n, *args, **kwargs):
@@ -488,12 +535,12 @@ def test_instance_spaces_stop_at_12_points_whatever_max_points_says(tmp_path, ca
         ({"product": [discrete[4], discrete[4]]}, [4, 4], "product has 16 points, cap is 12"),
     ):
         built.clear()
-        code, out = run_cli(["space", "--max-points", "30", write_instance(tmp_path, doc)])
+        code, out = run_cli(["space", write_instance(tmp_path, doc)])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: {message}\n"
         assert built == factors
     with pytest.raises(ResourceError, match="cap 12"):
-        spaces.generate_topology(13, [], max_points=10**6)
+        spaces.generate_topology(13, [])
 
 
 def _long_family_finding(k):

@@ -203,8 +203,9 @@ def test_space_documents_regenerate_the_same_topology():
     assert serialize.space_from_doc(
         {"n": 3, "subbasis": [[1], [1, 2]]}
     ) == space
-    with pytest.raises(ResourceError):
-        serialize.space_from_doc({"n": 6, "subbasis": []})
+    assert serialize.space_from_doc({"n": 12}) == FinSpace(12, [(1 << 12) - 1] * 12)
+    with pytest.raises(ResourceError, match="13 points exceed the cap 12"):
+        serialize.space_from_doc({"n": 13, "subbasis": []})
 
 
 def test_map_documents_round_trip():

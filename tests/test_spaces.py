@@ -257,8 +257,8 @@ def test_product_point_count_and_codec_round_trip(sierpinski, chain3):
 
 
 def test_product_cap_enforced():
-    with pytest.raises(ResourceError):
-        product([FinSpace.discrete(4), FinSpace.discrete(4)], max_points=12)
+    with pytest.raises(ResourceError, match="product has 16 points, cap is 12"):
+        product([FinSpace.discrete(4), FinSpace.discrete(4)])
 
 
 def test_invalid_topologies_rejected():

@@ -47,7 +47,7 @@ from conftest import closure_oracle, family_doc, mask, sweep_oracle
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 
-TIGHT = Bounds(max_points=2, alphabet=2, depth=2, cap=512)
+TIGHT = Bounds(max_points=2, alphabet=2, depth=2)
 
 
 def test_the_registered_suites():
@@ -759,16 +759,17 @@ def test_lanes_refuse_universes_over_8_points():
             run_suite(name, bounds=Bounds(max_points=9), budget=1)
 
 
-def test_a_cap_over_the_assignment_cap_is_refused_before_any_sweep_starts(monkeypatch):
-    def sweep(*args):
-        raise AssertionError("the sweep started")
+def test_a_replayed_merge_over_8_points_is_refused_by_the_lanes():
+    def missing_witness(n, m):
+        pm = PointMap(FinSpace.discrete(n), FinSpace.discrete(m), [0] * n)
+        instance = {"map": serialize.map_to_doc(pm), "check": "missing-witness"}
+        return {"suite": "image-necessity", "kind": "violation", "instance": instance}
 
-    monkeypatch.setitem(suites._SUITES, "transfer-identity", suites._SUITES["transfer-identity"]._replace(run=sweep))
-    with pytest.raises(ResourceError) as err:
-        run_suite("transfer-identity", bounds=Bounds(cap=(1 << 18) + 1))
-    assert str(err.value) == "bounds.cap 262145 exceeds the cap 262144"
-    with pytest.raises(AssertionError, match="the sweep started"):  # the engine's own cap is accepted
-        run_suite("transfer-identity", bounds=Bounds(cap=1 << 18))
+    for n, m in ((9, 2), (2, 9)):
+        with pytest.raises(ResourceError, match="a one-byte lane holds subsets of at most 8 points"):
+            replay_finding(missing_witness(n, m))
+    # at 8 points the lanes hold both spaces, and the merge has its witness
+    assert not replay_finding(missing_witness(8, 8))
 
 
 def test_sweep_digest_prints_one_line_per_suite():
